@@ -17,50 +17,19 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
 from . import lattice as lat
 from . import model, sampler, verify, wick
-from .model import FieldParams
+from .model import FieldParams, _is_odd_prime
 from .ultrametric import SAME, Region, parse_region, refine
 
 ENV_PREFIX = "PADICQFT_"
-
-_SCHEMA = {
-    "field": ("p", "n", "alpha", "m_sq", "gamma_const", "omega"),
-    "region": ("ambient_level", "k", "balls"),
-    "lattice": ("l",),
-    "polynomial": ("coefficients", "lambda"),
-    "source": ("g", "h"),
-    "run": ("seed", "n_samples", "method", "tol", "quadrature_order", "out"),
-}
-
-_DEFAULTS = {
-    ("field", "p"): "3",
-    ("field", "n"): "1",
-    ("field", "alpha"): "1",
-    ("field", "m_sq"): "1.0",
-    ("field", "gamma_const"): "1.0",
-    ("field", "omega"): "auto",
-    ("region", "ambient_level"): "1",
-    ("region", "k"): "0",
-    ("region", "balls"): "0,1,2",
-    ("lattice", "l"): "0",
-    ("polynomial", "coefficients"): "0,0,0,0,1",
-    ("polynomial", "lambda"): "0",
-    ("source", "g"): "0.1",
-    ("source", "h"): "e0;e1",
-    ("run", "seed"): "20240801",
-    ("run", "n_samples"): "20000",
-    ("run", "method"): "quadrature",
-    ("run", "tol"): "1e-12",
-    ("run", "quadrature_order"): "40",
-    ("run", "out"): "out",
-}
 
 
 class ConfigError(ValueError):
@@ -71,28 +40,84 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n  " + "\n  ".join(self.errors))
 
 
+_INVALID = object()  # what _Key.read returns for a value it rejected
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One INI key: its section, default text, and how it is read, checked and written."""
+
+    section: str
+    name: str
+    default: str
+    parse: Callable[[str], Any] = str
+    check: Callable[[Any], bool] | None = None
+    message: str = ""  # why a parsed value failed ``check``
+    unparsable: str | None = None  # replaces "cannot parse <text>"
+    text: Callable[[Any], str] = str  # canonical form; str(float) is its repr
+
+    def problem(self, message: str) -> str:
+        return f"[{self.section}] {self.name}: {message}"
+
+    def read(self, raw: str, errors: list[str]):
+        """The parsed and checked value, or _INVALID after recording the problem."""
+        try:
+            value = self.parse(raw)
+        except (ValueError, ZeroDivisionError):
+            errors.append(self.problem(self.unparsable or f"cannot parse {raw!r}"))
+            return _INVALID
+        if self.check is not None and not self.check(value):
+            errors.append(self.problem(self.message))
+            return _INVALID
+        return value
+
+
+def _key(section: str, name: str, default: str, parse=str, check=None, message="", **kw):
+    return field(metadata={"key": _Key(section, name, default, parse, check, message, **kw)})
+
+
+def _positive(v) -> bool:
+    return v > 0
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    p: int
-    n: int
-    alpha: Fraction
-    m_sq: float
-    gamma_const: float
-    omega: float | None  # None = auto-resolve
-    ambient_level: int
-    k: int
-    balls: str
-    l: int
-    coefficients: tuple[float, ...]
-    lam: float
-    g_spec: str
-    h_spec: str
-    seed: int
-    n_samples: int
-    method: str
-    tol: float
-    quadrature_order: int
-    out: str
+    """The effective configuration; each field declares its own INI key.
+
+    Field order is the canonical order of sections and keys.
+    """
+
+    p: int = _key("field", "p", "3", int, _is_odd_prime, "p must be an odd prime")
+    n: int = _key("field", "n", "1", int, lambda v: v in (1, 2, 3, 4), "n must be in 1..4")
+    alpha: Fraction = _key("field", "alpha", "1", Fraction)
+    m_sq: float = _key("field", "m_sq", "1.0", float, _positive, "m_sq must be positive")
+    gamma_const: float = _key("field", "gamma_const", "1.0", float, _positive,
+                              "gamma_const must be positive")
+    omega: float | None = _key(  # None = auto-resolve
+        "field", "omega", "auto", lambda s: None if s == "auto" else float(s),
+        lambda v: v is None or v <= 0, "omega must be nonpositive",
+        text=lambda v: "auto" if v is None else str(v))
+    ambient_level: int = _key("region", "ambient_level", "1", int)
+    k: int = _key("region", "k", "0", int)
+    balls: str = _key("region", "balls", "0,1,2")
+    l: int = _key("lattice", "l", "0", int)
+    coefficients: tuple[float, ...] = _key(
+        "polynomial", "coefficients", "0,0,0,0,1",
+        lambda s: tuple(float(c) for c in s.split(",")),
+        unparsable="cannot parse float list", text=lambda v: ",".join(map(repr, v)))
+    lam: float = _key("polynomial", "lambda", "0", float, lambda v: v >= 0,
+                      "lambda must be nonnegative")
+    g_spec: str = _key("source", "g", "0.1")
+    h_spec: str = _key("source", "h", "e0;e1")
+    seed: int = _key("run", "seed", "20240801", int, lambda v: v >= 0, "seed must be nonnegative")
+    n_samples: int = _key("run", "n_samples", "20000", int, lambda v: v >= 1000,
+                          "n_samples must be >= 1000")
+    method: str = _key("run", "method", "quadrature", str, lambda v: v in ("mc", "quadrature"),
+                       "method must be 'mc' or 'quadrature'")
+    tol: float = _key("run", "tol", "1e-12", float, _positive, "tol must be positive")
+    quadrature_order: int = _key("run", "quadrature_order", "40", int, lambda v: v >= 4,
+                                 "quadrature_order must be >= 4")
+    out: str = _key("run", "out", "out")
 
     def params(self) -> FieldParams:
         return FieldParams(
@@ -106,7 +131,7 @@ class RunConfig:
 
     def region(self) -> Region:
         text = f"amb={self.ambient_level};k={self.k};balls={self.balls}"
-        return parse_region(text, self.params().q)
+        return parse_region(text, self.p**self.n)
 
     def lattice(self):
         return refine(self.region(), self.l)
@@ -128,6 +153,10 @@ class RunConfig:
         return sampler.SourceSpec(g=self.resolve_g(eta), h_list=self.resolve_h(eta))
 
 
+_KEYS = {f.name: f.metadata["key"] for f in fields(RunConfig)}  # field name -> its key
+_FIELD_OF = {(key.section, key.name): name for name, key in _KEYS.items()}
+
+
 def _parse_cell_values(spec: str, eta: int, name: str) -> np.ndarray:
     spec = spec.strip()
     if spec.startswith("e") and spec[1:].isdigit():
@@ -145,6 +174,12 @@ def _parse_cell_values(spec: str, eta: int, name: str) -> np.ndarray:
     return np.asarray(values)
 
 
+def _read(raw: dict[str, str], errors: list[str]) -> dict:
+    """Field name -> value for every raw text that parses and passes its check."""
+    values = {name: _KEYS[name].read(text, errors) for name, text in raw.items()}
+    return {name: v for name, v in values.items() if v is not _INVALID}
+
+
 def parse_config(text: str, strict: bool = True) -> RunConfig:
     """Parse and fully validate; raises ConfigError listing every problem."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -154,157 +189,68 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError([f"malformed config: {exc}"]) from exc
 
-    values = {key: default for key, default in _DEFAULTS.items()}
+    def unknown(msg: str) -> None:
+        if strict:
+            errors.append(msg)
+        else:
+            print(f"warning: {msg} ignored", file=sys.stderr)
+
+    raw = {name: key.default for name, key in _KEYS.items()}
+    sections = {key.section for key in _KEYS.values()}
     for section in parser.sections():
-        if section not in _SCHEMA:
-            msg = f"unknown section [{section}]"
-            if strict:
-                errors.append(msg)
-            else:
-                print(f"warning: {msg} ignored", file=sys.stderr)
+        if section not in sections:
+            unknown(f"unknown section [{section}]")
             continue
-        for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
-                msg = f"unknown key {key!r} in section [{section}]"
-                if strict:
-                    errors.append(msg)
-                else:
-                    print(f"warning: {msg} ignored", file=sys.stderr)
-                continue
-            values[(section, key)] = raw.strip()
+        for key, value in parser.items(section):
+            name = _FIELD_OF.get((section, key))
+            if name is None:
+                unknown(f"unknown key {key!r} in section [{section}]")
+            else:
+                raw[name] = value.strip()
+    v = _read(raw, errors)
 
-    def grab(section, key, conv, check=None, message=None):
-        raw = values[(section, key)]
-        try:
-            value = conv(raw)
-        except (ValueError, ZeroDivisionError):
-            errors.append(f"[{section}] {key}: cannot parse {raw!r}")
-            return None
-        if check is not None and not check(value):
-            errors.append(f"[{section}] {key}: {message}")
-            return None
-        return value
+    def bad(name: str, message: str) -> None:
+        errors.append(_KEYS[name].problem(message))
 
-    p = grab("field", "p", int, lambda v: v >= 3 and v % 2 == 1 and _is_prime(v),
-             "p must be an odd prime")
-    n = grab("field", "n", int, lambda v: v in (1, 2, 3, 4), "n must be in 1..4")
-    alpha = grab("field", "alpha", Fraction)
-    m_sq = grab("field", "m_sq", float, lambda v: v > 0, "m_sq must be positive")
-    gamma = grab("field", "gamma_const", float, lambda v: v > 0, "gamma_const must be positive")
-    omega_raw = values[("field", "omega")]
-    if omega_raw == "auto":
-        omega = None
-    else:
-        omega = grab("field", "omega", float, lambda v: v <= 0, "omega must be nonpositive")
-    if alpha is not None and n is not None and 2 * alpha < n:
-        errors.append(f"[field] alpha: alpha must be >= n/2 (got {alpha} with n={n})")
-
-    amb = grab("region", "ambient_level", int)
-    k = grab("region", "k", int)
-    balls = values[("region", "balls")]
-    l = grab("lattice", "l", int)
-    if k is not None and amb is not None and k > amb:
-        errors.append("[region] k: ball level k must not exceed ambient_level")
-    if l is not None and k is not None and l > k:
-        errors.append("[lattice] l: refinement level must satisfy l <= k")
-
-    coeffs = None
-    try:
-        coeffs = tuple(float(c) for c in values[("polynomial", "coefficients")].split(","))
-    except ValueError:
-        errors.append("[polynomial] coefficients: cannot parse float list")
-    lam = grab("polynomial", "lambda", float, lambda v: v >= 0, "lambda must be nonnegative")
-    if coeffs is not None:
+    # the rules that involve more than one key, checked where those keys are valid
+    if "alpha" in v and "n" in v and 2 * v["alpha"] < v["n"]:
+        bad("alpha", f"alpha must be >= n/2 (got {v['alpha']} with n={v['n']})")
+    if "k" in v and "ambient_level" in v and v["k"] > v["ambient_level"]:
+        bad("k", "ball level k must not exceed ambient_level")
+    if "l" in v and "k" in v and v["l"] > v["k"]:
+        bad("l", "refinement level must satisfy l <= k")
+    if "coefficients" in v:
+        coeffs = v["coefficients"]
         degree = len(coeffs) - 1
         if degree % 2 != 0:
-            errors.append("[polynomial] coefficients: interaction degree must be even")
+            bad("coefficients", "interaction degree must be even")
         elif coeffs[-1] <= 0:
-            errors.append(
-                "[polynomial] coefficients: leading coefficient must be positive "
-                "(semibounded interaction)"
-            )
-        if lam is not None and lam != 0:
+            bad("coefficients", "leading coefficient must be positive (semibounded interaction)")
+        if v.get("lam"):
             if degree < 2:
-                errors.append("[polynomial] lambda: a linear term needs degree >= 2")
+                bad("lam", "a linear term needs degree >= 2")
             elif coeffs[1] != 0:
-                errors.append("[polynomial] lambda: set either lambda or a nonzero a_1, not both")
-
-    seed = grab("run", "seed", int, lambda v: v >= 0, "seed must be nonnegative")
-    n_samples = grab("run", "n_samples", int, lambda v: v >= 1000, "n_samples must be >= 1000")
-    method = grab("run", "method", str, lambda v: v in ("mc", "quadrature"),
-                  "method must be 'mc' or 'quadrature'")
-    tol = grab("run", "tol", float, lambda v: v > 0, "tol must be positive")
-    order = grab("run", "quadrature_order", int, lambda v: v >= 4,
-                 "quadrature_order must be >= 4")
-    out = values[("run", "out")]
-
-    if not errors and p is not None and amb is not None:
-        # structural validation that needs several fields at once
-        try:
-            parse_region(f"amb={amb};k={k};balls={balls}", p**n)
-        except ValueError as exc:
-            errors.append(f"[region] balls: {exc}")
-
+                bad("lam", "set either lambda or a nonzero a_1, not both")
     if errors:
         raise ConfigError(errors)
-    return RunConfig(
-        p=p, n=n, alpha=alpha, m_sq=m_sq, gamma_const=gamma, omega=omega,
-        ambient_level=amb, k=k, balls=balls, l=l,
-        coefficients=coeffs, lam=lam,
-        g_spec=values[("source", "g")], h_spec=values[("source", "h")],
-        seed=seed, n_samples=n_samples, method=method, tol=tol,
-        quadrature_order=order, out=out,
-    )
 
-
-def _is_prime(v: int) -> bool:
-    if v < 2:
-        return False
-    f = 2
-    while f * f <= v:
-        if v % f == 0:
-            return False
-        f += 1
-    return True
+    cfg = RunConfig(**v)
+    try:
+        cfg.region()  # the digit strings must fit q, k and ambient_level
+    except ValueError as exc:
+        raise ConfigError([_KEYS["balls"].problem(str(exc))]) from exc
+    return cfg
 
 
 def canonical_text(cfg: RunConfig) -> str:
     """Canonical INI serialization; parse_config(canonical_text(c)) == c."""
-    omega = "auto" if cfg.omega is None else repr(cfg.omega)
-    coeffs = ",".join(repr(c) for c in cfg.coefficients)
-    lines = [
-        "[field]",
-        f"p = {cfg.p}",
-        f"n = {cfg.n}",
-        f"alpha = {cfg.alpha}",
-        f"m_sq = {cfg.m_sq!r}",
-        f"gamma_const = {cfg.gamma_const!r}",
-        f"omega = {omega}",
-        "",
-        "[region]",
-        f"ambient_level = {cfg.ambient_level}",
-        f"k = {cfg.k}",
-        f"balls = {cfg.balls}",
-        "",
-        "[lattice]",
-        f"l = {cfg.l}",
-        "",
-        "[polynomial]",
-        f"coefficients = {coeffs}",
-        f"lambda = {cfg.lam!r}",
-        "",
-        "[source]",
-        f"g = {cfg.g_spec}",
-        f"h = {cfg.h_spec}",
-        "",
-        "[run]",
-        f"seed = {cfg.seed}",
-        f"n_samples = {cfg.n_samples}",
-        f"method = {cfg.method}",
-        f"tol = {cfg.tol!r}",
-        f"quadrature_order = {cfg.quadrature_order}",
-        f"out = {cfg.out}",
-    ]
+    lines, section = [], None
+    for name, key in _KEYS.items():
+        if key.section != section:
+            lines += [""] if section else []
+            lines.append(f"[{key.section}]")
+            section = key.section
+        lines.append(f"{key.name} = {key.text(getattr(cfg, name))}")
     return "\n".join(lines) + "\n"
 
 
@@ -453,7 +399,7 @@ def run_schwinger(cfg: RunConfig, writer: _ArtifactWriter, trace: bool = False) 
     m = lat.covariance_matrix(lat.precision_matrix(lattice, params))
     if cfg.method == "quadrature":
         est = sampler.schwinger_quadrature(m, poly, src, var, cfg.quadrature_order)
-        z = sampler.partition_function_quadrature(m, poly, src, var, cfg.quadrature_order)
+        z = replace(est, value=est.partition)
     else:
         est = sampler.schwinger_mc(m, poly, src, cfg.seed, cfg.n_samples, var)
         z = sampler.partition_function_mc(m, poly, src, cfg.seed + 1, cfg.n_samples, var)
@@ -515,9 +461,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument("subcommand", choices=sorted(_RUNNERS))
     parser.add_argument("--config", type=Path, default=None, help="INI config path")
-    parser.add_argument("--seed", type=int, default=None, help="override run.seed")
-    parser.add_argument("--out", type=str, default=None, help="override output directory")
-    parser.add_argument("--tol", type=float, default=None, help="override run.tol")
+    parser.add_argument("--seed", default=None, help="override run.seed")
+    parser.add_argument("--out", default=None, help="override output directory")
+    parser.add_argument("--tol", default=None, help="override run.tol")
     parser.add_argument("--trace", action="store_true", help="emit per-sample traces (mc only)")
     strictness = parser.add_mutually_exclusive_group()
     strictness.add_argument("--strict", dest="strict", action="store_true", default=None,
@@ -538,23 +484,18 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
+    # flags win over environment variables; both are read and checked like config values
+    overrides = {name: raw for name in ("seed", "out", "tol")
+                 if (raw := getattr(args, name) or _env(name.upper()))}
     try:
         cfg = parse_config(text, strict=strict)
+        errors: list[str] = []
+        cfg = replace(cfg, **_read(overrides, errors))
+        if errors:
+            raise ConfigError(errors)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    seed = args.seed if args.seed is not None else (
-        int(_env("SEED")) if _env("SEED") else None)
-    out = args.out if args.out is not None else _env("OUT")
-    tol = args.tol if args.tol is not None else (
-        float(_env("TOL")) if _env("TOL") else None)
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    if out is not None:
-        cfg = replace(cfg, out=out)
-    if tol is not None:
-        cfg = replace(cfg, tol=tol)
 
     writer = _ArtifactWriter(Path(cfg.out))
     runner = _RUNNERS[args.subcommand]

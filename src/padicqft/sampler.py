@@ -58,6 +58,7 @@ class SchwingerEstimate:
     method: str  # "mc" | "quadrature"
     ess: float | None = None
     low_ess: bool = False
+    partition: float | None = None  # Z from the same converged quadrature run
 
 
 @dataclass(frozen=True)
@@ -124,15 +125,15 @@ def _draw_block(M: CovarianceMatrix, seed: int, n: int) -> np.ndarray:
     return z @ np.asarray(M.factor).T
 
 
-def _batch_ratio_se(num: np.ndarray, den: np.ndarray, batches: int = MC_BATCHES) -> float:
-    n = len(den)
-    size = n // batches
+def _batch_se(num: np.ndarray, den: np.ndarray) -> float:
+    """Batch-means standard error of the ratio sum(num) / sum(den)."""
+    size = len(num) // MC_BATCHES
     vals = []
-    for b in range(batches):
+    for b in range(MC_BATCHES):
         sl = slice(b * size, (b + 1) * size)
         dsum = den[sl].sum()
         vals.append(num[sl].sum() / dsum if dsum > 0 else 0.0)
-    return float(np.std(vals, ddof=1) / math.sqrt(batches))
+    return float(np.std(vals, ddof=1) / math.sqrt(MC_BATCHES))
 
 
 def _mc_weights(M, P, source, variances, seed, n_samples):
@@ -171,7 +172,7 @@ def schwinger_mc(
         prod *= t @ h
     num = prod * w
     value = float(num.sum() / w.sum())
-    se = _batch_ratio_se(num, w)
+    se = _batch_se(num, w)
     ess = effective_sample_size(w)
     return SchwingerEstimate(
         value=value,
@@ -193,14 +194,10 @@ def partition_function_mc(
 ) -> SchwingerEstimate:
     """Estimate of Z = <exp(-:P:(g))> under the lattice Gaussian."""
     _, w, _ = _mc_weights(M, P, source, variances, seed, n_samples)
-    value = float(w.mean())
-    size = n_samples // MC_BATCHES
-    bm = [w[b * size : (b + 1) * size].mean() for b in range(MC_BATCHES)]
-    se = float(np.std(bm, ddof=1) / math.sqrt(MC_BATCHES))
     ess = effective_sample_size(w)
     return SchwingerEstimate(
-        value=value,
-        std_error=se,
+        value=float(w.mean()),
+        std_error=_batch_se(w, np.ones_like(w)),  # a mean is a ratio to a count
         n_samples=n_samples,
         method="mc",
         ess=ess,
@@ -254,8 +251,8 @@ def _quadrature_converged(M, P, source, variances, stats, order, conv_tol):
     vals2, z2 = _quadrature_pass(M, P, source, variances, stats, 2 * order)
     drifts = [abs(z2 - z1) / max(1.0, abs(z2))]
     drifts += [abs(b - a) / max(1.0, abs(b)) for a, b in zip(vals1, vals2)]
-    worst = max(drifts)
-    if worst > conv_tol:
+    worst = float(np.max(drifts))  # NaN propagates, and fails the gate below
+    if not (worst <= conv_tol):
         raise QuadratureError(
             f"order {order} -> {2 * order} changed a result by {worst:.3e} (> {conv_tol:.1e})"
         )
@@ -281,9 +278,11 @@ def schwinger_quadrature(
             return prod
 
         stats = [stat]
-    vals, _, pts = _quadrature_converged(M, P, source, variances, stats, order, conv_tol)
+    vals, z, pts = _quadrature_converged(M, P, source, variances, stats, order, conv_tol)
     value = float(vals[0]) if stats else 1.0
-    return SchwingerEstimate(value=value, std_error=0.0, n_samples=pts, method="quadrature")
+    return SchwingerEstimate(
+        value=value, std_error=0.0, n_samples=pts, method="quadrature", partition=float(z)
+    )
 
 
 def partition_function_quadrature(
@@ -366,7 +365,7 @@ def griffiths_check(
         t, w, _ = _mc_weights(M, P, source, variances, seed, n_samples)
         nums = np.stack([stat(t) * w for stat in stats])
         vals = nums.sum(axis=1) / w.sum()
-        ses = np.array([_batch_ratio_se(nums[i], w) for i in range(len(needed))])
+        ses = np.array([_batch_se(nums[i], w) for i in range(len(needed))])
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -542,12 +541,8 @@ def partition_stability(
             ok = False
         # moment of the rho=1 weights targets the same Z(rho g)
         wp = w1**rho
-        a = float(wp.mean())
-        size = n_samples // MC_BATCHES
-        bm = [wp[b * size : (b + 1) * size].mean() for b in range(MC_BATCHES)]
-        se_a = float(np.std(bm, ddof=1) / math.sqrt(MC_BATCHES))
-        gap = abs(a - est.value)
-        combined = math.sqrt(se_a**2 + est.std_error**2)
+        gap = abs(float(wp.mean()) - est.value)
+        combined = math.sqrt(_batch_se(wp, np.ones_like(wp)) ** 2 + est.std_error**2)
         slack = 3.0 * combined - gap
         slacks.append(slack)
         if slack < 0:

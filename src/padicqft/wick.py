@@ -71,9 +71,8 @@ def wick_unpower(x, k: int, variance: float):
     if variance < 0:
         raise ValueError("variance must be nonnegative")
     total = 0.0
-    for j in range(k // 2 + 1):
-        w = math.factorial(k) // (2**j * math.factorial(j) * math.factorial(k - 2 * j))
-        total = total + float(w) * wick_power(x, k - 2 * j, variance) * variance**j
+    for j, w in enumerate(wick_coefficients(k).coefficients):
+        total = total + float(abs(w)) * wick_power(x, k - 2 * j, variance) * variance**j
     return total
 
 
@@ -86,11 +85,7 @@ def wick_change_of_variance_coeffs(k: int, var_from: float, var_to: float) -> tu
     identity.
     """
     phi = var_to - var_from
-    return tuple(
-        float(math.factorial(k) // (2**j * math.factorial(j) * math.factorial(k - 2 * j)))
-        * phi**j
-        for j in range(k // 2 + 1)
-    )
+    return tuple(float(abs(w)) * phi**j for j, w in enumerate(wick_coefficients(k).coefficients))
 
 
 def wick_change_of_variance(k: int, var_from: float, var_to: float, x):

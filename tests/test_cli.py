@@ -233,6 +233,23 @@ class TestSubcommands:
             == next((tmp_path / "b").glob("*.csv")).name
         )
 
+    @pytest.mark.parametrize("flags, env, message", [
+        ([], {"PADICQFT_TOL": "abc"}, "[run] tol: cannot parse 'abc'"),
+        (["--tol", "0"], {}, "[run] tol: tol must be positive"),
+        (["--seed", "-1"], {}, "[run] seed: seed must be nonnegative"),
+    ])
+    def test_bad_override_rejected(self, tmp_path, monkeypatch, capsys, flags, env, message):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        out = tmp_path / "o"
+        rc = main(["schwinger", "--config", str(self.config_path(tmp_path)),
+                   "--out", str(out), *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: invalid configuration" in err
+        assert message in err
+        assert not out.exists()
+
 
 class TestVerifySubcommand:
     def test_default_config_verify_passes(self, tmp_path):

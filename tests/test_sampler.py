@@ -234,6 +234,18 @@ class TestSchwingerQuadrature:
         with pytest.raises(QuadratureError):
             schwinger_quadrature(cov2, X4, src, var0(), order=4)
 
+    def test_nan_drift_fails_the_gate(self, cov3):
+        # the default 3-cell model at g = 100: the weights overflow, both
+        # orders give NaN, and a NaN drift must not count as converged
+        src = SourceSpec(g=np.full(3, 100.0), h_list=(np.eye(3)[0], np.eye(3)[1]))
+        with pytest.raises(QuadratureError):
+            schwinger_quadrature(cov3, X4, src, var0(), order=40)
+
+    def test_schwinger_carries_the_partition_function(self, cov2):
+        src = SourceSpec(g=np.full(2, 0.2), h_list=(np.eye(2)[0], np.eye(2)[1]))
+        est = schwinger_quadrature(cov2, X4, src, var0())
+        assert est.partition == partition_function_quadrature(cov2, X4, src, var0()).value
+
 
 class TestErrorScaling:
     def test_rmse_slope_is_half(self, cov2):
