@@ -143,11 +143,11 @@ class RunConfig:
         return wick.WickPolynomial(tuple(coeffs))
 
     def resolve_g(self, eta: int) -> np.ndarray:
-        return _parse_cell_values(self.g_spec, eta, "g")
+        return sampler.SourceSpec(g=_parse_cell_values(self.g_spec, eta)).g  # checks g >= 0
 
     def resolve_h(self, eta: int) -> tuple[np.ndarray, ...]:
         entries = [e.strip() for e in self.h_spec.split(";") if e.strip()]
-        return tuple(_parse_cell_values(e, eta, "h") for e in entries)
+        return tuple(_parse_cell_values(e, eta) for e in entries)
 
     def source(self, eta: int) -> sampler.SourceSpec:
         return sampler.SourceSpec(g=self.resolve_g(eta), h_list=self.resolve_h(eta))
@@ -157,12 +157,12 @@ _KEYS = {f.name: f.metadata["key"] for f in fields(RunConfig)}  # field name -> 
 _FIELD_OF = {(key.section, key.name): name for name, key in _KEYS.items()}
 
 
-def _parse_cell_values(spec: str, eta: int, name: str) -> np.ndarray:
+def _parse_cell_values(spec: str, eta: int) -> np.ndarray:
     spec = spec.strip()
     if spec.startswith("e") and spec[1:].isdigit():
         idx = int(spec[1:])
         if idx >= eta:
-            raise ConfigError([f"{name} entry {spec!r} indexes past the {eta} lattice cells"])
+            raise ValueError(f"entry {spec!r} indexes past the {eta} lattice cells")
         out = np.zeros(eta)
         out[idx] = 1.0
         return out
@@ -170,7 +170,7 @@ def _parse_cell_values(spec: str, eta: int, name: str) -> np.ndarray:
     if len(values) == 1:
         return np.full(eta, values[0])
     if len(values) != eta:
-        raise ConfigError([f"{name} has {len(values)} values but the lattice has {eta} cells"])
+        raise ValueError(f"{spec!r} has {len(values)} values but the lattice has {eta} cells")
     return np.asarray(values)
 
 
@@ -236,9 +236,17 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
 
     cfg = RunConfig(**v)
     try:
-        cfg.region()  # the digit strings must fit q, k and ambient_level
+        region = cfg.region()  # the digit strings must fit q, k and ambient_level
     except ValueError as exc:
         raise ConfigError([_KEYS["balls"].problem(str(exc))]) from exc
+    eta = region.nu * region.q ** (cfg.k - cfg.l)  # the cell count of the level-l refinement
+    for name, resolve in (("g_spec", cfg.resolve_g), ("h_spec", cfg.resolve_h)):
+        try:
+            resolve(eta)
+        except ValueError as exc:
+            bad(name, str(exc))
+    if errors:
+        raise ConfigError(errors)
     return cfg
 
 

@@ -3,29 +3,34 @@
 The interacting measure is the lattice Gaussian (covariance from the
 region-restricted operator) reweighted by exp(-:P:(g)), with the Wick
 ordering taken against caller-supplied per-cell variances (the free cell
-variance in the standard mixed construction).  Two estimation routes are
-kept deliberately independent: self-normalized importance sampling from the
+variance in the standard mixed construction).  The two estimation routes
+still integrate independently: self-normalized importance sampling from the
 exact Gaussian (with batch-means errors and effective-sample-size
 reporting), and tensor Gauss-Hermite quadrature for small cell counts,
-which serves as the deterministic oracle tier.
+which serves as the deterministic oracle tier.  They share the moment core:
+a moment is an index tuple over linear forms of the field, and one generator
+streams each moment's product row to both.  Self-normalized weights are
+shifted by the largest log weight, so they cannot overflow.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .lattice import (
+    MAX_DENSE_CELLS,
     CovarianceMatrix,
+    _shared_indices,
     covariance_matrix,
     precision_matrix,
     sign_structure_check,
 )
 from .model import FieldParams, free_cell_variance
 from .reporting import CheckReport
-from .ultrametric import Region, refine
+from .ultrametric import Region
 from .wick import WickPolynomial, wick_poly_eval
 
 MIN_MC_SAMPLES = 1_000
@@ -34,6 +39,7 @@ LOW_ESS_THRESHOLD = 10.0
 QUADRATURE_MAX_CELLS = 4
 MAX_GH_ORDER = 512  # node computation loses accuracy beyond this
 _GH_BLOCK = 600_000
+QUADRATURE_TOL = 1e-6  # order-doubling agreement gate
 
 
 class QuadratureError(RuntimeError):
@@ -119,12 +125,6 @@ def interaction_weight(sample: FieldSample, P: WickPolynomial, source: SourceSpe
     return float(np.exp(-wick_poly_eval(P, sample.values, source.g, v)))
 
 
-def _draw_block(M: CovarianceMatrix, seed: int, n: int) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    z = rng.standard_normal((n, M.lattice.eta))
-    return z @ np.asarray(M.factor).T
-
-
 def _batch_se(num: np.ndarray, den: np.ndarray) -> float:
     """Batch-means standard error of the ratio sum(num) / sum(den)."""
     size = len(num) // MC_BATCHES
@@ -136,20 +136,45 @@ def _batch_se(num: np.ndarray, den: np.ndarray) -> float:
     return float(np.std(vals, ddof=1) / math.sqrt(MC_BATCHES))
 
 
-def _mc_weights(M, P, source, variances, seed, n_samples):
+def _mc_draw(M, P, source, variances, seed, n_samples):
+    """An exact Gaussian draw t = z L^T and its log weights -:P:(g)."""
     P.require_semibounded()
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError(f"n_samples must be at least {MIN_MC_SAMPLES}")
-    t = _draw_block(M, seed, n_samples)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    t = rng.standard_normal((n_samples, M.lattice.eta)) @ np.asarray(M.factor).T
     v = _as_variances(variances, M.lattice.eta)
-    minus_v = -wick_poly_eval(P, t, source.g, v)
-    w = np.exp(minus_v)
-    return t, w, minus_v
+    return t, -wick_poly_eval(P, t, source.g, v)
 
 
 def effective_sample_size(weights: np.ndarray) -> float:
     s = weights.sum()
     return float(s * s / np.dot(weights, weights))
+
+
+def _moment_rows(t: np.ndarray, forms, moments):
+    """Yield each moment's product row, one row at a time.
+
+    A moment indexes the forms t @ h (h in ``forms``), or t's cells if ``forms`` is None."""
+    columns = list(t.T) if forms is None else [t @ h for h in forms]
+    for moment in moments:
+        prod = np.ones(len(t))
+        for i in moment:
+            prod = prod * columns[i]
+        yield prod
+
+
+def _mc_moments(M, P, source, variances, seed, n_samples, forms, moments):
+    """Self-normalized moments of one draw, their batch-means errors, and the ESS."""
+    t, minus_v = _mc_draw(M, P, source, variances, seed, n_samples)
+    w = np.exp(minus_v - minus_v.max())  # a ratio of sums does not depend on their scale
+    wsum = w.sum()
+    vals, ses = [], []
+    for prod in _moment_rows(t, forms, moments):
+        num = prod * w
+        vals.append(num.sum() / wsum)
+        ses.append(_batch_se(num, w))
+    return np.array(vals), np.array(ses), effective_sample_size(w)
 
 
 def schwinger_mc(
@@ -166,21 +191,15 @@ def schwinger_mc(
     errors come from 30 batch means; an effective sample size below 10 sets
     the low_ess flag rather than failing silently.
     """
-    t, w, _ = _mc_weights(M, P, source, variances, seed, n_samples)
-    prod = np.ones(n_samples)
-    for h in source.h_list:
-        prod *= t @ h
-    num = prod * w
-    value = float(num.sum() / w.sum())
-    se = _batch_se(num, w)
-    ess = effective_sample_size(w)
+    moment = tuple(range(len(source.h_list)))
+    vals, ses, ess = _mc_moments(M, P, source, variances, seed, n_samples, source.h_list, [moment])
     return SchwingerEstimate(
-        value=value,
-        std_error=se,
+        value=float(vals[0]),
+        std_error=float(ses[0]),
         n_samples=n_samples,
         method="mc",
         ess=ess,
-        low_ess=ess < LOW_ESS_THRESHOLD,
+        low_ess=not (ess >= LOW_ESS_THRESHOLD),  # a NaN ESS counts as low
     )
 
 
@@ -193,7 +212,8 @@ def partition_function_mc(
     variances,
 ) -> SchwingerEstimate:
     """Estimate of Z = <exp(-:P:(g))> under the lattice Gaussian."""
-    _, w, _ = _mc_weights(M, P, source, variances, seed, n_samples)
+    _, minus_v = _mc_draw(M, P, source, variances, seed, n_samples)
+    w = np.exp(minus_v)
     ess = effective_sample_size(w)
     return SchwingerEstimate(
         value=float(w.mean()),
@@ -201,7 +221,7 @@ def partition_function_mc(
         n_samples=n_samples,
         method="mc",
         ess=ess,
-        low_ess=ess < LOW_ESS_THRESHOLD,
+        low_ess=not (ess >= LOW_ESS_THRESHOLD),  # a NaN ESS counts as low
     )
 
 
@@ -220,24 +240,24 @@ def _gh_blocks(order: int, eta: int, x: np.ndarray, w: np.ndarray):
             yield np.concatenate([lead, pts], axis=1), wts * w[i0]
 
 
-def _quadrature_pass(M, P, source, variances, stats, order):
+def _quadrature_pass(M, P, source, variances, forms, moments, order):
     eta = M.lattice.eta
     x, w = np.polynomial.hermite.hermgauss(order)
     L = np.asarray(M.factor)
     v = _as_variances(variances, eta)
     den = 0.0
-    num = np.zeros(len(stats))
+    num = np.zeros(len(moments))
     for pts, wts in _gh_blocks(order, eta, x, w):
         t = math.sqrt(2.0) * pts @ L.T
         iw = np.exp(-wick_poly_eval(P, t, source.g, v))
         den += float(wts @ iw)
-        for s, stat in enumerate(stats):
-            num[s] += float(wts @ (iw * stat(t)))
+        for s, prod in enumerate(_moment_rows(t, forms, moments)):
+            num[s] += float(wts @ (iw * prod))
     z = den * math.pi ** (-eta / 2.0)
-    return num / den if len(stats) else num, z
+    return num / den, z
 
 
-def _quadrature_converged(M, P, source, variances, stats, order, conv_tol):
+def _quadrature_converged(M, P, source, variances, forms, moments, order):
     P.require_semibounded()
     eta = M.lattice.eta
     if eta > QUADRATURE_MAX_CELLS:
@@ -247,14 +267,14 @@ def _quadrature_converged(M, P, source, variances, stats, order, conv_tol):
             f"order {order} too large: the doubled rule exceeds the stable "
             f"Gauss-Hermite maximum {MAX_GH_ORDER}"
         )
-    vals1, z1 = _quadrature_pass(M, P, source, variances, stats, order)
-    vals2, z2 = _quadrature_pass(M, P, source, variances, stats, 2 * order)
+    vals1, z1 = _quadrature_pass(M, P, source, variances, forms, moments, order)
+    vals2, z2 = _quadrature_pass(M, P, source, variances, forms, moments, 2 * order)
     drifts = [abs(z2 - z1) / max(1.0, abs(z2))]
     drifts += [abs(b - a) / max(1.0, abs(b)) for a, b in zip(vals1, vals2)]
     worst = float(np.max(drifts))  # NaN propagates, and fails the gate below
-    if not (worst <= conv_tol):
+    if not (worst <= QUADRATURE_TOL):
         raise QuadratureError(
-            f"order {order} -> {2 * order} changed a result by {worst:.3e} (> {conv_tol:.1e})"
+            f"order {order} -> {2 * order} changed a result by {worst:.3e} (> {QUADRATURE_TOL:.1e})"
         )
     return vals2, z2, (2 * order) ** eta
 
@@ -265,23 +285,12 @@ def schwinger_quadrature(
     source: SourceSpec,
     variances,
     order: int = 40,
-    conv_tol: float = 1e-6,
 ) -> SchwingerEstimate:
     """Deterministic tensor-quadrature value of the normalized moment."""
-    if not source.h_list:
-        stats = []
-    else:
-        def stat(t, hs=source.h_list):
-            prod = np.ones(len(t))
-            for h in hs:
-                prod = prod * (t @ h)
-            return prod
-
-        stats = [stat]
-    vals, z, pts = _quadrature_converged(M, P, source, variances, stats, order, conv_tol)
-    value = float(vals[0]) if stats else 1.0
+    moment = tuple(range(len(source.h_list)))
+    vals, z, pts = _quadrature_converged(M, P, source, variances, source.h_list, [moment], order)
     return SchwingerEstimate(
-        value=value, std_error=0.0, n_samples=pts, method="quadrature", partition=float(z)
+        value=float(vals[0]), std_error=0.0, n_samples=pts, method="quadrature", partition=float(z)
     )
 
 
@@ -291,20 +300,9 @@ def partition_function_quadrature(
     source: SourceSpec,
     variances,
     order: int = 40,
-    conv_tol: float = 1e-6,
 ) -> SchwingerEstimate:
-    _, z, pts = _quadrature_converged(M, P, source, variances, [], order, conv_tol)
-    return SchwingerEstimate(value=float(z), std_error=0.0, n_samples=pts, method="quadrature")
-
-
-def _moment_stat(multi: tuple[int, ...]):
-    def stat(t):
-        prod = np.ones(len(t))
-        for i in multi:
-            prod = prod * t[:, i]
-        return prod
-
-    return stat
+    est = schwinger_quadrature(M, P, SourceSpec(g=source.g), variances, order)  # Z needs no h
+    return replace(est, value=est.partition, partition=None)
 
 
 def default_moment_sets(eta: int):
@@ -355,17 +353,13 @@ def griffiths_check(
     needed = sorted({tuple(sorted(m)) for m in multi_indices}
                     | {tuple(sorted(a + b)) for a, b in pairs}
                     | {tuple(sorted(m)) for pair in pairs for m in pair})
-    stats = [_moment_stat(m) for m in needed]
     pos = {m: i for i, m in enumerate(needed)}
 
     if method == "quadrature":
-        vals, _, _ = _quadrature_converged(M, P, source, variances, stats, order, 1e-6)
+        vals, _, _ = _quadrature_converged(M, P, source, variances, None, needed, order)
         ses = np.zeros(len(needed))
     elif method == "mc":
-        t, w, _ = _mc_weights(M, P, source, variances, seed, n_samples)
-        nums = np.stack([stat(t) * w for stat in stats])
-        vals = nums.sum(axis=1) / w.sum()
-        ses = np.array([_batch_se(nums[i], w) for i in range(len(needed))])
+        vals, ses, _ = _mc_moments(M, P, source, variances, seed, n_samples, None, needed)
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -426,7 +420,7 @@ def monotonicity_experiment(
     n_samples: int = 100_000,
     order: int = 40,
     tol: float = 1e-8,
-    max_cells: int = 4096,
+    max_cells: int = MAX_DENSE_CELLS,
 ) -> RegionComparison:
     """Schwinger moments must not decrease when the region is extended.
 
@@ -435,11 +429,7 @@ def monotonicity_experiment(
     off the shared cells).  The Wick-ordering variance is the free cell
     variance, identical for both regions.
     """
-    if not pi.is_subregion_of(pi_prime):
-        raise ValueError("regions are not nested")
-    lat = refine(pi, l, max_cells)
-    lat_prime = refine(pi_prime, l, max_cells)
-    idx = np.asarray([lat_prime.index_of(c) for c in lat.cells], dtype=np.intp)
+    lat, lat_prime, idx = _shared_indices(pi, pi_prime, l, max_cells)
 
     def extend(vec: np.ndarray, name: str) -> np.ndarray:
         vec = np.asarray(vec, dtype=float)
@@ -526,7 +516,8 @@ def partition_stability(
     v = _as_variances(variances, eta)
     base_seed = np.random.SeedSequence(seed)
     seeds = base_seed.spawn(len(rho_list) + 1)
-    _, w1, minus_v1 = _mc_weights(M, P, source, v, int(seeds[0].generate_state(1)[0]), n_samples)
+    _, minus_v1 = _mc_draw(M, P, source, v, int(seeds[0].generate_state(1)[0]), n_samples)
+    w1 = np.exp(minus_v1)
 
     estimates = []
     slacks = []

@@ -3,7 +3,9 @@
 The ordered power :X^k: relative to a variance c^2 is the Hermite-type sum
 sum_j (-1)^j k! / (2^j j! (k-2j)!) X^(k-2j) c^(2j); coefficients are exact
 integers (computed in big-integer arithmetic and converted once), which keeps
-the alternating sums stable for moderate k.  Also here: the triangular
+the alternating sums stable for moderate k.  A Wick polynomial :P: is expanded
+into plain powers for each cell's variance (``_ordered_monomial_coeffs``) and
+evaluated by Horner's rule on those coefficients.  Also here: the triangular
 change-of-variance transform between two orderings, a computable pointwise
 lower bound for ordered semibounded polynomials, and the exactly summable
 L2 discrepancy between two smoothing cutoffs of an ordered power.
@@ -226,14 +228,11 @@ def wick_poly_eval(P: WickPolynomial, values, g, variance_per_cell):
         )
     if np.any(variances < 0):
         raise ValueError("variances must be nonnegative")
+    mono = np.array([_ordered_monomial_coeffs(P, v) for v in variances.tolist()])
     per_cell = np.zeros_like(values)
-    for j, a in enumerate(P.coeffs):
-        if a == 0.0:
-            continue
-        term = np.zeros_like(values)
-        for jj, w in enumerate(wick_coefficients(j).floats):
-            term += w * values ** (j - 2 * jj) * variances**jj
-        per_cell += a * term
+    for c in mono.T[::-1]:  # Horner's rule, highest power first
+        per_cell *= values
+        per_cell += c
     return per_cell @ g
 
 

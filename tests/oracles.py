@@ -145,7 +145,7 @@ def series_tail_integral(q, beta_hat, gamma, m_sq, kappa, beta, floor=1e-18) -> 
     while True:
         term = shell(q, m) * (symbol(q, beta_hat, gamma, m) + m_sq) ** -beta
         total += term
-        if term < floor * min(1.0, max(total, 1e-30)) or term == 0.0:
+        if term <= floor * total:
             return total
         m += 1
 

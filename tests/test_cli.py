@@ -1,6 +1,8 @@
 """Config parsing, canonical round-trip, subcommand artifacts, determinism."""
 
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,12 +26,18 @@ m_sq = 1.0
 """
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(args, cwd=None):
+    # the child imports the package from this checkout, installed or not
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "padicqft.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path),
     )
 
 
@@ -103,6 +111,10 @@ class TestParseConfig:
         assert list(src.g) == [0.25] * 3
         assert list(src.h_list[0]) == [0.0, 1.0, 0.0]
         assert list(src.h_list[1]) == [0.1, 0.2, 0.3]
+
+    def test_default_hash_unchanged(self):
+        default = parse_config(Path("configs/default.ini").read_text())
+        assert config_hash(default) == config_hash(parse_config("")) == "5494ef9dc9"
 
     def test_region_digit_validation(self):
         with pytest.raises(ConfigError) as err:
@@ -244,6 +256,27 @@ class TestSubcommands:
         out = tmp_path / "o"
         rc = main(["schwinger", "--config", str(self.config_path(tmp_path)),
                    "--out", str(out), *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: invalid configuration" in err
+        assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["integrals", "schwinger"])
+    @pytest.mark.parametrize("source, message", [
+        ("g = abc", "[source] g: could not convert string to float: 'abc'"),
+        ("h = e7", "[source] h: entry 'e7' indexes past the 3 lattice cells"),
+        ("g = -1", "[source] g: coupling g must be nonnegative"),
+    ])
+    def test_bad_source_rejected(self, tmp_path, capsys, subcommand, source, message):
+        # the default config (3 cells) with one [source] line replaced
+        key = source.split(" = ")[0]
+        text = re.sub(rf"^{key} = .*$", source, Path("configs/default.ini").read_text(),
+                      flags=re.M)
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        out = tmp_path / "o"
+        rc = main([subcommand, "--config", str(path), "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert "error: invalid configuration" in err

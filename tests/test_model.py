@@ -186,10 +186,12 @@ class TestResolventTailIntegral:
 
     def test_matches_series_oracle(self):
         p = params()
-        for kappa in (0, 1, 3):
+        for kappa in (0, 1, 3, 18, 30):
             for beta in (1.5, 2.0, 3.0):
                 want = oracles.series_tail_integral(3, 2.0, 1.0, 1.0, kappa, beta)
-                assert resolvent_tail_integral(p, kappa, beta) == pytest.approx(want, rel=1e-10)
+                # abs=0: the tails at kappa = 18 and 30 are far below approx's default 1e-12
+                got = resolvent_tail_integral(p, kappa, beta)
+                assert got == pytest.approx(want, rel=1e-10, abs=0.0), (kappa, beta)
 
     def test_tail_bound_constant(self):
         p = params()

@@ -183,6 +183,48 @@ class TestSchwingerMC:
         assert a == b
 
 
+class TestStrongCouplingMC:
+    """One cell at g = 400, where exp(-:P:) overflows double range."""
+
+    G = 400.0
+
+    def one_cell(self):
+        return SourceSpec(g=np.full(1, self.G), h_list=(np.ones(1), np.ones(1)))
+
+    def test_schwinger_mc_stays_finite(self):
+        m1 = chain_cov(1)
+        v = var0()
+        est = schwinger_mc(m1, X4, self.one_cell(), 7, 100_000, v)
+        assert math.isfinite(est.value) and math.isfinite(est.std_error)
+        assert est.ess > 10 and not est.low_ess
+        # :t^4: = (t^2 - 3v)^2 - 6v^2; the constant cancels from the ratio
+        sigma = math.sqrt(m1.entries[0, 0])
+        peaks = [-math.sqrt(3 * v), math.sqrt(3 * v)]
+
+        def moment(k):
+            def f(t):
+                return t**k * math.exp(-0.5 * (t / sigma) ** 2 - self.G * (t * t - 3 * v) ** 2)
+
+            return scipy.integrate.quad(f, -10, 10, points=peaks, epsabs=0, epsrel=1e-12,
+                                        limit=200)[0]
+
+        want = moment(2) / moment(0)
+        assert want == pytest.approx(1.929136, abs=1e-6)
+        assert abs(est.value - want) <= 4 * est.std_error
+
+    def test_partition_mc_reports_low_ess(self):
+        # Z itself overflows; its weights are not rescaled, so the ESS is NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            est = partition_function_mc(chain_cov(1), X4, self.one_cell(), 7, 100_000, var0())
+        assert est.low_ess
+
+    def test_griffiths_mc_margin_finite(self, cov2):
+        src = SourceSpec(g=np.full(2, self.G), h_list=())
+        report = griffiths_check(cov2, X4, src, "mc", var0(), seed=3, n_samples=20_000)
+        assert math.isfinite(report.worst_margin)
+        assert report.passed
+
+
 class TestSchwingerQuadrature:
     def test_free_two_point_exact(self, cov2):
         for i, j in ((0, 0), (0, 1)):

@@ -242,6 +242,24 @@ class TestPolyEval:
         with pytest.raises(ValueError):
             wick_poly_eval(poly, np.ones(3), np.ones(2), np.ones(3))
 
+    def test_matches_exact_rational_evaluation(self):
+        # :x^k: from the recursion H_(k+1) = x H_k - k v H_(k-1), in exact arithmetic
+        rng = np.random.default_rng(11)
+        variances = np.array([0.0, 0.4, 2.5])
+        g = np.array([0.7, 1.0, 1.3])
+        t = 2.5 * rng.standard_normal((40, 3))
+        for s in range(2, 13):
+            poly = WickPolynomial(tuple(rng.uniform(-1.0, 1.0, s + 1)))
+            got = wick_poly_eval(poly, t, g, variances)
+            for row, value in zip(t, got):
+                exact = Fraction(0)
+                for x, v, gi in zip(map(Fraction, row), map(Fraction, variances), g):
+                    h = [Fraction(1), x]
+                    for k in range(1, s):
+                        h.append(x * h[k] - k * v * h[k - 1])
+                    exact += Fraction(gi) * sum(Fraction(a) * hj for a, hj in zip(poly.coeffs, h))
+                assert abs(value - float(exact)) <= 1e-12 * max(1.0, abs(float(exact))), s
+
 
 class TestLowerBound:
     def test_square_bound_exact(self):
