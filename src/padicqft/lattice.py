@@ -4,7 +4,10 @@ On the level-l cells of a region, the restricted operator has an exactly
 computable matrix in the orthonormal basis of normalized cell indicators:
 the coupling between two cells is a single-shell value of the jump kernel
 (the kernel is constant on an ultrametric ball), and the diagonal is the
-mass term plus a geometric-series complement integral.  The covariance is
+mass term plus a geometric-series complement integral.  Both depend on a pair
+only through its distance class (the cells' common-prefix length, amb - l on
+the diagonal), which is built once per lattice; the precision entries and the
+free-covariance bound are read from one table per class.  The covariance is
 the dense inverse; its entrywise nonnegativity, domination by the free
 covariance, and growth under region extension are the checkable facts.
 """
@@ -18,9 +21,7 @@ import scipy.linalg
 
 from .model import FieldParams, free_cell_variance, free_covariance_entry
 from .reporting import CheckReport
-from .ultrametric import LatticeSpec, Region, refine
-
-MAX_DENSE_CELLS = 4096
+from .ultrametric import MAX_DENSE_CELLS, LatticeSpec, Region, refine
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -33,13 +34,18 @@ class NotPositiveDefiniteError(ValueError):
 
 @dataclass(frozen=True)
 class PrecisionMatrix:
-    """Matrix of the restricted operator plus mass in the cell-indicator basis."""
+    """Matrix of the restricted operator plus mass in the cell-indicator basis.
+
+    ``classes[i, j]`` is the pair's distance class amb - d(i,j), amb - l on the diagonal.
+    """
 
     lattice: LatticeSpec
     entries: np.ndarray
+    classes: np.ndarray
 
     def __post_init__(self):
         self.entries.setflags(write=False)
+        self.classes.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -112,29 +118,29 @@ def precision_matrix(
 ) -> PrecisionMatrix:
     """Assemble the dense precision matrix from the closed-form entries.
 
-    Every entry depends only on (cell distance, l, params) through one fixed
-    arithmetic path, so shared cell pairs of nested regions produce
-    bit-identical entries (the restriction identity is exact).
+    Every entry depends only on (distance class, l, params) through one fixed
+    arithmetic path, evaluated once per class, so shared cell pairs of nested
+    regions produce bit-identical entries (the restriction identity is exact).
     """
     eta = lattice.eta
     if eta > max_cells:
         raise ValueError(f"lattice has {eta} cells (> {max_cells}); pass max_cells to override")
-    l = lattice.cell_level
-    d = distance_exponent_matrix(lattice)
+    l, amb = lattice.cell_level, lattice.region.ambient_level
+    prefix = amb - distance_exponent_matrix(lattice)
+    np.fill_diagonal(prefix, amb - l)
+    classes = prefix.astype(np.min_scalar_type(amb - l))  # one byte per pair for up to 256 classes
     q = float(params.q)
-    entries = params.omega_const * q**l * q ** (-(float(params.beta_hat) + 1.0) * d)
-    np.fill_diagonal(entries, precision_diagonal(params, l, diagonal_mass_term))
-    return PrecisionMatrix(lattice=lattice, entries=entries)
+    d = amb - np.arange(amb - l + 1)
+    table = params.omega_const * q**l * q ** (-(float(params.beta_hat) + 1.0) * d)
+    table[amb - l] = precision_diagonal(params, l, diagonal_mass_term)
+    return PrecisionMatrix(lattice=lattice, entries=table[classes], classes=classes)
 
 
 def _cholesky(matrix: np.ndarray, name: str) -> np.ndarray:
-    try:
-        return scipy.linalg.cholesky(matrix, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        pivot = getattr(exc, "args", [""])[0]
-        # scipy reports "k-th leading minor ... not positive definite"
-        digits = "".join(ch for ch in str(pivot).split("-")[0] if ch.isdigit())
-        raise NotPositiveDefiniteError(name, int(digits) if digits else -1) from exc
+    factor, info = scipy.linalg.lapack.dpotrf(np.asarray_chkfinite(matrix), lower=1, clean=1)
+    if info:
+        raise NotPositiveDefiniteError(name, info)
+    return factor
 
 
 def covariance_matrix(N: PrecisionMatrix, residual_tol: float = 1e-10) -> CovarianceMatrix:
@@ -207,16 +213,9 @@ def domination_check(
     M: CovarianceMatrix, params: FieldParams, tol: float = 1e-9
 ) -> CheckReport:
     """Lattice covariance entries never exceed the free (whole-space) covariance."""
-    lat = M.lattice
-    l = lat.cell_level
-    d = distance_exponent_matrix(lat)
-    unique = np.unique(d[~np.eye(lat.eta, dtype=bool)]) if lat.eta > 1 else np.array([], int)
-    free = np.empty_like(np.asarray(M.entries))
-    np.fill_diagonal(free, free_cell_variance(params, l))
-    for dv in unique:
-        free[(d == dv) & ~np.eye(lat.eta, dtype=bool)] = free_covariance_entry(
-            params, l, int(dv)
-        )
+    l, amb = M.lattice.cell_level, M.lattice.region.ambient_level
+    table = [free_covariance_entry(params, l, amb - c) for c in range(amb - l)]
+    free = np.array(table + [free_cell_variance(params, l)])[M.precision.classes]
     margins = free - np.asarray(M.entries)
     worst = float(np.min(margins))
     violations = []

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 SAME = float("-inf")
 """Sentinel distance exponent for coinciding points: q**SAME == 0."""
 
+MAX_DENSE_CELLS = 4096  # default cell cap of a refinement and of a dense lattice matrix
+
 _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _DIGIT_VALUES = {c: v for v, c in enumerate(_DIGIT_CHARS)}
 
@@ -208,7 +210,7 @@ class LatticeSpec:
         )
 
 
-def refine(region: Region, l: int, max_cells: int = 4096) -> LatticeSpec:
+def refine(region: Region, l: int, max_cells: int = MAX_DENSE_CELLS) -> LatticeSpec:
     """Split every region ball into its q^(k-l) level-l descendants.
 
     Children are enumerated in lexicographic digit order, so cell indices are

@@ -19,6 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .lattice import distance_exponent_matrix
 from .model import (
     FieldParams,
     c_kappa_sq,
@@ -271,14 +272,12 @@ def wick_l2_distance(
         return delta * sum(e1**a * e2 ** (k - 1 - a) for a in range(k))
 
     total = 0.0
-    # cross-cell pairs, grouped by distance
-    by_distance: dict[int, float] = {}
-    for i in range(lattice.eta):
-        for j in range(i + 1, lattice.eta):
-            d = int(lattice.cell_distance(i, j))
-            by_distance[d] = by_distance.get(d, 0.0) + 2.0 * g[i] * g[j]
-    for d, weight in sorted(by_distance.items()):
-        total += weight * q ** (2 * l) * power_diff(d)
+    # cross-cell pairs, grouped by distance d > l in row-major upper-triangle order
+    upper = np.triu(np.ones((lattice.eta, lattice.eta), dtype=bool), 1)
+    offsets = distance_exponent_matrix(lattice)[upper] - (l + 1)
+    weights = np.bincount(offsets, weights=np.outer(2.0 * g, g)[upper])
+    for offset in np.flatnonzero(np.bincount(offsets)):
+        total += weights[offset] * q ** (2 * l) * power_diff(l + 1 + int(offset))
 
     # same-cell term: exact ball value below the finer cutoff, shells above
     c1 = c_kappa_sq(params, kappa1, tol)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import padicqft.lattice
 from padicqft.lattice import (
     NotPositiveDefiniteError,
     covariance_matrix,
@@ -14,6 +15,7 @@ from padicqft.lattice import (
     monotonicity_check,
     precision_diagonal,
     precision_matrix,
+    precision_offdiagonal,
     restriction_check,
     sign_structure_check,
     write_matrix_csv,
@@ -97,6 +99,43 @@ class TestPrecisionMatrix:
         n_b = precision_matrix(lat_b, params())
         assert np.array_equal(n_a.entries, n_b.entries[np.ix_(idx, idx)])
 
+    def test_entries_equal_scalar_formulas_exactly(self):
+        # the per-class table reproduces the scalar closed forms bit for bit
+        rand = random.Random(12)
+        bhs = (Fraction(1), Fraction(2), Fraction(3, 2), Fraction(5, 3))
+        for i in range(24):
+            q = (3, 5)[i % 2]
+            region, l = random_region_with_level(rand, q, max_eta=60)
+            p = params_for(q, bhs[i % 4])
+            lat = refine(region, l)
+            n = precision_matrix(lat, p)
+            amb = region.ambient_level
+            assert n.classes.dtype == np.min_scalar_type(amb - l)
+            assert not n.classes.flags.writeable
+            for a in range(lat.eta):
+                assert n.entries[a, a] == precision_diagonal(p, l)
+                assert n.classes[a, a] == amb - l
+                for b in range(lat.eta):
+                    if a != b:
+                        d = lat.cell_distance(a, b)
+                        assert n.entries[a, b] == precision_offdiagonal(p, l, d)
+                        assert n.classes[a, b] == amb - d
+
+    def test_distance_matrix_built_once_per_lattice(self, monkeypatch):
+        calls = []
+        build = padicqft.lattice.distance_exponent_matrix
+
+        def counting(lat):
+            calls.append(lat)
+            return build(lat)
+
+        monkeypatch.setattr(padicqft.lattice, "distance_exponent_matrix", counting)
+        region = Region(q=3, ambient_level=1, ball_level=0,
+                        balls=(BallAddress(1, 0, (0,)), BallAddress(1, 0, (2,))))
+        m = covariance_matrix(precision_matrix(refine(region, -1), params()))
+        assert domination_check(m, params()).passed
+        assert len(calls) == 1
+
     def test_distance_matrix_matches_pairwise(self):
         rand = random.Random(9)
         for _ in range(10):
@@ -139,6 +178,23 @@ class TestCovarianceMatrix:
         with pytest.raises(NotPositiveDefiniteError) as err:
             covariance_matrix(replace(n, entries=bad))
         assert err.value.pivot == 2
+        # leading minors 4 and 16 are positive, the determinant is -13
+        n3 = precision_matrix(refine(chain_region(3), 0), params())
+        bad3 = np.array([[4.0, 2.0, 1.0], [2.0, 5.0, 3.0], [1.0, 3.0, 1.0]])
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            covariance_matrix(replace(n3, entries=bad3))
+        assert err.value.pivot == 3
+
+    def test_nan_input_rejected_before_factorization(self):
+        lat = refine(chain_region(2), 0)
+        n = precision_matrix(lat, params())
+        bad = np.array(n.entries)
+        bad[0, 1] = bad[1, 0] = np.nan
+        from dataclasses import replace
+
+        with pytest.raises(ValueError, match="infs or NaNs") as err:
+            covariance_matrix(replace(n, entries=bad))
+        assert not isinstance(err.value, NotPositiveDefiniteError)
 
     def test_factor_reproduces_matrix(self):
         lat = refine(chain_region(3), 0)

@@ -9,8 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicqft.model import FieldParams
+from padicqft.model import (
+    FieldParams,
+    c_kappa_sq,
+    green_regularized,
+    green_regularized_increment,
+    shell_measure,
+)
 from padicqft.ultrametric import BallAddress, Region, refine
+from padicqft.verify import params_for, random_region_with_level
 from padicqft.wick import (
     WickPolynomial,
     wick_change_of_variance,
@@ -353,6 +360,21 @@ class TestL2Distance:
                 )
                 assert got == pytest.approx(want, rel=1e-8), (k, k1, k2)
 
+    def test_equals_per_pair_loop_exactly(self):
+        rand = random.Random(31)
+        bhs = (Fraction(1), Fraction(2), Fraction(3, 2), Fraction(5, 3))
+        for i in range(24):
+            q = (3, 5)[i % 2]
+            region, l = random_region_with_level(rand, q, max_eta=60)
+            p = params_for(q, bhs[i % 4])
+            lat = refine(region, l)
+            g = np.array([rand.uniform(-1.0, 1.5) for _ in range(lat.eta)])
+            k2 = rand.randint(-1, 3)
+            k1 = k2 + rand.randint(1, 6)
+            for k in (2, 3, 4):
+                got = wick_l2_distance(p, k1, k2, k, lat, g)
+                assert got == _per_pair_l2_distance(p, k1, k2, k, lat, g), (i, k)
+
     def test_nonincreasing_in_shared_cutoff(self):
         p = self.params()
         lat = single_cell_lattice()
@@ -377,3 +399,33 @@ class TestL2Distance:
 def _dmat(lat):
     eta = lat.eta
     return [[0 if i == j else int(lat.cell_distance(i, j)) for j in range(eta)] for i in range(eta)]
+
+
+def _per_pair_l2_distance(params, kappa1, kappa2, k, lattice, g, tol=1e-12):
+    """wick_l2_distance with its pair weights summed one cell pair at a time."""
+    l = lattice.cell_level
+    q = float(params.q)
+
+    def power_diff(d):
+        e1 = green_regularized(params, kappa1, d, tol)
+        e2 = green_regularized(params, kappa2, d, tol)
+        delta = green_regularized_increment(params, kappa1, kappa2, d)
+        return delta * sum(e1**a * e2 ** (k - 1 - a) for a in range(k))
+
+    total = 0.0
+    by_distance = {}
+    for i in range(lattice.eta):
+        for j in range(i + 1, lattice.eta):
+            d = int(lattice.cell_distance(i, j))
+            by_distance[d] = by_distance.get(d, 0.0) + 2.0 * g[i] * g[j]
+    for d, weight in sorted(by_distance.items()):
+        total += weight * q ** (2 * l) * power_diff(d)
+    c1 = c_kappa_sq(params, kappa1, tol)
+    c2 = c_kappa_sq(params, kappa2, tol)
+    inc = green_regularized_increment(params, kappa1, kappa2, -kappa1)
+    m0 = min(l, -kappa1)
+    same = q**m0 * inc * sum(c1**a * c2 ** (k - 1 - a) for a in range(k))
+    for m in range(m0 + 1, l + 1):
+        same += shell_measure(params, m) * power_diff(m)
+    total += float(np.sum(g * g)) * q**l * same
+    return max(math.factorial(k) * total, 0.0)
