@@ -154,25 +154,25 @@ def covariance_matrix(N: PrecisionMatrix, residual_tol: float = 1e-10) -> Covari
     m = scipy.linalg.cho_solve((chol_n, True), np.eye(eta))
     m = (m + m.T) / 2.0
     residual = float(np.max(np.abs(m @ N.entries - np.eye(eta))))
-    if residual > residual_tol * eta:
+    if not (residual <= residual_tol * eta):  # a NaN residual fails too
         raise ValueError(f"inverse residual {residual:.3e} exceeds {residual_tol:.1e} * eta")
     factor = _cholesky(m, "covariance matrix")
     return CovarianceMatrix(lattice=N.lattice, entries=m, factor=factor, precision=N)
 
 
 def sign_structure_check(N: PrecisionMatrix) -> CheckReport:
-    """Diagonal strictly positive, off-diagonal nonpositive."""
+    """Diagonal strictly positive, off-diagonal nonpositive; a NaN entry is a violation."""
     a = np.asarray(N.entries)
     diag = np.diag(a)
     off = a[~np.eye(len(a), dtype=bool)]
     violations = []
     worst = float(np.min(diag))
-    if worst <= 0:
+    if not (worst > 0):
         violations.append(f"nonpositive diagonal entry {worst}")
     if off.size:
         off_worst = float(np.max(off))
-        worst = min(worst, -off_worst)
-        if off_worst > 0:
+        worst = float(np.min([worst, -off_worst]))
+        if not (off_worst <= 0):
             violations.append(f"positive off-diagonal entry {off_worst}")
     return CheckReport("precision_sign_structure", not violations, worst, tuple(violations))
 
@@ -219,7 +219,7 @@ def domination_check(
     margins = free - np.asarray(M.entries)
     worst = float(np.min(margins))
     violations = []
-    if worst < -tol:
+    if not (worst >= -tol):  # np.min and np.argmin report a NaN margin first
         i, j = np.unravel_index(int(np.argmin(margins)), margins.shape)
         violations.append(
             f"M[{i},{j}]={M.entries[i, j]!r} exceeds free covariance {free[i, j]!r}"
@@ -243,7 +243,7 @@ def monotonicity_check(
     margins = block - np.asarray(m_small.entries)
     worst = float(np.min(margins))
     violations = []
-    if worst < -tol:
+    if not (worst >= -tol):
         i, j = np.unravel_index(int(np.argmin(margins)), margins.shape)
         violations.append(f"covariance shrank at shared pair ({i},{j}) by {-worst:.3e}")
     return CheckReport("covariance_monotonicity", not violations, worst, tuple(violations))

@@ -6,15 +6,20 @@ ordering taken against caller-supplied per-cell variances (the free cell
 variance in the standard mixed construction).  The two estimation routes
 still integrate independently: self-normalized importance sampling from the
 exact Gaussian (with batch-means errors and effective-sample-size
-reporting), and tensor Gauss-Hermite quadrature for small cell counts,
-which serves as the deterministic oracle tier.  They share the moment core:
-a moment is an index tuple over linear forms of the field, and one generator
-streams each moment's product row to both.  Self-normalized weights are
-shifted by the largest log weight, so they cannot overflow.
+reporting), and, for up to four cells, a deterministic quadrature that
+serves as the oracle tier.  The precision matrix depends on a cell pair only
+through its distance class, so the Gaussian weight factorizes over the
+q-ary ball tree: each moment is an exact sum over a uniform grid, computed
+as a chain of one-dimensional convolutions from the cells up to the root
+(the hierarchical-model structure), and checked by doubling the grid
+resolution.  A moment is an index tuple over linear forms of the field.
+Self-normalized weights are shifted by the largest log weight, so they
+cannot overflow.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -37,8 +42,8 @@ MIN_MC_SAMPLES = 1_000
 MC_BATCHES = 30
 LOW_ESS_THRESHOLD = 10.0
 QUADRATURE_MAX_CELLS = 4
-MAX_GH_ORDER = 512  # node computation loses accuracy beyond this
-_GH_BLOCK = 600_000
+MAX_QUADRATURE_ORDER = 512  # cap on the doubled order, which bounds the grid and the run time
+QUADRATURE_WINDOW = 12.0  # grid half-width in standard deviations of the widest cell
 QUADRATURE_TOL = 1e-6  # order-doubling agreement gate
 
 
@@ -88,10 +93,6 @@ class SourceSpec:
             if h.shape != g.shape:
                 raise ValueError("every h must have the same cell count as g")
         object.__setattr__(self, "h_list", hs)
-
-    @property
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.g > 0)
 
     def require_nonnegative_h(self) -> None:
         for i, h in enumerate(self.h_list):
@@ -152,26 +153,20 @@ def effective_sample_size(weights: np.ndarray) -> float:
     return float(s * s / np.dot(weights, weights))
 
 
-def _moment_rows(t: np.ndarray, forms, moments):
-    """Yield each moment's product row, one row at a time.
+def _mc_moments(M, P, source, variances, seed, n_samples, forms, moments):
+    """Self-normalized moments of one draw, their batch-means errors, and the ESS.
 
     A moment indexes the forms t @ h (h in ``forms``), or t's cells if ``forms`` is None."""
-    columns = list(t.T) if forms is None else [t @ h for h in forms]
-    for moment in moments:
-        prod = np.ones(len(t))
-        for i in moment:
-            prod = prod * columns[i]
-        yield prod
-
-
-def _mc_moments(M, P, source, variances, seed, n_samples, forms, moments):
-    """Self-normalized moments of one draw, their batch-means errors, and the ESS."""
     t, minus_v = _mc_draw(M, P, source, variances, seed, n_samples)
     w = np.exp(minus_v - minus_v.max())  # a ratio of sums does not depend on their scale
     wsum = w.sum()
+    columns = list(t.T) if forms is None else [t @ h for h in forms]
     vals, ses = [], []
-    for prod in _moment_rows(t, forms, moments):
-        num = prod * w
+    for moment in moments:
+        num = np.ones(len(t))
+        for i in moment:
+            num = num * columns[i]
+        num = num * w
         vals.append(num.sum() / wsum)
         ses.append(_batch_se(num, w))
     return np.array(vals), np.array(ses), effective_sample_size(w)
@@ -225,36 +220,88 @@ def partition_function_mc(
     )
 
 
-def _gh_blocks(order: int, eta: int, x: np.ndarray, w: np.ndarray):
-    """Tensor Gauss-Hermite grid in memory-bounded blocks of (points, weights)."""
-    if order**eta <= _GH_BLOCK or eta == 1:
-        mesh = np.meshgrid(*([x] * eta), indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        wmesh = np.meshgrid(*([w] * eta), indexing="ij")
-        wts = np.stack([m.ravel() for m in wmesh], axis=-1).prod(axis=-1)
-        yield pts, wts
-        return
-    for i0 in range(order):
-        for pts, wts in _gh_blocks(order, eta - 1, x, w):
-            lead = np.full((len(pts), 1), x[i0])
-            yield np.concatenate([lead, pts], axis=1), wts * w[i0]
+def _weigh(values: np.ndarray, log_factor: np.ndarray):
+    """values * exp(log_factor) divided by its largest magnitude, and the log of that divisor."""
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(np.abs(values)) + log_factor
+    top = float(np.max(log_mag))
+    return np.copysign(np.exp(log_mag - top), values), top
 
 
-def _quadrature_pass(M, P, source, variances, forms, moments, order):
+def _cell_monomials(moment, forms, eta: int) -> dict:
+    """A product of linear forms expanded multilinearly into {cell powers: coefficient}."""
+    rows = [np.eye(eta)[k] if forms is None else forms[k] for k in moment]
+    terms: dict = {}
+    for cells in itertools.product(*(np.flatnonzero(h) for h in rows)):
+        powers = tuple(np.bincount(np.array(cells, dtype=int), minlength=eta).tolist())
+        terms[powers] = terms.get(powers, 0.0) + math.prod(h[i] for h, i in zip(rows, cells))
+    return terms
+
+
+def _tree_pass(M, P, source, variances, forms, moments, order):
+    """Moments and Z summed exactly over a uniform grid by convolutions up the ball tree.
+
+    With w(c) the off-diagonal entry of distance class c (w(-1) = 0; a class
+    with no pairs repeats w(c-1)), beta_c = w(c) - w(c-1) and D' = D - w(amb-l-1):
+    t^T N t = D' sum t_i^2 + sum over tree nodes a of beta_depth(a) (sum of t under a)^2.
+    A leaf is exp(-D' t^2 / 2 - g_i :P:(t)) t^a_i; a node convolves its children
+    and multiplies by exp(-beta s^2 / 2).  Each array is kept at max |.| = 1 with
+    its log scale alongside.  Spacing 4 / (order sqrt D'), over +-12 sd of the widest cell.
+    """
+    N = M.precision
     eta = M.lattice.eta
-    x, w = np.polynomial.hermite.hermgauss(order)
-    L = np.asarray(M.factor)
+    leaf_depth = int(N.classes[0, 0])
+    w = np.zeros(leaf_depth + 1)
+    w[N.classes] = N.entries  # one value per class; the last is the diagonal D
+    off = [0.0]  # w(c - 1) for c = 0, 1, ..., leaf_depth
+    for c in range(leaf_depth):
+        off.append(w[c] if np.any(N.classes == c) else off[-1])
+    beta = np.diff(off)
+    d_prime = w[leaf_depth] - off[-1]
+    step = 4.0 / (order * math.sqrt(d_prime))
+    half = math.ceil(QUADRATURE_WINDOW * math.sqrt(float(np.max(np.diag(M.entries)))) / step)
+    x = step * np.arange(-half, half + 1)
     v = _as_variances(variances, eta)
-    den = 0.0
-    num = np.zeros(len(moments))
-    for pts, wts in _gh_blocks(order, eta, x, w):
-        t = math.sqrt(2.0) * pts @ L.T
-        iw = np.exp(-wick_poly_eval(P, t, source.g, v))
-        den += float(wts @ iw)
-        for s, prod in enumerate(_moment_rows(t, forms, moments)):
-            num[s] += float(wts @ (iw * prod))
-    z = den * math.pi ** (-eta / 2.0)
-    return num / den, z
+    log_leaf = [
+        -0.5 * d_prime * x * x - wick_poly_eval(P, x[:, None], source.g[i : i + 1], v[i : i + 1])
+        for i in range(eta)
+    ]
+    memo: dict = {}
+
+    def subtree(cells, depth, powers):
+        """(array, log scale) of the node at ``depth`` holding ``cells``, memoized."""
+        key = (cells, depth, tuple(powers[i] for i in cells))
+        if key in memo:
+            return memo[key]
+        if depth == leaf_depth:
+            memo[key] = _weigh(x ** powers[cells[0]], log_leaf[cells[0]])
+            return memo[key]
+        arr, scale, rest = np.ones(1), 0.0, cells
+        while rest:  # the children: groups of cells whose pairwise class exceeds depth
+            child = tuple(j for j in rest if N.classes[rest[0], j] > depth)
+            rest = tuple(j for j in rest if N.classes[rest[0], j] <= depth)
+            c_arr, c_scale = subtree(child, depth + 1, powers)
+            arr, scale = np.convolve(arr, c_arr), scale + c_scale
+        s = step * (np.arange(len(arr)) - len(arr) // 2)
+        arr, top = _weigh(arr, -0.5 * beta[depth] * s * s)
+        memo[key] = arr, scale + top
+        return memo[key]
+
+    root = tuple(range(eta))
+    base, base_scale = subtree(root, 0, (0,) * eta)
+    base_sum = float(base.sum())
+    vals = np.zeros(len(moments))
+    with np.errstate(over="ignore"):
+        for s_i, moment in enumerate(moments):
+            for powers, coeff in _cell_monomials(moment, forms, eta).items():
+                arr, scale = subtree(root, 0, powers)
+                vals[s_i] += coeff * (float(arr.sum()) / base_sum) * np.exp(scale - base_scale)
+        sign, logdet = np.linalg.slogdet(N.entries)
+        log_z = base_scale + math.log(base_sum) + eta * math.log(step / math.sqrt(2.0 * math.pi))
+        z = float(np.exp(log_z + 0.5 * logdet)) if sign > 0 else math.nan
+    if not (math.isfinite(z) and np.all(np.isfinite(vals))):
+        raise QuadratureError(f"order {order}: Z = {z!r} or a moment is not finite")
+    return vals, z, len(x) ** eta
 
 
 def _quadrature_converged(M, P, source, variances, forms, moments, order):
@@ -262,13 +309,12 @@ def _quadrature_converged(M, P, source, variances, forms, moments, order):
     eta = M.lattice.eta
     if eta > QUADRATURE_MAX_CELLS:
         raise ValueError(f"quadrature supports at most {QUADRATURE_MAX_CELLS} cells, got {eta}")
-    if 2 * order > MAX_GH_ORDER:
+    if 2 * order > MAX_QUADRATURE_ORDER:
         raise ValueError(
-            f"order {order} too large: the doubled rule exceeds the stable "
-            f"Gauss-Hermite maximum {MAX_GH_ORDER}"
+            f"order {order} too large: the doubled grid exceeds the maximum order {MAX_QUADRATURE_ORDER}"
         )
-    vals1, z1 = _quadrature_pass(M, P, source, variances, forms, moments, order)
-    vals2, z2 = _quadrature_pass(M, P, source, variances, forms, moments, 2 * order)
+    vals1, z1, _ = _tree_pass(M, P, source, variances, forms, moments, order)
+    vals2, z2, points = _tree_pass(M, P, source, variances, forms, moments, 2 * order)
     drifts = [abs(z2 - z1) / max(1.0, abs(z2))]
     drifts += [abs(b - a) / max(1.0, abs(b)) for a, b in zip(vals1, vals2)]
     worst = float(np.max(drifts))  # NaN propagates, and fails the gate below
@@ -276,7 +322,7 @@ def _quadrature_converged(M, P, source, variances, forms, moments, order):
         raise QuadratureError(
             f"order {order} -> {2 * order} changed a result by {worst:.3e} (> {QUADRATURE_TOL:.1e})"
         )
-    return vals2, z2, (2 * order) ** eta
+    return vals2, z2, points
 
 
 def schwinger_quadrature(
@@ -286,7 +332,7 @@ def schwinger_quadrature(
     variances,
     order: int = 40,
 ) -> SchwingerEstimate:
-    """Deterministic tensor-quadrature value of the normalized moment."""
+    """Deterministic value of the normalized moment, by the exact ball-tree recursion."""
     moment = tuple(range(len(source.h_list)))
     vals, z, pts = _quadrature_converged(M, P, source, variances, source.h_list, [moment], order)
     return SchwingerEstimate(
@@ -370,7 +416,7 @@ def griffiths_check(
         value = float(vals[pos[key]])
         allowance = tol if method == "quadrature" else 3.0 * float(ses[pos[key]])
         slacks.append(value + allowance)
-        if value + allowance < 0:
+        if not (value + allowance >= 0):  # a NaN slack is a violation
             violations.append(f"first inequality: <t^{key}> = {value:.6g} < 0")
     for a, b in pairs:
         ka, kb, kab = tuple(sorted(a)), tuple(sorted(b)), tuple(sorted(a + b))
@@ -383,9 +429,9 @@ def griffiths_check(
                           + (vals[pos[kb]] * ses[pos[ka]]) ** 2)
             )
         slacks.append(diff + allowance)
-        if diff + allowance < 0:
+        if not (diff + allowance >= 0):
             violations.append(f"second inequality: pair {a},{b} correlation gap {diff:.6g} < 0")
-    worst = float(min(slacks)) if slacks else math.inf
+    worst = float(np.min(slacks)) if slacks else math.inf
     return CheckReport("griffiths_inequalities", not violations, worst, tuple(violations))
 
 
@@ -484,7 +530,7 @@ class PartitionStabilityResult:
     passed: bool
 
     def report(self) -> CheckReport:
-        worst = min(
+        worst = np.min(
             [e.ess if e.ess is not None else math.inf for e in self.estimates]
             + list(self.identity_slack)
         )
@@ -528,7 +574,7 @@ def partition_stability(
             M, P, scaled, int(seeds[r_i + 1].generate_state(1)[0]), n_samples, v
         )
         estimates.append(est)
-        if not math.isfinite(est.value) or (est.ess or 0.0) < ess_threshold:
+        if not (math.isfinite(est.value) and (est.ess or 0.0) >= ess_threshold):
             ok = False
         # moment of the rho=1 weights targets the same Z(rho g)
         wp = w1**rho
@@ -536,7 +582,7 @@ def partition_stability(
         combined = math.sqrt(_batch_se(wp, np.ones_like(wp)) ** 2 + est.std_error**2)
         slack = 3.0 * combined - gap
         slacks.append(slack)
-        if slack < 0:
+        if not (slack >= 0):
             ok = False
 
     s = P.degree

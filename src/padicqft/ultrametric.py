@@ -200,15 +200,6 @@ class LatticeSpec:
     def cell_distance(self, i: int, j: int) -> float:
         return distance(self.cells[i], self.cells[j])
 
-    def as_region(self) -> Region:
-        """The cells themselves viewed as a union of disjoint level-l balls."""
-        return Region(
-            q=self.region.q,
-            ambient_level=self.region.ambient_level,
-            ball_level=self.cell_level,
-            balls=self.cells,
-        )
-
 
 def refine(region: Region, l: int, max_cells: int = MAX_DENSE_CELLS) -> LatticeSpec:
     """Split every region ball into its q^(k-l) level-l descendants.

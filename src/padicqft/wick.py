@@ -125,10 +125,6 @@ class WickPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def is_semibounded(self) -> bool:
-        return self.degree % 2 == 0 and self.coeffs[-1] > 0
-
     def require_semibounded(self) -> None:
         if self.degree % 2 != 0:
             raise ValueError(f"degree {self.degree} is odd; a semibounded interaction needs even degree")

@@ -8,6 +8,9 @@ library code paths it is used to check.
 from __future__ import annotations
 
 import cmath
+import math
+
+import numpy as np
 
 SAME = float("-inf")
 
@@ -203,3 +206,80 @@ def series_l2_pairing(q, beta_hat, gamma, m_sq, kappa, k, l, g, dmat, floor=1e-1
 def grid_minimum(func, lo: float, hi: float, points: int = 200_001) -> float:
     step = (hi - lo) / (points - 1)
     return min(func(lo + i * step) for i in range(points))
+
+
+# ---------------------------------------------------------------------------
+# tensor Gauss-Hermite quadrature of the interacting lattice measure
+# ---------------------------------------------------------------------------
+
+MAX_GH_ORDER = 512  # node computation loses accuracy beyond this
+_GH_BLOCK = 600_000
+GH_TOL = 1e-6
+
+
+def _gh_blocks(order: int, eta: int, x: np.ndarray, w: np.ndarray):
+    """Tensor Gauss-Hermite grid in memory-bounded blocks of (points, weights)."""
+    if order**eta <= _GH_BLOCK or eta == 1:
+        mesh = np.meshgrid(*([x] * eta), indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        wmesh = np.meshgrid(*([w] * eta), indexing="ij")
+        wts = np.stack([m.ravel() for m in wmesh], axis=-1).prod(axis=-1)
+        yield pts, wts
+        return
+    for i0 in range(order):
+        for pts, wts in _gh_blocks(order, eta - 1, x, w):
+            lead = np.full((len(pts), 1), x[i0])
+            yield np.concatenate([lead, pts], axis=1), wts * w[i0]
+
+
+def wick_poly_literal(coeffs, t, variance: float):
+    """sum_k a_k :t^k: with :t^k: = sum_j (-1)^j k! / (2^j j! (k-2j)!) t^(k-2j) variance^j."""
+    total = 0.0
+    for k, a in enumerate(coeffs):
+        for j in range(k // 2 + 1):
+            w = (-1) ** j * math.factorial(k) // (2**j * math.factorial(j) * math.factorial(k - 2 * j))
+            total = total + a * w * t ** (k - 2 * j) * variance**j
+    return total
+
+
+def _quadrature_pass(cov, coeffs, g, variances, monomials, order: int):
+    """Cell monomials <prod t_i^a_i> and Z = <exp(-sum g_i :P:(t_i))> under N(0, cov).
+
+    Tensor Gauss-Hermite on t = sqrt(2) L x with L L^T = cov; ``monomials``
+    are tuples of cell powers.
+    """
+    cov = np.asarray(cov, dtype=float)
+    eta = len(cov)
+    x, w = np.polynomial.hermite.hermgauss(order)
+    chol = np.linalg.cholesky(cov)
+    den = 0.0
+    num = np.zeros(len(monomials))
+    for pts, wts in _gh_blocks(order, eta, x, w):
+        t = math.sqrt(2.0) * pts @ chol.T
+        log_weight = np.zeros(len(t))
+        for i in range(eta):
+            log_weight -= g[i] * wick_poly_literal(coeffs, t[:, i], variances[i])
+        iw = wts * np.exp(log_weight)
+        den += float(iw.sum())
+        top = max(max(powers) for powers in monomials)
+        cell_powers = [[t[:, i] ** a for a in range(top + 1)] for i in range(eta)]
+        for s, powers in enumerate(monomials):
+            prod = iw
+            for i, a in enumerate(powers):
+                if a:
+                    prod = prod * cell_powers[i][a]
+            num[s] += float(prod.sum())
+    return num / den, den * math.pi ** (-eta / 2.0)
+
+
+def gauss_hermite(cov, coeffs, g, variances, monomials, order: int):
+    """Monomials and Z at 2*order, or None when they moved by more than GH_TOL from order."""
+    if 2 * order > MAX_GH_ORDER:
+        raise ValueError(f"order {order} exceeds the stable Gauss-Hermite maximum")
+    vals1, z1 = _quadrature_pass(cov, coeffs, g, variances, monomials, order)
+    vals2, z2 = _quadrature_pass(cov, coeffs, g, variances, monomials, 2 * order)
+    drifts = [abs(z2 - z1) / max(1.0, abs(z2))]
+    drifts += [abs(b - a) / max(1.0, abs(b)) for a, b in zip(vals1, vals2)]
+    if not (max(drifts) <= GH_TOL):
+        return None
+    return vals2, z2

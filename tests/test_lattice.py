@@ -1,6 +1,7 @@
 """Precision/covariance matrices: signs, SPD, restriction, domination, growth."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -173,8 +174,6 @@ class TestCovarianceMatrix:
         n = precision_matrix(lat, params())
         bad = np.array(n.entries)
         bad[1, 1] = -5.0
-        from dataclasses import replace
-
         with pytest.raises(NotPositiveDefiniteError) as err:
             covariance_matrix(replace(n, entries=bad))
         assert err.value.pivot == 2
@@ -190,8 +189,6 @@ class TestCovarianceMatrix:
         n = precision_matrix(lat, params())
         bad = np.array(n.entries)
         bad[0, 1] = bad[1, 0] = np.nan
-        from dataclasses import replace
-
         with pytest.raises(ValueError, match="infs or NaNs") as err:
             covariance_matrix(replace(n, entries=bad))
         assert not isinstance(err.value, NotPositiveDefiniteError)
@@ -206,6 +203,13 @@ class TestCovarianceMatrix:
         m = covariance_matrix(precision_matrix(lat, params()))
         eta = lat.eta
         assert np.max(np.abs(m.entries @ m.precision.entries - np.eye(eta))) < 1e-10 * eta
+
+    def test_nan_inverse_fails_the_residual_check(self, monkeypatch):
+        n = precision_matrix(refine(chain_region(2), 0), params())
+        monkeypatch.setattr(padicqft.lattice.scipy.linalg, "cho_solve",
+                            lambda *args, **kwargs: np.full((2, 2), np.nan))
+        with pytest.raises(ValueError, match="inverse residual nan"):
+            covariance_matrix(n)
 
 
 class TestRestriction:
@@ -280,6 +284,33 @@ class TestSignsAndDomination:
         report = monotonicity_check(r, r, 0, params())
         assert report.passed
         assert abs(report.worst_margin) < 1e-12
+
+    def test_nan_off_diagonal_fails_sign_structure(self):
+        n = precision_matrix(refine(chain_region(3), 0), params())
+        bad = np.array(n.entries)
+        bad[0, 2] = bad[2, 0] = np.nan
+        report = sign_structure_check(replace(n, entries=bad))
+        assert not report.passed
+        assert np.isnan(report.worst_margin)
+
+    def test_nan_covariance_fails_domination(self):
+        m = covariance_matrix(precision_matrix(refine(chain_region(3), 0), params()))
+        bad = np.array(m.entries)
+        bad[1, 2] = np.nan
+        report = domination_check(replace(m, entries=bad), params())
+        assert not report.passed
+        assert report.violations[0].startswith("M[1,2]=")
+
+    def test_nan_covariance_fails_monotonicity(self, monkeypatch):
+        real = padicqft.lattice.covariance_matrix
+
+        def nan_for_the_big_region(N, *args, **kwargs):
+            m = real(N, *args, **kwargs)
+            return replace(m, entries=np.full_like(m.entries, np.nan)) if N.lattice.eta == 3 else m
+
+        monkeypatch.setattr(padicqft.lattice, "covariance_matrix", nan_for_the_big_region)
+        report = monotonicity_check(chain_region(2), chain_region(3), 0, params())
+        assert not report.passed
 
     def test_randomized_suite(self):
         rand = random.Random(33)

@@ -1,5 +1,6 @@
 """Gaussian sampling, importance-weighted moments, inequality experiments."""
 
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -25,9 +26,11 @@ from padicqft.sampler import (
     schwinger_mc,
     schwinger_quadrature,
 )
-from padicqft.ultrametric import BallAddress, Region, refine
-from padicqft.verify import params_for
+from padicqft.ultrametric import BallAddress, Region, parse_region, refine
+from padicqft.verify import params_for, random_region_with_level
 from padicqft.wick import WickPolynomial, wick_poly_lower_bound
+
+import oracles
 
 X4 = WickPolynomial((0.0, 0.0, 0.0, 0.0, 1.0))
 
@@ -288,6 +291,104 @@ class TestSchwingerQuadrature:
         est = schwinger_quadrature(cov2, X4, src, var0())
         assert est.partition == partition_function_quadrature(cov2, X4, src, var0()).value
 
+    def test_free_moments_exact_at_low_order(self, cov3):
+        # a Gaussian is summed exactly by the uniform grid: the error is
+        # exp(-2 pi^2 order^2 / 16) at grid spacing 4 / (order sqrt D')
+        for i, j in ((0, 0), (0, 1), (1, 2)):
+            src = SourceSpec(g=np.zeros(3), h_list=(np.eye(3)[i], np.eye(3)[j]))
+            est = schwinger_quadrature(cov3, X4, src, var0(), order=8)
+            assert est.value == pytest.approx(cov3.entries[i, j], rel=1e-14)
+            assert est.partition == pytest.approx(1.0, rel=1e-14)
+
+    def test_order_cap_is_typed(self, cov2):
+        src = SourceSpec(g=np.zeros(2), h_list=())
+        with pytest.raises(ValueError, match="order 257 too large"):
+            schwinger_quadrature(cov2, X4, src, var0(), order=257)
+
+
+def _monomials(eta, degree=4):
+    return [a for a in itertools.product(range(degree + 1), repeat=eta) if sum(a) <= degree]
+
+
+def _unit_forms(powers):
+    eta = len(powers)
+    return tuple(np.eye(eta)[i] for i in range(eta) for _ in range(powers[i]))
+
+
+def _tree_vs_oracle(m, coeffs, g, variance, oracle_orders):
+    """Compare every cell monomial up to degree 4 and Z with the Gauss-Hermite oracle.
+
+    Returns False when the oracle passes its own gate at none of ``oracle_orders``."""
+    eta = m.lattice.eta
+    monos = _monomials(eta)
+    for order in oracle_orders:
+        ref = oracles.gauss_hermite(m.entries, coeffs, g, np.full(eta, variance), monos, order)
+        if ref is not None:
+            break
+    else:
+        return False
+    want, z_want = ref
+    P = WickPolynomial(coeffs)
+    for powers, value in zip(monos, want):
+        est = schwinger_quadrature(m, P, SourceSpec(g=g, h_list=_unit_forms(powers)), variance)
+        assert abs(est.value - value) <= 1e-9 * max(1.0, abs(value)), (powers, est.value, value)
+        assert abs(est.partition - z_want) <= 1e-9 * max(1.0, z_want), (powers, est.partition)
+    # a product of general linear forms expands multilinearly over the cells
+    rand = random.Random(eta)
+    h1, h2 = (np.array([rand.uniform(0.0, 1.0) for _ in range(eta)]) for _ in range(2))
+    pair = {a: v for a, v in zip(monos, want) if sum(a) == 2}
+    expect = sum(h1[i] * h2[j] * pair[tuple(np.bincount([i, j], minlength=eta))]
+                 for i in range(eta) for j in range(eta))
+    est = schwinger_quadrature(m, P, SourceSpec(g=g, h_list=(h1, h2)), variance)
+    assert abs(est.value - expect) <= 1e-9 * max(1.0, abs(expect))
+    return True
+
+
+class TestTreeAgainstGaussHermite:
+    """The tree recursion against the tensor Gauss-Hermite reference in tests/oracles.py."""
+
+    def test_bundled_cases(self, cov2, cov3):
+        # the suite's twelve (lambda, g, eta) cases; on three cells at g = 0.5
+        # the oracle first passes its gate at order 128, about 30 s a case,
+        # so those two are left out here
+        compared = 0
+        for lam in (0.0, 0.5):
+            coeffs = (0.0, -lam, 0.0, 0.0, 1.0)
+            for g in (0.1, 0.5):
+                for m in (chain_cov(1), cov2, cov3):
+                    eta = m.lattice.eta
+                    orders = (32,) if eta == 3 else (32, 64, 128)
+                    compared += _tree_vs_oracle(m, coeffs, np.full(eta, g), var0(), orders)
+        assert compared == 10
+
+    def test_random_regions(self):
+        # irregular regions with up to four cells, q in {3, 5}, amb up to 3;
+        # the first three have empty distance classes (no pair at class 1 or
+        # 2, none at class 2, none at class 0), then seeded random regions
+        rand = random.Random(606)
+        cases = [(parse_region(text, q), l) for text, q, l in (
+            ("amb=3;k=0;balls=000,111", 3, 0),
+            ("amb=3;k=0;balls=000,011,200", 3, 0),
+            ("amb=2;k=1;balls=2", 3, 0),
+            ("amb=2;k=0;balls=00,01,13,40", 5, 0),
+        )]
+        while len(cases) < 8:
+            region, l = random_region_with_level(rand, rand.choice((3, 5)), max_eta=4, max_nu=4)
+            if region.ambient_level <= 3:
+                cases.append((region, l))
+        compared = 0
+        for region, l in cases:
+            params = params_for(region.q, rand.choice((Fraction(2), Fraction(3, 2))))
+            m = covariance_matrix(precision_matrix(refine(region, l), params))
+            eta = m.lattice.eta
+            var = free_cell_variance(params, l)
+            coeffs = (0.0, -rand.choice((0.0, 0.5)) * var**1.5, 0.0, 0.0, 1.0)
+            # coupling in units of the cell variance, so :P: has the same shape on every cell size
+            g = np.array([rand.uniform(0.0, 0.01) for _ in range(eta)]) / var**2
+            orders = (8, 16) if eta == 4 else (16, 32)
+            compared += _tree_vs_oracle(m, coeffs, g, var, orders)
+        assert compared == len(cases)
+
 
 class TestErrorScaling:
     def test_rmse_slope_is_half(self, cov2):
@@ -345,6 +446,15 @@ class TestGriffiths:
             griffiths_check(cov2, X4, bad, "quadrature", var0())
         with pytest.raises(ValueError):  # negative g caught at construction
             SourceSpec(g=np.array([-0.1, 0.1]), h_list=())
+
+    def test_nan_moments_fail(self, cov2):
+        # a NaN sampling factor makes every Monte Carlo moment NaN
+        bad = replace(cov2, factor=np.full((2, 2), np.nan))
+        src = SourceSpec(g=np.full(2, 0.1), h_list=())
+        with np.errstate(invalid="ignore"):
+            report = griffiths_check(bad, X4, src, "mc", var0(), seed=1, n_samples=2000)
+        assert not report.passed
+        assert np.isnan(report.worst_margin)
 
     def test_mc_matches_quadrature_verdict(self, cov3):
         poly = WickPolynomial((0.0, -0.5, 0.0, 0.0, 1.0))
@@ -469,6 +579,15 @@ class TestPartitionStability:
 
             z, _ = scipy.integrate.quad(integrand, -12, 12, epsabs=1e-12)
             assert abs(est.value - z) <= 3 * est.std_error
+
+    def test_nan_draw_fails(self):
+        m1 = chain_cov(1)
+        bad = replace(m1, factor=np.full((1, 1), np.nan))
+        src = SourceSpec(g=np.ones(1), h_list=())
+        with np.errstate(invalid="ignore"):
+            res = partition_stability(bad, X4, src, var0(), seed=2, n_samples=5000)
+        assert not res.passed
+        assert not res.report().passed
 
     def test_tail_probabilities_decay(self):
         # super-exponential shrinkage of the reweighting exponent's tail:
