@@ -6,15 +6,21 @@ the coupling between two cells is a single-shell value of the jump kernel
 (the kernel is constant on an ultrametric ball), and the diagonal is the
 mass term plus a geometric-series complement integral.  Both depend on a pair
 only through its distance class (the cells' common-prefix length, amb - l on
-the diagonal), which is built once per lattice; the precision entries and the
-free-covariance bound are read from one table per class.  The covariance is
-the dense inverse; its entrywise nonnegativity, domination by the free
-covariance, and growth under region extension are the checkable facts.
+the diagonal), which is read once per lattice from the ball tree of the sorted
+cells; the precision entries and the free-covariance bound are read from one
+table per class.  The same structure writes N = D' I + sum over tree nodes a of
+beta_depth(a) 1_a 1_a^T, so the covariance is inverted by one leaf-to-root
+Sherman-Morrison pass, the classical inverse of an ultrametric matrix (Martinez,
+Michon and San Martin, SIAM J. Matrix Anal. Appl. 15, 1994).  Its entrywise
+nonnegativity, domination by the free covariance, and growth under region
+extension are the checkable facts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import decimal
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -36,12 +42,14 @@ class NotPositiveDefiniteError(ValueError):
 class PrecisionMatrix:
     """Matrix of the restricted operator plus mass in the cell-indicator basis.
 
-    ``classes[i, j]`` is the pair's distance class amb - d(i,j), amb - l on the diagonal.
+    ``classes[i, j]`` is the pair's distance class amb - d(i,j), amb - l on the
+    diagonal; ``tree`` is the ball tree the classes were read from.
     """
 
     lattice: LatticeSpec
     entries: np.ndarray
     classes: np.ndarray
+    tree: _BallTree = field(repr=False, compare=False)
 
     def __post_init__(self):
         self.entries.setflags(write=False)
@@ -62,26 +70,69 @@ class CovarianceMatrix:
         self.factor.setflags(write=False)
 
 
-def distance_exponent_matrix(lattice: LatticeSpec) -> np.ndarray:
-    """Pairwise center-distance exponents d(i,j); the diagonal is a placeholder.
+@dataclass(frozen=True)
+class _BallTree:
+    """The lattice cells in lexicographic digit order, read as a q-ary ball tree.
 
-    Vectorized longest-common-prefix over the digit rows, chunked to keep the
-    boolean workspace small for large lattices.
+    ``order`` lists the cell indices in that order and ``lcp[k]`` is the
+    common-prefix length of the k-th and (k+1)-th sorted cells.  The cells under
+    a depth-c tree node are a maximal run of sorted cells joined by lcp >= c, and
+    the distance class of a pair is the depth of the deepest node holding both.
+    ``pairs[c]`` is one cell pair of class c, or None where no pair has that class.
     """
-    digits = np.asarray([c.digits for c in lattice.cells], dtype=np.int64)
-    eta, width = digits.shape
-    amb = lattice.region.ambient_level
-    out = np.empty((eta, eta), dtype=np.int64)
-    chunk = max(1, 2_000_000 // max(1, eta * max(1, width)))
-    for start in range(0, eta, chunk):
-        rows = digits[start : start + chunk]
-        if width == 0:
-            prefix = np.zeros((rows.shape[0], eta), dtype=np.int64)
-        else:
-            neq = rows[:, None, :] != digits[None, :, :]
-            first = np.argmax(neq, axis=2)
-            prefix = np.where(neq.any(axis=2), first, width)
-        out[start : start + chunk] = amb - prefix
+
+    order: np.ndarray
+    in_order: bool  # the cells are already sorted
+    lcp: np.ndarray
+    leaf: int  # amb - l, the class of the diagonal
+    pairs: tuple
+
+    def runs(self, depth: int):
+        """(lo, hi) sorted-position ranges of the tree nodes at ``depth``."""
+        bounds = [0, *(np.flatnonzero(self.lcp < depth) + 1).tolist(), len(self.order)]
+        return zip(bounds[:-1], bounds[1:])
+
+    def to_cells(self, ranked: np.ndarray) -> np.ndarray:
+        """A matrix indexed by sorted position, permuted once into cell order."""
+        if self.in_order:
+            return ranked
+        pos = np.argsort(self.order)
+        return ranked[np.ix_(pos, pos)]
+
+    def classes(self) -> np.ndarray:
+        """Pairwise distance classes, one byte per pair for up to 256 classes.
+
+        Each node's block is set to its depth, root first, so deeper nodes overwrite.
+        """
+        eta = len(self.order)
+        out = np.zeros((eta, eta), dtype=self.lcp.dtype)
+        for depth in range(1, self.leaf):
+            for lo, hi in self.runs(depth):
+                if hi - lo > 1:
+                    out[lo:hi, lo:hi] = depth
+        out.flat[:: eta + 1] = self.leaf
+        return self.to_cells(out)
+
+
+def _ball_tree(lattice: LatticeSpec) -> _BallTree:
+    """Lexsort the digit rows once and take the common prefix of each adjacent pair."""
+    eta, leaf = lattice.eta, lattice.region.ambient_level - lattice.cell_level
+    digits = np.asarray([c.digits for c in lattice.cells], dtype=np.int64).reshape(eta, leaf)
+    if not leaf:  # one cell, the whole ambient ball
+        digits = np.zeros((eta, 1), dtype=np.int64)
+    order = np.lexsort(digits.T[::-1])
+    ranked = digits[order]
+    lcp = np.argmax(ranked[1:] != ranked[:-1], axis=1).astype(np.min_scalar_type(leaf))
+    pairs = [None] * leaf
+    for k, c in enumerate(lcp.tolist()):
+        if pairs[c] is None:
+            pairs[c] = (int(order[k]), int(order[k + 1]))
+    return _BallTree(order, bool(np.all(order[1:] > order[:-1])), lcp, leaf, tuple(pairs))
+
+
+def distance_exponent_matrix(lattice: LatticeSpec) -> np.ndarray:
+    """Pairwise center-distance exponents d(i,j) = amb - class; the diagonal is a placeholder 0."""
+    out = lattice.region.ambient_level - _ball_tree(lattice).classes().astype(np.int64)
     np.fill_diagonal(out, 0)  # placeholder; diagonal entries are set separately
     return out
 
@@ -126,14 +177,13 @@ def precision_matrix(
     if eta > max_cells:
         raise ValueError(f"lattice has {eta} cells (> {max_cells}); pass max_cells to override")
     l, amb = lattice.cell_level, lattice.region.ambient_level
-    prefix = amb - distance_exponent_matrix(lattice)
-    np.fill_diagonal(prefix, amb - l)
-    classes = prefix.astype(np.min_scalar_type(amb - l))  # one byte per pair for up to 256 classes
+    tree = _ball_tree(lattice)
+    classes = tree.classes()
     q = float(params.q)
     d = amb - np.arange(amb - l + 1)
     table = params.omega_const * q**l * q ** (-(float(params.beta_hat) + 1.0) * d)
     table[amb - l] = precision_diagonal(params, l, diagonal_mass_term)
-    return PrecisionMatrix(lattice=lattice, entries=table[classes], classes=classes)
+    return PrecisionMatrix(lattice=lattice, entries=table[classes], classes=classes, tree=tree)
 
 
 def _cholesky(matrix: np.ndarray, name: str) -> np.ndarray:
@@ -143,17 +193,82 @@ def _cholesky(matrix: np.ndarray, name: str) -> np.ndarray:
     return factor
 
 
-def covariance_matrix(N: PrecisionMatrix, residual_tol: float = 1e-10) -> CovarianceMatrix:
-    """Invert the precision matrix through its Cholesky factorization.
+def _class_couplings(N: PrecisionMatrix, num=float) -> tuple[list, float]:
+    """Node couplings beta per tree depth and the leaf term D', from one pair per class.
 
-    Both factorizations (of N and of the resulting M) must succeed; the
-    product M N is checked against the identity to residual_tol * eta.
+    With w(c) the entry of distance class c (w(-1) = 0; a class with no pairs
+    repeats w(c-1)), beta_c = w(c) - w(c-1) and D' = D - w(amb-l-1), so
+    t^T N t = D' sum t_i^2 + sum over tree nodes a of beta_depth(a) (sum of t under a)^2.
+    ``num`` is the number type the differences are taken in.
+    """
+    entries = N.entries
+    off = [num(0)]  # w(c - 1) for c = 0, 1, ..., amb - l
+    for pair in N.tree.pairs:
+        off.append(off[-1] if pair is None else num(entries[pair]))
+    return [b - a for a, b in zip(off, off[1:])], num(entries[0, 0]) - off[-1]
+
+
+_ROW_CHUNK = 1 << 16  # entries per row chunk of a rank-one update
+_NODE_DIGITS = 40  # precision of the per-node scalars, far beyond their cancellation
+
+
+def _tree_inverse(N: PrecisionMatrix) -> np.ndarray:
+    """Inverse of D' I + sum_a beta_a 1_a 1_a^T by Sherman-Morrison, leaf to root.
+
+    Once every node below depth c is folded in, the matrix is block diagonal
+    over the depth-c nodes.  With u = M 1 and s = sum of u over node a, folding
+    a in adds -beta / den u_a u_a^T, den = 1 + beta s, and divides u_a by den.
+    s is the sum of the children's s / den, so s and den are per-node scalars;
+    they are carried in 40-digit decimals, because each den cancels digits and
+    a float recursion compounds that loss from level to level.  The update is
+    written as +-v v^T, so M stays exactly symmetric.
+    """
+    tree = N.tree
+    eta = len(tree.order)
+    with decimal.localcontext() as ctx:
+        ctx.prec = _NODE_DIGITS
+        beta, d_prime = _class_couplings(N, decimal.Decimal)
+        starts, sums = range(eta), [1 / d_prime] * eta  # the nodes one level down
+        m = np.zeros((eta, eta))
+        m.flat[:: eta + 1] = float(1 / d_prime)
+        u = np.full(eta, float(1 / d_prime))
+        for depth in range(tree.leaf - 1, -1, -1):
+            b = beta[depth]
+            runs, node_sums, child = list(tree.runs(depth)), [], 0
+            for lo, hi in runs:
+                s = decimal.Decimal(0)
+                while child < len(starts) and starts[child] < hi:
+                    s, child = s + sums[child], child + 1
+                den = 1 + b * s
+                if not (den > 0):
+                    raise NotPositiveDefiniteError("precision matrix", int(tree.order[lo]) + 1)
+                node_sums.append(s / den)
+                if b:
+                    v = math.sqrt(float(abs(b) / den)) * u[lo:hi]
+                    left = v if b < 0 else -v
+                    step = max(1, _ROW_CHUNK // (hi - lo))
+                    for r in range(0, hi - lo, step):  # a chunk of rows at a time
+                        rows = left[r : r + step]
+                        m[lo + r : lo + r + len(rows), lo:hi] += np.multiply.outer(rows, v)
+                    u[lo:hi] /= float(den)
+            starts, sums = [lo for lo, _ in runs], node_sums
+    return tree.to_cells(m)
+
+
+def covariance_matrix(N: PrecisionMatrix, residual_tol: float = 1e-10) -> CovarianceMatrix:
+    """Invert the precision matrix up its ball tree, with three checks.
+
+    N must pass a Cholesky factorization (the SPD gate), the product M N is
+    checked against the identity to residual_tol * eta using N's actual
+    entries, and M must pass a Cholesky factorization, which is its sampling factor.
     """
     eta = N.lattice.eta
-    chol_n = _cholesky(np.asarray(N.entries), "precision matrix")
-    m = scipy.linalg.cho_solve((chol_n, True), np.eye(eta))
-    m = (m + m.T) / 2.0
-    residual = float(np.max(np.abs(m @ N.entries - np.eye(eta))))
+    _cholesky(np.asarray(N.entries), "precision matrix")
+    m = _tree_inverse(N)
+    product = m @ N.entries
+    product.flat[:: eta + 1] -= 1.0
+    residual = float(np.max(np.abs(product, out=product)))
+    del product  # freed before the factorization of M
     if not (residual <= residual_tol * eta):  # a NaN residual fails too
         raise ValueError(f"inverse residual {residual:.3e} exceeds {residual_tol:.1e} * eta")
     factor = _cholesky(m, "covariance matrix")
@@ -215,14 +330,16 @@ def domination_check(
     """Lattice covariance entries never exceed the free (whole-space) covariance."""
     l, amb = M.lattice.cell_level, M.lattice.region.ambient_level
     table = [free_covariance_entry(params, l, amb - c) for c in range(amb - l)]
-    free = np.array(table + [free_cell_variance(params, l)])[M.precision.classes]
-    margins = free - np.asarray(M.entries)
+    table = np.array(table + [free_cell_variance(params, l)])
+    classes = M.precision.classes
+    margins = table[classes]
+    margins -= M.entries
     worst = float(np.min(margins))
     violations = []
     if not (worst >= -tol):  # np.min and np.argmin report a NaN margin first
         i, j = np.unravel_index(int(np.argmin(margins)), margins.shape)
         violations.append(
-            f"M[{i},{j}]={M.entries[i, j]!r} exceeds free covariance {free[i, j]!r}"
+            f"M[{i},{j}]={M.entries[i, j]!r} exceeds free covariance {table[classes[i, j]]!r}"
         )
     return CheckReport("covariance_domination", not violations, worst, tuple(violations))
 

@@ -28,6 +28,7 @@ import numpy as np
 from .lattice import (
     MAX_DENSE_CELLS,
     CovarianceMatrix,
+    _class_couplings,
     _shared_indices,
     covariance_matrix,
     precision_matrix,
@@ -74,10 +75,10 @@ class SchwingerEstimate:
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Coupling g (per cell, nonnegative) and the test-function list h.
+    """Coupling g (per cell, finite and nonnegative) and the test-function list h.
 
-    h entries enter moments as phi(h) = sum_i h_i t_i; they are only required
-    to be nonnegative where a correlation inequality demands it.
+    h entries enter moments as phi(h) = sum_i h_i t_i; they must be finite, and
+    are only required to be nonnegative where a correlation inequality demands it.
     """
 
     g: np.ndarray
@@ -85,18 +86,22 @@ class SourceSpec:
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=float)
-        if np.any(g < 0):
+        if not np.all(np.isfinite(g)):
+            raise ValueError("coupling g must be finite")
+        if not np.all(g >= 0):
             raise ValueError("coupling g must be nonnegative")
         object.__setattr__(self, "g", g)
         hs = tuple(np.asarray(h, dtype=float) for h in self.h_list)
-        for h in hs:
+        for i, h in enumerate(hs):
             if h.shape != g.shape:
                 raise ValueError("every h must have the same cell count as g")
+            if not np.all(np.isfinite(h)):
+                raise ValueError(f"h[{i}] must be finite")
         object.__setattr__(self, "h_list", hs)
 
     def require_nonnegative_h(self) -> None:
         for i, h in enumerate(self.h_list):
-            if np.any(h < 0):
+            if not np.all(h >= 0):
                 raise ValueError(f"h[{i}] has negative entries; the inequality hypotheses need h >= 0")
 
 
@@ -241,23 +246,16 @@ def _cell_monomials(moment, forms, eta: int) -> dict:
 def _tree_pass(M, P, source, variances, forms, moments, order):
     """Moments and Z summed exactly over a uniform grid by convolutions up the ball tree.
 
-    With w(c) the off-diagonal entry of distance class c (w(-1) = 0; a class
-    with no pairs repeats w(c-1)), beta_c = w(c) - w(c-1) and D' = D - w(amb-l-1):
-    t^T N t = D' sum t_i^2 + sum over tree nodes a of beta_depth(a) (sum of t under a)^2.
-    A leaf is exp(-D' t^2 / 2 - g_i :P:(t)) t^a_i; a node convolves its children
-    and multiplies by exp(-beta s^2 / 2).  Each array is kept at max |.| = 1 with
-    its log scale alongside.  Spacing 4 / (order sqrt D'), over +-12 sd of the widest cell.
+    t^T N t = D' sum t_i^2 + sum over tree nodes a of beta_depth(a) (sum of t under a)^2
+    (``_class_couplings``).  A leaf is exp(-D' t^2 / 2 - g_i :P:(t)) t^a_i; a node
+    convolves its children and multiplies by exp(-beta s^2 / 2).  Each array is
+    kept at max |.| = 1 with its log scale alongside.  Spacing 4 / (order sqrt D'),
+    over +-12 sd of the widest cell.
     """
     N = M.precision
     eta = M.lattice.eta
-    leaf_depth = int(N.classes[0, 0])
-    w = np.zeros(leaf_depth + 1)
-    w[N.classes] = N.entries  # one value per class; the last is the diagonal D
-    off = [0.0]  # w(c - 1) for c = 0, 1, ..., leaf_depth
-    for c in range(leaf_depth):
-        off.append(w[c] if np.any(N.classes == c) else off[-1])
-    beta = np.diff(off)
-    d_prime = w[leaf_depth] - off[-1]
+    leaf_depth = N.tree.leaf
+    beta, d_prime = _class_couplings(N)
     step = 4.0 / (order * math.sqrt(d_prime))
     half = math.ceil(QUADRATURE_WINDOW * math.sqrt(float(np.max(np.diag(M.entries)))) / step)
     x = step * np.arange(-half, half + 1)

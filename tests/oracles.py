@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 
 SAME = float("-inf")
 
@@ -182,25 +184,65 @@ def series_covariance_entry(q, beta_hat, gamma, m_sq, l, d, floor=1e-18) -> floa
     return float(q) ** l * series_green_regularized(q, beta_hat, gamma, m_sq, -l, d, floor)
 
 
-def series_l2_pairing(q, beta_hat, gamma, m_sq, kappa, k, l, g, dmat, floor=1e-16) -> float:
-    """(g, E_kappa^k * g) by the literal double sum over cells plus shell series."""
+def series_l2_distance(q, beta_hat, gamma, m_sq, kappa1, kappa2, k, l, g, dmat, floor=1e-16) -> float:
+    """(g, E_k1^k * g) - (g, E_k2^k * g) by the literal double sum, in difference form.
+
+    Each e1^k - e2^k is written (e1 - e2) sum_a e1^a e2^(k-1-a), with e1 - e2 the
+    literal sum over the shells (kappa2, kappa1], so nothing cancels.
+    """
+
+    def power_diff(d) -> float:
+        e1 = series_green_regularized(q, beta_hat, gamma, m_sq, kappa1, d, floor)
+        e2 = series_green_regularized(q, beta_hat, gamma, m_sq, kappa2, d, floor)
+        delta = sum(
+            exact_shell_char(q, m, d) / (symbol(q, beta_hat, gamma, m) + m_sq)
+            for m in range(kappa2 + 1, kappa1 + 1)
+        )
+        return delta * sum(e1**a * e2 ** (k - 1 - a) for a in range(k))
+
     eta = len(g)
     total = 0.0
     for i in range(eta):
         for j in range(eta):
-            if i == j:
-                continue
-            e = series_green_regularized(q, beta_hat, gamma, m_sq, kappa, dmat[i][j], floor)
-            total += g[i] * g[j] * float(q) ** (2 * l) * e**k
+            if i != j:
+                total += g[i] * g[j] * float(q) ** (2 * l) * power_diff(dmat[i][j])
     same = 0.0
     m = l
     while float(q) ** m > floor:
-        e = series_green_regularized(q, beta_hat, gamma, m_sq, kappa, m, floor)
-        same += shell(q, m) * e**k
+        same += shell(q, m) * power_diff(m)
         m -= 1
     for i in range(eta):
         total += g[i] * g[i] * float(q) ** l * same
     return total
+
+
+# ---------------------------------------------------------------------------
+# dense and exact inverses of a lattice precision matrix
+# ---------------------------------------------------------------------------
+
+
+def dense_inverse(entries) -> np.ndarray:
+    """Cholesky solve against the identity, symmetrized."""
+    a = np.asarray(entries, dtype=float)
+    m = scipy.linalg.cho_solve((scipy.linalg.cholesky(a, lower=True), True), np.eye(len(a)))
+    return (m + m.T) / 2.0
+
+
+def exact_inverse(entries) -> list:
+    """Gauss-Jordan elimination in rational arithmetic on the float entries, as Fractions."""
+    n = len(entries)
+    rows = [[Fraction(float(v)) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(np.asarray(entries))]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [v / lead for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
 
 
 def grid_minimum(func, lo: float, hi: float, points: int = 200_001) -> float:

@@ -22,7 +22,7 @@ from padicqft.lattice import (
     write_matrix_csv,
 )
 from padicqft.model import FieldParams, free_covariance_entry
-from padicqft.ultrametric import BallAddress, Region, refine
+from padicqft.ultrametric import BallAddress, Region, parse_region, refine
 from padicqft.verify import params_for, random_nested_pair, random_region_with_level
 
 import oracles
@@ -124,13 +124,13 @@ class TestPrecisionMatrix:
 
     def test_distance_matrix_built_once_per_lattice(self, monkeypatch):
         calls = []
-        build = padicqft.lattice.distance_exponent_matrix
+        build = padicqft.lattice._ball_tree
 
         def counting(lat):
             calls.append(lat)
             return build(lat)
 
-        monkeypatch.setattr(padicqft.lattice, "distance_exponent_matrix", counting)
+        monkeypatch.setattr(padicqft.lattice, "_ball_tree", counting)
         region = Region(q=3, ambient_level=1, ball_level=0,
                         balls=(BallAddress(1, 0, (0,)), BallAddress(1, 0, (2,))))
         m = covariance_matrix(precision_matrix(refine(region, -1), params()))
@@ -147,6 +147,27 @@ class TestPrecisionMatrix:
                 for j in range(lat.eta):
                     if i != j:
                         assert d[i, j] == lat.cell_distance(i, j)
+
+    def test_classes_match_pairwise_on_unsorted_regions(self):
+        rand = random.Random(10)
+        lattices = [refine(parse_region(text, 3), l) for text, l in FIXED_REGIONS]
+        for i in range(16):
+            region, l = random_region_with_level(rand, (3, 5)[i % 2], max_eta=40)
+            lattices.append(refine(_shuffled(region, rand), l))
+        unsorted = 0
+        for lat in lattices:
+            n = precision_matrix(lat, params_for(lat.q, Fraction(2)))
+            unsorted += not n.tree.in_order
+            amb = lat.region.ambient_level
+            d = distance_exponent_matrix(lat)
+            assert d.dtype == np.int64
+            for a in range(lat.eta):
+                assert n.classes[a, a] == amb - lat.cell_level and d[a, a] == 0
+                for b in range(lat.eta):
+                    if a != b:
+                        assert n.classes[a, b] == amb - lat.cell_distance(a, b)
+                        assert d[a, b] == lat.cell_distance(a, b)
+        assert unsorted >= 4
 
 
 class TestCovarianceMatrix:
@@ -206,10 +227,75 @@ class TestCovarianceMatrix:
 
     def test_nan_inverse_fails_the_residual_check(self, monkeypatch):
         n = precision_matrix(refine(chain_region(2), 0), params())
-        monkeypatch.setattr(padicqft.lattice.scipy.linalg, "cho_solve",
-                            lambda *args, **kwargs: np.full((2, 2), np.nan))
+        monkeypatch.setattr(padicqft.lattice, "_tree_inverse", lambda N: np.full((2, 2), np.nan))
         with pytest.raises(ValueError, match="inverse residual nan"):
             covariance_matrix(n)
+
+
+def _shuffled(region, rand):
+    balls = list(region.balls)
+    rand.shuffle(balls)
+    return replace(region, balls=tuple(balls))
+
+
+# the first three skip distance classes (1 and 2; 2; 0); the second and the last list
+# their balls out of lexicographic order
+FIXED_REGIONS = (
+    ("amb=3;k=0;balls=000,111", -1),
+    ("amb=3;k=0;balls=200,011,000", -1),
+    ("amb=1;k=0;balls=0", -1),
+    ("amb=2;k=0;balls=21,00,12,20", -2),
+)
+
+
+def _tree_inverse_cases():
+    """The 200 acceptance-suite lattices, their ball-shuffled twins and the fixed regions."""
+    import test_acceptance
+
+    rand = random.Random(71)
+    for p, lattice, n, m in test_acceptance.matrix_suite():
+        yield p, n, m
+        if lattice.region.nu > 1:
+            twin = refine(_shuffled(lattice.region, rand), lattice.cell_level)
+            n_twin = precision_matrix(twin, p)
+            yield p, n_twin, covariance_matrix(n_twin)
+    for i, (text, l) in enumerate(FIXED_REGIONS):
+        p = params_for(3, (Fraction(1), Fraction(2))[i % 2])
+        n = precision_matrix(refine(parse_region(text, 3), l), p)
+        yield p, n, covariance_matrix(n)
+
+
+class TestTreeInverse:
+    def test_exact_on_small_lattices(self):
+        # against Gauss-Jordan in rational arithmetic on the same float entries
+        rand = random.Random(8)
+        bhs = (Fraction(1), Fraction(2), Fraction(3, 2), Fraction(5, 3))
+        cases = [(parse_region(text, 3), l) for text, l in FIXED_REGIONS[:3]]
+        cases += [random_region_with_level(rand, (3, 5)[i % 2], max_eta=12) for i in range(12)]
+        for i, (region, l) in enumerate(cases):
+            p = params_for(region.q, bhs[i % 4])
+            n = precision_matrix(refine(_shuffled(region, rand), l), p)
+            got = covariance_matrix(n).entries
+            want = np.array([[float(v) for v in row] for row in oracles.exact_inverse(n.entries)])
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), i
+
+    def test_matches_dense_inverse(self):
+        seen = {"unsorted": 0, "empty class": 0}
+        for p, n, m in _tree_inverse_cases():
+            want = oracles.dense_inverse(n.entries)
+            assert np.all(np.abs(m.entries - want) <= 1e-12 * np.abs(want))
+            assert np.array_equal(m.entries, m.entries.T)
+            seen["unsorted"] += not n.tree.in_order
+            seen["empty class"] += None in n.tree.pairs
+        assert min(seen.values()) >= 4, seen
+
+    def test_nonpositive_denominator_is_typed(self):
+        # Cholesky reads the lower triangle; the tree reads its coupling from N[0, 1]
+        n = precision_matrix(refine(chain_region(2), 0), params())
+        bad = np.array([[1.0, -2.0], [0.0, 1.0]])
+        with pytest.raises(NotPositiveDefiniteError, match="precision matrix") as err:
+            covariance_matrix(replace(n, entries=bad))
+        assert err.value.pivot == 1
 
 
 class TestRestriction:

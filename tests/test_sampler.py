@@ -110,6 +110,26 @@ def replace_params_identity():
     return FieldParams(p=3, n=1, alpha=Fraction(1), m_sq=1.0, omega_const=0.0)
 
 
+class TestSourceSpec:
+    @pytest.mark.parametrize("g", [[np.nan, 0.1], [np.inf, 0.1], [0.1, -np.inf]])
+    def test_non_finite_coupling_rejected(self, g):
+        with pytest.raises(ValueError, match="coupling g must be finite"):
+            SourceSpec(g=g)
+
+    def test_negative_coupling_rejected(self):
+        with pytest.raises(ValueError, match="coupling g must be nonnegative"):
+            SourceSpec(g=[0.1, -0.1])
+
+    def test_non_finite_test_function_rejected(self):
+        with pytest.raises(ValueError, match=r"h\[1\] must be finite"):
+            SourceSpec(g=[0.1, 0.1], h_list=(np.ones(2), np.array([np.nan, 1.0])))
+
+    def test_negative_test_function_fails_the_inequality_hypothesis(self):
+        src = SourceSpec(g=[0.1, 0.1], h_list=(np.ones(2), np.array([0.0, -1.0])))
+        with pytest.raises(ValueError, match=r"h\[1\] has negative entries"):
+            src.require_nonnegative_h()
+
+
 class TestInteractionWeight:
     def test_free_weight_is_one(self, cov2):
         s = next(sample_field(cov2, 1, 1))
