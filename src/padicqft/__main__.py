@@ -1,0 +1,8 @@
+"""``python -m padicqft``: the command line, runnable from a checkout without an install."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -324,10 +324,10 @@ def run_integrals(cfg: RunConfig, writer: _ArtifactWriter) -> int:
     for kappa in range(1, 31):
         row = [kappa, model.c_kappa_sq(params, kappa, cfg.tol), c1 * kappa]
         for b in betas:
-            bb = float(params.beta_hat) * b
+            bb = params.beta_hat_float * b
             row += [
                 model.resolvent_tail_integral(params, kappa, b, cfg.tol),
-                model.resolvent_tail_bound_constant(params, b) * float(params.q) ** (-kappa * (bb - 1)),
+                model.resolvent_tail_bound_constant(params, b) * params.q_float ** (-kappa * (bb - 1)),
             ]
         rows.append(row)
     path = writer.write_csv(f"integrals_{h}.csv", header, rows)

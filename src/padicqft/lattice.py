@@ -143,10 +143,9 @@ def precision_diagonal(params: FieldParams, l: int, diagonal_mass_term: bool = T
     The integral of |y|^(-beta_hat-1) |Omega| over |y| > q^l is the geometric
     series |Omega| (1 - 1/q) q^(-beta_hat (l+1)) / (1 - q^(-beta_hat)).
     """
-    q = float(params.q)
-    bh = float(params.beta_hat)
+    q, bh = params.q_float, params.beta_hat_float
     complement = (
-        -params.omega_const * (1.0 - 1.0 / q) * q ** (-bh * (l + 1)) / (1.0 - q**-bh)
+        -params.omega_const * params.shell_factor * q ** (-bh * (l + 1)) / (1.0 - q**-bh)
     )
     return (params.m_sq if diagonal_mass_term else 0.0) + complement
 
@@ -157,8 +156,8 @@ def precision_offdiagonal(params: FieldParams, l: int, d: int) -> float:
     The kernel is constant on the integration ball by ultrametricity, so the
     entry is one kernel value times the cell measure q^l.
     """
-    q = float(params.q)
-    return params.omega_const * q**l * q ** (-d * (float(params.beta_hat) + 1.0))
+    q = params.q_float
+    return params.omega_const * q**l * q ** (-d * (params.beta_hat_float + 1.0))
 
 
 def precision_matrix(
@@ -179,9 +178,9 @@ def precision_matrix(
     l, amb = lattice.cell_level, lattice.region.ambient_level
     tree = _ball_tree(lattice)
     classes = tree.classes()
-    q = float(params.q)
+    q = params.q_float
     d = amb - np.arange(amb - l + 1)
-    table = params.omega_const * q**l * q ** (-(float(params.beta_hat) + 1.0) * d)
+    table = params.omega_const * q**l * q ** (-(params.beta_hat_float + 1.0) * d)
     table[amb - l] = precision_diagonal(params, l, diagonal_mass_term)
     return PrecisionMatrix(lattice=lattice, entries=table[classes], classes=classes, tree=tree)
 

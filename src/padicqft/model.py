@@ -15,7 +15,7 @@ the sentinel ``SAME`` (-inf) stands for x = 0, so comparisons like
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ultrametric import SAME
@@ -41,6 +41,10 @@ class FieldParams:
     ``omega_const`` is the nonpositive radial constant of the hypersingular
     (jump-kernel) form of the operator; pass None to resolve it to the unique
     value consistent with the Fourier symbol (see :func:`vladimirov_omega`).
+
+    ``q_float``, ``beta_hat_float`` and ``shell_factor`` (1 - 1/q) are float
+    constants derived from the fields once, for the shell-series loops; they
+    take no part in comparison, hashing or repr.
     """
 
     p: int
@@ -49,6 +53,9 @@ class FieldParams:
     m_sq: float
     gamma_const: float = 1.0
     omega_const: float | None = None
+    q_float: float = field(init=False, repr=False, compare=False)
+    beta_hat_float: float = field(init=False, repr=False, compare=False)
+    shell_factor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not _is_odd_prime(self.p):
@@ -63,9 +70,13 @@ class FieldParams:
             raise ValueError("m_sq must be positive")
         if not self.gamma_const > 0:
             raise ValueError("gamma_const must be positive")
+        q_float = float(self.q)
+        object.__setattr__(self, "q_float", q_float)
+        object.__setattr__(self, "beta_hat_float", float(self.beta_hat))
+        object.__setattr__(self, "shell_factor", 1.0 - 1.0 / q_float)
         if self.omega_const is None:
             object.__setattr__(self, "omega_const", vladimirov_omega_const(
-                self.q, float(self.beta_hat), self.gamma_const))
+                self.q, self.beta_hat_float, self.gamma_const))
         elif self.omega_const > 0:
             raise ValueError("omega_const must be nonpositive")
 
@@ -85,13 +96,12 @@ class FieldParams:
 
 def shell_measure(params: FieldParams, m: int) -> float:
     """Haar measure of the sphere |xi| = q^m, namely q^m (1 - 1/q)."""
-    q = params.q
-    return float(q) ** m * (1.0 - 1.0 / q)
+    return params.q_float**m * params.shell_factor
 
 
 def symbol_a(params: FieldParams, xi_norm_exponent: int) -> float:
     """Symbol value gamma * q^(m * beta_hat) on the sphere |xi| = q^m."""
-    return params.gamma_const * float(params.q) ** (xi_norm_exponent * float(params.beta_hat))
+    return params.gamma_const * params.q_float ** (xi_norm_exponent * params.beta_hat_float)
 
 
 def character_shell_integral(params: FieldParams, m: int, x_norm_exponent: float) -> float:
@@ -102,11 +112,10 @@ def character_shell_integral(params: FieldParams, m: int, x_norm_exponent: float
     -q^(m-1) when m + d == 1, and zero beyond.  x = 0 is d = SAME.
     """
     d = x_norm_exponent
-    q = params.q
     if m + d <= 0:
         return shell_measure(params, m)
     if m + d == 1:
-        return -float(q) ** (m - 1)
+        return -params.q_float ** (m - 1)
     return 0.0
 
 
@@ -123,14 +132,16 @@ def resolvent_ball_integral(
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    q = float(params.q)
-    msq_pow = params.m_sq**-beta
+    q, shell, bh = params.q_float, params.shell_factor, params.beta_hat_float
+    gamma, m_sq = params.gamma_const, params.m_sq
+    msq_pow = m_sq**-beta
     total = 0.0
     m = kappa
     while True:
-        total += shell_measure(params, m) * (symbol_a(params, m) + params.m_sq) ** -beta
+        total += q**m * shell * (gamma * q ** (m * bh) + m_sq) ** -beta
         bound = q ** (m - 1) * msq_pow
-        if bound < tol * min(1.0, total) or bound < 1e-300:
+        # tol * min(1, total), with the builtin call kept out of the loop
+        if bound < tol * (total if total < 1.0 else 1.0) or bound < 1e-300:
             return total
         m -= 1
 
@@ -147,20 +158,21 @@ def resolvent_tail_integral(
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    bb = float(params.beta_hat) * beta
+    q, shell, bh = params.q_float, params.shell_factor, params.beta_hat_float
+    gamma, m_sq = params.gamma_const, params.m_sq
+    bb = bh * beta
     if bb <= 1:
         raise ValueError(
             f"divergent tail: beta_hat * beta = {bb} must exceed 1 for integrability"
         )
-    q = float(params.q)
-    gpow = params.gamma_const**-beta
-    tail_const = (1.0 - 1.0 / q) * gpow / (1.0 - q ** (1.0 - bb))
+    tail_const = resolvent_tail_bound_constant(params, beta)
     total = 0.0
     m = kappa
     while True:
-        total += shell_measure(params, m) * (symbol_a(params, m) + params.m_sq) ** -beta
+        total += q**m * shell * (gamma * q ** (m * bh) + m_sq) ** -beta
         bound = tail_const * q ** (-(m + 1) * (bb - 1.0))
-        if bound < tol * min(1.0, total) or bound < 1e-300:
+        # tol * min(1, total), with the builtin call kept out of the loop
+        if bound < tol * (total if total < 1.0 else 1.0) or bound < 1e-300:
             return total
         m += 1
 
@@ -172,16 +184,16 @@ def c_kappa_sq(params: FieldParams, kappa: int, tol: float = DEFAULT_TOL) -> flo
 
 def resolvent_ball_bound_constant(params: FieldParams) -> float:
     """Explicit constant c1 with c_kappa^2 <= c1 * kappa for kappa >= 1 (alpha >= n/2)."""
-    return 1.0 / params.m_sq + (1.0 - 1.0 / params.q) / params.gamma_const
+    return 1.0 / params.m_sq + params.shell_factor / params.gamma_const
 
 
 def resolvent_tail_bound_constant(params: FieldParams, beta: float) -> float:
     """Explicit constant c2 bounding the tail integral by c2 * q^(-kappa(beta_hat*beta-1))."""
-    bb = float(params.beta_hat) * beta
+    bb = params.beta_hat_float * beta
     if bb <= 1:
         raise ValueError("tail bound needs beta_hat * beta > 1")
-    q = float(params.q)
-    return params.gamma_const**-beta * (1.0 - 1.0 / q) / (1.0 - q ** (1.0 - bb))
+    q = params.q_float
+    return params.gamma_const**-beta * params.shell_factor / (1.0 - q ** (1.0 - bb))
 
 
 def vladimirov_omega_const(q: int, beta_hat: float, gamma: float) -> float:
@@ -198,7 +210,7 @@ def vladimirov_omega_const(q: int, beta_hat: float, gamma: float) -> float:
 
 
 def vladimirov_omega(params: FieldParams) -> float:
-    return vladimirov_omega_const(params.q, float(params.beta_hat), params.gamma_const)
+    return vladimirov_omega_const(params.q, params.beta_hat_float, params.gamma_const)
 
 
 def green_function(params: FieldParams, x_norm_exponent: float, tol: float = DEFAULT_TOL) -> float:
@@ -213,7 +225,9 @@ def green_function(params: FieldParams, x_norm_exponent: float, tol: float = DEF
         E(q^d) = sum_{m <= -d} shell(m) [ (a(q^m)+m^2)^(-1) - (a(q^(1-d))+m^2)^(-1) ],
 
     which is evaluated with a relative-accuracy geometric tail bound (so the
-    power decay at large |x| is resolved, not swamped by cancellation).  At
+    power decay at large |x| is resolved, not swamped by cancellation).  Far
+    inside the unit ball the terms overflow float range (from d = -215 at
+    q = 3, beta_hat = 2) and OverflowError is raised rather than a NaN.  At
     the origin the series runs over all shells: finite for beta_hat > 1,
     divergent (logarithmically) at beta_hat == 1, where the designated value
     math.inf is returned.
@@ -228,17 +242,24 @@ def green_function(params: FieldParams, x_norm_exponent: float, tol: float = DEF
     if not tol > 0:
         raise ValueError("tol must be positive")
     d = int(d)
-    q = float(params.q)
-    outer = symbol_a(params, 1 - d) + params.m_sq
-    total = 0.0
-    m = -d
-    while True:
-        inner = symbol_a(params, m) + params.m_sq
-        total += shell_measure(params, m) * (outer - inner) / (inner * outer)
-        bound = q ** (m - 1) / params.m_sq
-        if bound < tol * total or bound < 1e-300:
-            return total
-        m -= 1
+    q, shell, bh = params.q_float, params.shell_factor, params.beta_hat_float
+    gamma, m_sq = params.gamma_const, params.m_sq
+    try:
+        outer = gamma * q ** ((1 - d) * bh) + m_sq
+        total = 0.0
+        m = -d
+        while True:
+            inner = gamma * q ** (m * bh) + m_sq
+            total += q**m * shell * (outer - inner) / (inner * outer)
+            bound = q ** (m - 1) / m_sq
+            if bound < tol * total or bound < 1e-300:
+                break
+            m -= 1
+    except OverflowError:  # a power left float range
+        total = math.nan
+    if not math.isfinite(total):  # or a first term's numerator and denominator both overflowed
+        raise OverflowError(f"green_function: the shell series overflows float range at d = {d}")
+    return total
 
 
 def green_regularized(
@@ -274,9 +295,11 @@ def green_regularized_increment(
         raise ValueError("kappa1 must be >= kappa2")
     d = x_norm_exponent
     upper = kappa1 if d == SAME else min(kappa1, 1 - int(d))
+    q, bh = params.q_float, params.beta_hat_float
+    gamma, m_sq = params.gamma_const, params.m_sq
     total = 0.0
     for m in range(kappa2 + 1, upper + 1):
-        total += character_shell_integral(params, m, d) / (symbol_a(params, m) + params.m_sq)
+        total += character_shell_integral(params, m, d) / (gamma * q ** (m * bh) + m_sq)
     return total
 
 
@@ -290,7 +313,7 @@ def free_covariance_entry(
     function at cutoff -l evaluated at the center distance q^d; d = SAME
     yields the free cell variance sigma_l^2 used for Wick ordering.
     """
-    return float(params.q) ** l * green_regularized(params, -l, d, tol)
+    return params.q_float**l * green_regularized(params, -l, d, tol)
 
 
 def free_cell_variance(params: FieldParams, l: int, tol: float = DEFAULT_TOL) -> float:

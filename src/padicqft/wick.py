@@ -259,7 +259,7 @@ def wick_l2_distance(
     if kappa1 == kappa2:
         return 0.0
     l = lattice.cell_level
-    q = float(params.q)
+    q = params.q_float
 
     def power_diff(d) -> float:
         e1 = green_regularized(params, kappa1, d, tol)

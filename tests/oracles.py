@@ -217,6 +217,86 @@ def series_l2_distance(q, beta_hat, gamma, m_sq, kappa1, kappa2, k, l, g, dmat, 
 
 
 # ---------------------------------------------------------------------------
+# the library's shell series with q and beta_hat converted to float per term
+# ---------------------------------------------------------------------------
+# Same truncation and the same float operations in the same order as the
+# library, so results must agree exactly (==); only the conversion of
+# params.q and params.beta_hat is repeated in every term.
+
+
+def per_term_shell(params, m: int) -> float:
+    q = params.q
+    return float(q) ** m * (1.0 - 1.0 / q)
+
+
+def per_term_symbol(params, m: int) -> float:
+    return params.gamma_const * float(params.q) ** (m * float(params.beta_hat))
+
+
+def per_term_shell_char(params, m: int, d) -> float:
+    if m + d <= 0:
+        return per_term_shell(params, m)
+    if m + d == 1:
+        return -float(params.q) ** (m - 1)
+    return 0.0
+
+
+def per_term_ball_integral(params, kappa: int, beta: float = 1.0, tol: float = 1e-12) -> float:
+    q = float(params.q)
+    msq_pow = params.m_sq**-beta
+    total = 0.0
+    m = kappa
+    while True:
+        total += per_term_shell(params, m) * (per_term_symbol(params, m) + params.m_sq) ** -beta
+        bound = q ** (m - 1) * msq_pow
+        if bound < tol * min(1.0, total) or bound < 1e-300:
+            return total
+        m -= 1
+
+
+def per_term_tail_integral(params, kappa: int, beta: float, tol: float = 1e-12) -> float:
+    bb = float(params.beta_hat) * beta
+    q = float(params.q)
+    gpow = params.gamma_const**-beta
+    tail_const = (1.0 - 1.0 / q) * gpow / (1.0 - q ** (1.0 - bb))
+    total = 0.0
+    m = kappa
+    while True:
+        total += per_term_shell(params, m) * (per_term_symbol(params, m) + params.m_sq) ** -beta
+        bound = tail_const * q ** (-(m + 1) * (bb - 1.0))
+        if bound < tol * min(1.0, total) or bound < 1e-300:
+            return total
+        m += 1
+
+
+def per_term_green(params, d, tol: float = 1e-12) -> float:
+    if d == SAME:
+        return per_term_ball_integral(params, 0, 1.0, tol / 2) + per_term_tail_integral(
+            params, 1, 1.0, tol / 2
+        )
+    d = int(d)
+    q = float(params.q)
+    outer = per_term_symbol(params, 1 - d) + params.m_sq
+    total = 0.0
+    m = -d
+    while True:
+        inner = per_term_symbol(params, m) + params.m_sq
+        total += per_term_shell(params, m) * (outer - inner) / (inner * outer)
+        bound = q ** (m - 1) / params.m_sq
+        if bound < tol * total or bound < 1e-300:
+            return total
+        m -= 1
+
+
+def per_term_green_increment(params, kappa1: int, kappa2: int, d) -> float:
+    upper = kappa1 if d == SAME else min(kappa1, 1 - int(d))
+    total = 0.0
+    for m in range(kappa2 + 1, upper + 1):
+        total += per_term_shell_char(params, m, d) / (per_term_symbol(params, m) + params.m_sq)
+    return total
+
+
+# ---------------------------------------------------------------------------
 # dense and exact inverses of a lattice precision matrix
 # ---------------------------------------------------------------------------
 

@@ -29,11 +29,11 @@ m_sq = 1.0
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(args, cwd=None):
+def run_cli(args, cwd=None, module="padicqft.cli"):
     # the child imports the package from this checkout, installed or not
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "padicqft.cli", *args],
+        [sys.executable, "-m", module, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
@@ -321,3 +321,9 @@ class TestConsoleEntryPoint:
         result = run_cli(["green", "--out", str(tmp_path / "o")])
         assert result.returncode == 0
         assert "wrote" in result.stdout
+
+    def test_package_invocation(self, tmp_path):
+        result = run_cli(["integrals", "--out", str(tmp_path / "o")], module="padicqft")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("wrote ")
+        assert len(list((tmp_path / "o").glob("integrals_5494ef9dc9.csv"))) == 1

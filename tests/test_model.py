@@ -5,6 +5,7 @@ oracle (mpmath); the same series logic, in float form, lives in oracles.py
 and is re-checked here against the library's truncation strategy.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -73,6 +74,80 @@ class TestFieldParams:
     def test_omega_auto_resolution(self):
         p = params()
         assert math.isclose(p.omega_const, -108.0 / 13.0, rel_tol=1e-14)
+
+    def test_float_constants_follow_the_fields(self):
+        p = params()
+        assert (p.q_float, p.beta_hat_float, p.shell_factor) == (3.0, 2.0, 1.0 - 1.0 / 3.0)
+        p5 = dataclasses.replace(p, p=5)
+        assert (p5.q_float, p5.beta_hat_float, p5.shell_factor) == (5.0, 2.0, 1.0 - 1.0 / 5.0)
+        p_alpha = dataclasses.replace(p, alpha=Fraction(3, 4))
+        assert (p_alpha.q_float, p_alpha.beta_hat_float) == (3.0, 1.5)
+        p_n = dataclasses.replace(p, n=2, alpha=Fraction(3))
+        assert (p_n.q_float, p_n.beta_hat_float, p_n.shell_factor) == (9.0, 3.0, 1.0 - 1.0 / 9.0)
+
+    def test_float_constants_stay_out_of_eq_hash_and_repr(self):
+        a = FieldParams(p=3, n=1, alpha=Fraction(1), m_sq=1.0)
+        b = FieldParams(p=3, n=1, alpha=1, m_sq=1.0)
+        assert a == b and hash(a) == hash(b)
+        object.__setattr__(b, "q_float", 99.0)
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == (
+            "FieldParams(p=3, n=1, alpha=Fraction(1, 1), m_sq=1.0, gamma_const=1.0, "
+            "omega_const=-8.307692307692307)"
+        )
+        assert repr(FieldParams(5, 2, Fraction(3, 2), 0.5, 2.0, -1.5)) == (
+            "FieldParams(p=5, n=2, alpha=Fraction(3, 2), m_sq=0.5, gamma_const=2.0, "
+            "omega_const=-1.5)"
+        )
+
+
+# q in {3, 5, 9, 25} x beta_hat in {1, 3/2, 2, 3} x (m^2, gamma) in {(1, 1), (0.5, 2)}
+PER_TERM_GRID = [
+    FieldParams(p=p, n=n, alpha=Fraction(bh) * n / 2, m_sq=m_sq, gamma_const=gamma)
+    for p, n in ((3, 1), (5, 1), (3, 2), (5, 2))
+    for bh in (1, Fraction(3, 2), 2, 3)
+    for m_sq, gamma in ((1.0, 1.0), (0.5, 2.0))
+]
+
+
+class TestPerTermForm:
+    """The hoisted float constants give exactly the per-term-conversion values."""
+
+    def test_ball_integral(self):
+        for p in PER_TERM_GRID:
+            for kappa in (-3, 0, 1, 5, 12):
+                for beta in (0.5, 1.0, 2.0):
+                    for tol in (1e-12, 1e-6):
+                        got = resolvent_ball_integral(p, kappa, beta, tol)
+                        want = oracles.per_term_ball_integral(p, kappa, beta, tol)
+                        assert got == want, (p, kappa, beta, tol)
+
+    def test_tail_integral(self):
+        for p in PER_TERM_GRID:
+            for kappa in (-2, 1, 4):
+                for beta in (0.75, 1.0, 1.5, 3.0):
+                    if float(p.beta_hat) * beta <= 1:
+                        continue
+                    for tol in (1e-12, 1e-6):
+                        got = resolvent_tail_integral(p, kappa, beta, tol)
+                        want = oracles.per_term_tail_integral(p, kappa, beta, tol)
+                        assert got == want, (p, kappa, beta, tol)
+
+    def test_green_function(self):
+        for p in PER_TERM_GRID:
+            for d in (SAME, -12, -4, -1, 0, 1, 3, 8):
+                if d == SAME and p.is_log_case:
+                    continue
+                for tol in (1e-12, 1e-6):
+                    assert green_function(p, d, tol) == oracles.per_term_green(p, d, tol), (p, d)
+
+    def test_green_regularized_increment(self):
+        for p in PER_TERM_GRID:
+            for kappa1, kappa2 in ((20, 1), (5, -3), (3, 3), (0, -8)):
+                for d in (SAME, -6, -1, 0, 2, 5):
+                    got = green_regularized_increment(p, kappa1, kappa2, d)
+                    want = oracles.per_term_green_increment(p, kappa1, kappa2, d)
+                    assert got == want, (p, kappa1, kappa2, d)
 
 
 class TestShellMeasure:
@@ -247,6 +322,16 @@ class TestGreenFunction:
             p = FieldParams(p=pp, n=nn, alpha=Fraction(bh) * nn / 2, m_sq=1.0)
             for d in range(-30, 31):
                 assert green_function(p, d) >= 0.0
+
+    @pytest.mark.parametrize("d", [-240, -250, -300, -320])
+    def test_overflow_is_typed_not_nan(self, d):
+        # the first terms' numerator and denominator both overflow to inf here
+        with pytest.raises(OverflowError, match=f"d = {d}"):
+            green_function(params(), d)
+
+    def test_overflow_from_the_power_is_typed(self):
+        with pytest.raises(OverflowError, match="d = -330"):
+            green_function(params(), -330)
 
     def test_origin_log_case_is_designated_infinity(self):
         assert green_function(params(alpha=Fraction(1, 2)), SAME) == math.inf
