@@ -33,18 +33,15 @@ from .model import (
 )
 from .reporting import CheckReport
 from .sampler import (
-    FieldSample,
     QuadratureError,
     SchwingerEstimate,
     SourceSpec,
     effective_sample_size,
     griffiths_check,
-    interaction_weight,
     monotonicity_experiment,
     partition_function_mc,
     partition_function_quadrature,
     partition_stability,
-    sample_field,
     schwinger_mc,
     schwinger_quadrature,
 )
@@ -53,7 +50,6 @@ from .ultrametric import (
     BallAddress,
     LatticeSpec,
     Region,
-    complement_membership,
     distance,
     parse_region,
     refine,

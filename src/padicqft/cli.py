@@ -410,7 +410,7 @@ def run_schwinger(cfg: RunConfig, writer: _ArtifactWriter, trace: bool = False) 
         z = replace(est, value=est.partition)
     else:
         est = sampler.schwinger_mc(m, poly, src, cfg.seed, cfg.n_samples, var)
-        z = sampler.partition_function_mc(m, poly, src, cfg.seed + 1, cfg.n_samples, var)
+        z = sampler.partition_function_mc(m, poly, src, cfg.seed, cfg.n_samples, var)
     header = ["statistic", "value", "std_error", "ess", "n_samples", "method"]
     rows = [
         ["schwinger", est.value, est.std_error, est.ess if est.ess is not None else "", est.n_samples, est.method],
@@ -420,10 +420,9 @@ def run_schwinger(cfg: RunConfig, writer: _ArtifactWriter, trace: bool = False) 
     print(f"wrote {path}")
     if est.low_ess or z.low_ess:
         print("warning: effective sample size below 10; estimates are low quality")
-    if trace and cfg.method == "mc":
-        rows = []
-        for s in sampler.sample_field(m, cfg.seed, min(cfg.n_samples, 10_000)):
-            rows.append([s.index] + list(s.values))
+    if trace and cfg.method == "mc":  # the first rows of the draw behind both estimates
+        t = sampler._mc_draw(m, poly, src, var, cfg.seed, min(cfg.n_samples, 10_000))[0]
+        rows = [[i, *row] for i, row in enumerate(t.tolist())]
         header = ["index"] + [f"t{i}" for i in range(lattice.eta)]
         path = writer.write_csv(f"trace_{h}.csv", header, rows)
         print(f"wrote {path}")

@@ -223,23 +223,3 @@ def refine(region: Region, l: int, max_cells: int = MAX_DENSE_CELLS) -> LatticeS
         for suffix in itertools.product(range(region.q), repeat=k - l):
             cells.append(BallAddress(region.ambient_level, l, ball.digits + suffix))
     return LatticeSpec(region=region, cell_level=l, cells=tuple(cells))
-
-
-def complement_membership(
-    region: Region, i: int, y_offset_distance: float, toward_cell: int
-) -> bool:
-    """Would translating ball i by the offset y keep it inside the region?
-
-    The offset is described by its nearest point among the candidate centers
-    {x_i - x_j : j over region balls}: ``toward_cell`` names the nearest j and
-    ``y_offset_distance`` the distance exponent to it (SAME for an exact hit).
-    Translation by y stays inside the region exactly when y lands within
-    q^ball_level of one of the candidate centers, i.e. when the nearest
-    distance does not exceed the ball radius.
-    """
-    n = region.nu
-    if not (0 <= i < n):
-        raise ValueError(f"ball index {i} out of range for {n} balls")
-    if not (0 <= toward_cell < n):
-        raise ValueError(f"ball index {toward_cell} out of range for {n} balls")
-    return y_offset_distance <= region.ball_level

@@ -55,23 +55,8 @@ class FieldModel:
                 coords[i] += vec[i] * self.p**t
         return tuple(c % self.mod for c in coords)
 
-    def to_tree_digits(self, point, levels: int):
-        """First ``levels`` digit layers of a point (coarsest first)."""
-        digits = []
-        coords = list(point)
-        for _ in range(levels):
-            layer = 0
-            for i in reversed(range(self.n)):
-                layer = layer * self.p + coords[i] % self.p
-                coords[i] //= self.p
-            digits.append(layer)
-        return tuple(digits)
-
     def sub(self, a, b) -> tuple[int, ...]:
         return tuple((x - y) % self.mod for x, y in zip(a, b))
-
-    def add(self, a, b) -> tuple[int, ...]:
-        return tuple((x + y) % self.mod for x, y in zip(a, b))
 
     def norm_exponent(self, point) -> float:
         """d with |x| = q^d, or SAME for the zero vector (within the window)."""
@@ -87,9 +72,6 @@ class FieldModel:
         if val >= self.depth:
             return SAME
         return self.ambient - val
-
-    def random_point(self, rand) -> tuple[int, ...]:
-        return tuple(rand.randrange(self.mod) for _ in range(self.n))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from padicqft.cli import (
@@ -16,6 +17,9 @@ from padicqft.cli import (
     main,
     parse_config,
 )
+from padicqft.lattice import covariance_matrix, precision_matrix
+from padicqft.model import free_cell_variance
+from padicqft.sampler import _mc_draw
 
 MINIMAL = """
 [field]
@@ -282,6 +286,73 @@ class TestSubcommands:
         assert "error: invalid configuration" in err
         assert message in err
         assert not out.exists()
+
+
+class TestSchwingerMonteCarlo:
+    """`schwinger` under `method = mc`: one draw gives both rows and the `--trace` rows."""
+
+    MC = MINIMAL + "\n[run]\nmethod = mc\nn_samples = {n}\n"
+
+    def run(self, tmp_path, text, *flags, out="o"):
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        rc = main(["schwinger", "--config", str(path), "--out", str(tmp_path / out), *flags])
+        return rc, tmp_path / out
+
+    @staticmethod
+    def rows(path):
+        lines = path.read_text().strip().splitlines()
+        return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+    @pytest.mark.parametrize("n", [1500, 20_000])
+    def test_trace_is_the_head_of_the_draw(self, tmp_path, n):
+        text = self.MC.format(n=n)
+        rc, out = self.run(tmp_path, text, "--trace")
+        assert rc == 0
+        trace = next(out.glob("trace_*.csv")).read_text().strip().splitlines()
+        assert trace[0] == "index,t0,t1,t2"
+        got = np.array([[float(x) for x in line.split(",")] for line in trace[1:]])
+        cfg = parse_config(text)
+        lattice, params = cfg.lattice(), cfg.params()
+        m = covariance_matrix(precision_matrix(lattice, params))
+        var = free_cell_variance(params, lattice.cell_level)
+        t = _mc_draw(m, cfg.polynomial(), cfg.source(lattice.eta), var, cfg.seed, n)[0]
+        rows = min(n, 10_000)
+        assert len(got) == rows
+        assert np.array_equal(got[:, 0], np.arange(rows))
+        assert np.array_equal(got[:, 1:], t[:rows])  # bit for bit, through %.17g
+
+    def test_rerun_is_byte_identical(self, tmp_path):
+        text = self.MC.format(n=2000)
+        outs = [self.run(tmp_path, text, "--trace", out=name) for name in ("a", "b")]
+        assert [rc for rc, _ in outs] == [0, 0]
+        files = [sorted(out.iterdir()) for _, out in outs]
+        assert [f.name for f in files[0]] == [f.name for f in files[1]]
+        assert len(files[0]) == 2
+        for a, b in zip(*files):
+            assert a.read_bytes() == b.read_bytes()
+
+    def test_partition_row_shares_the_draw(self, tmp_path):
+        rc, out = self.run(tmp_path, self.MC.format(n=5000))
+        assert rc == 0
+        schwinger, partition = self.rows(next(out.glob("schwinger_*.csv")))
+        assert schwinger["statistic"] == "schwinger" and partition["statistic"] == "partition"
+        assert schwinger["ess"] == partition["ess"]
+        assert float(partition["value"]) > 0
+
+    def test_no_trace_under_quadrature(self, tmp_path):
+        rc, out = self.run(tmp_path, MINIMAL, "--trace")
+        assert rc == 0
+        assert [f.name for f in out.iterdir()] == [next(out.glob("schwinger_*.csv")).name]
+
+    def test_overflowing_partition_fails(self, tmp_path, capsys):
+        # one cell at g = 400: Z = exp(989) is out of float range
+        text = MINIMAL + "\n[region]\nballs = 0\n[source]\ng = 400\nh = e0;e0\n" \
+            "[run]\nmethod = mc\n"
+        rc, out = self.run(tmp_path, text)
+        assert rc == 2
+        assert "error: OverflowError: log Z = " in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestVerifySubcommand:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -16,19 +17,18 @@ from padicqft.sampler import (
     QuadratureError,
     SourceSpec,
     effective_sample_size,
+    _mc_draw,
     griffiths_check,
-    interaction_weight,
     monotonicity_experiment,
     partition_function_mc,
     partition_function_quadrature,
     partition_stability,
-    sample_field,
     schwinger_mc,
     schwinger_quadrature,
 )
 from padicqft.ultrametric import BallAddress, Region, parse_region, refine
 from padicqft.verify import params_for, random_region_with_level
-from padicqft.wick import WickPolynomial, wick_poly_lower_bound
+from padicqft.wick import WickPolynomial, wick_poly_eval, wick_poly_lower_bound
 
 import oracles
 
@@ -68,28 +68,26 @@ def var0():
     return VAR0
 
 
-class TestSampleField:
-    def test_determinism(self, cov2):
-        a = [s.values.copy() for s in sample_field(cov2, 123, 5)]
-        b = [s.values.copy() for s in sample_field(cov2, 123, 5)]
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
+def draw(m, seed, n_samples):
+    """The field samples t of one Monte Carlo draw."""
+    src = SourceSpec(g=np.zeros(m.lattice.eta), h_list=())
+    return _mc_draw(m, X4, src, var0(), seed, n_samples)[0]
 
-    def test_provenance(self, cov2):
-        samples = list(sample_field(cov2, 9, 3, chain=1))
-        assert [s.index for s in samples] == [0, 1, 2]
-        assert all(s.seed == 9 and s.chain == 1 for s in samples)
+
+class TestSampleField:
+    """The exact Gaussian draw behind every Monte Carlo estimate."""
+
+    def test_determinism(self, cov2):
+        assert np.array_equal(draw(cov2, 123, 1000), draw(cov2, 123, 1000))
 
     def test_identity_covariance_unit_variance(self):
-        p = params()
         lat = refine(chain_region(2), 0)
-        n = precision_matrix(lat, replace_params_identity())
-        m = covariance_matrix(n)
-        t = np.stack([s.values for s in sample_field(m, 4, 10_000)])
+        m = covariance_matrix(precision_matrix(lat, replace_params_identity()))
+        t = draw(m, 4, 10_000)
         assert np.allclose(t.var(axis=0), 1.0, atol=0.05)
 
     def test_empirical_covariance_matches(self, cov3):
-        t = np.stack([s.values for s in sample_field(cov3, 77, 100_000)])
+        t = draw(cov3, 77, 100_000)
         emp = t.T @ t / len(t)
         # entrywise within 5 standard errors of the sample second moments
         for i in range(3):
@@ -99,7 +97,7 @@ class TestSampleField:
                 assert abs(emp[i, j] - cov3.entries[i, j]) <= 5 * se
 
     def test_two_cell_correlation(self, cov2):
-        t = np.stack([s.values for s in sample_field(cov2, 5, 100_000)])
+        t = draw(cov2, 5, 100_000)
         corr = np.corrcoef(t[:, 0], t[:, 1])[0, 1]
         want = cov2.entries[0, 1] / cov2.entries[0, 0]  # = 52/286
         assert abs(corr - want) < 0.015
@@ -131,30 +129,35 @@ class TestSourceSpec:
 
 
 class TestInteractionWeight:
-    def test_free_weight_is_one(self, cov2):
-        s = next(sample_field(cov2, 1, 1))
-        src = SourceSpec(g=np.zeros(2), h_list=())
-        assert interaction_weight(s, X4, src, var0()) == 1.0
+    """The log weights -:P:(g) of a draw, and its weights shifted by their maximum."""
 
-    def test_square_at_origin(self, cov2):
+    def test_free_weight_is_one(self, cov2):
+        src = SourceSpec(g=np.zeros(2), h_list=())
+        _, minus_v, w, top = _mc_draw(cov2, X4, src, var0(), 1, 1000)
+        assert np.all(minus_v == 0.0) and top == 0.0
+        assert np.all(w == 1.0)
+
+    def test_square_at_origin(self):
+        # :t^2: = t^2 - v, so the log weight at t = 0 is g v
         sq = WickPolynomial((0.0, 0.0, 1.0))
-        s = next(sample_field(cov2, 1, 1))
-        s = replace(s, values=np.zeros(2))
-        src = SourceSpec(g=np.array([1.0, 0.0]), h_list=())
         v = 0.83
-        assert interaction_weight(s, sq, src, v) == pytest.approx(math.exp(v), rel=1e-12)
+        minus_v = -wick_poly_eval(sq, np.zeros((1, 2)), np.array([1.0, 0.0]), np.full(2, v))
+        assert minus_v[0] == pytest.approx(v, rel=1e-12)
 
     def test_bounded_by_lower_bound(self, cov2):
         src = SourceSpec(g=np.full(2, 0.7), h_list=())
-        cap = math.exp(-wick_poly_lower_bound(X4, float(src.g.sum()), var0()))
-        for s in sample_field(cov2, 3, 200):
-            assert 0.0 < interaction_weight(s, X4, src, var0()) <= cap
+        cap = -wick_poly_lower_bound(X4, float(src.g.sum()), var0())
+        _, minus_v, w, top = _mc_draw(cov2, X4, src, var0(), 3, 1000)
+        assert np.all(minus_v <= cap)
+        assert top == minus_v.max() and np.all((0.0 < w) & (w <= 1.0))
 
     def test_semibounded_required(self, cov2):
-        s = next(sample_field(cov2, 1, 1))
         src = SourceSpec(g=np.zeros(2), h_list=())
-        with pytest.raises(ValueError):
-            interaction_weight(s, WickPolynomial((0.0, 1.0)), src, var0())
+        odd = WickPolynomial((0.0, 1.0))
+        with pytest.raises(ValueError, match="semibounded"):
+            schwinger_mc(cov2, odd, src, 1, 1000, var0())
+        with pytest.raises(ValueError, match="semibounded"):
+            partition_function_mc(cov2, odd, src, 1, 1000, var0())
 
 
 class TestSchwingerMC:
@@ -207,7 +210,7 @@ class TestSchwingerMC:
 
 
 class TestStrongCouplingMC:
-    """One cell at g = 400, where exp(-:P:) overflows double range."""
+    """One cell at g = 400, where exp(-:P:) overflows double range, and Z that underflows it."""
 
     G = 400.0
 
@@ -235,11 +238,48 @@ class TestStrongCouplingMC:
         assert want == pytest.approx(1.929136, abs=1e-6)
         assert abs(est.value - want) <= 4 * est.std_error
 
-    def test_partition_mc_reports_low_ess(self):
-        # Z itself overflows; its weights are not rescaled, so the ESS is NaN
-        with np.errstate(over="ignore", invalid="ignore"):
-            est = partition_function_mc(chain_cov(1), X4, self.one_cell(), 7, 100_000, var0())
-        assert est.low_ess
+    def test_partition_mc_overflow_raises(self):
+        # Z = exp(988.8) is out of float range; the error gives log Z
+        m1 = chain_cov(1)
+        v = var0()
+        with pytest.raises(OverflowError, match="log Z = ") as info:
+            partition_function_mc(m1, X4, self.one_cell(), 7, 100_000, v)
+        log_z = float(re.search(r"log Z = ([^,]+),", str(info.value)).group(1))
+        # log Z = 6 g v^2 + log E[exp(-g (t^2 - 3v)^2)], the expectation by adaptive quadrature
+        sigma = math.sqrt(m1.entries[0, 0])
+
+        def f(t):
+            return math.exp(-0.5 * (t / sigma) ** 2 - self.G * (t * t - 3 * v) ** 2) / (
+                sigma * math.sqrt(2 * math.pi))
+
+        peaks = [-math.sqrt(3 * v), math.sqrt(3 * v)]
+        rest = scipy.integrate.quad(f, -10, 10, points=peaks, epsabs=0, epsrel=1e-12, limit=200)[0]
+        want = 6 * self.G * v * v + math.log(rest)
+        assert want == pytest.approx(988.799037, abs=1e-6)
+        assert abs(log_z - want) <= 0.15  # about 5 standard errors: Z's relative error is 3%
+
+    def test_partition_mc_underflow_raises(self):
+        # a constant 800 in P gives log Z = -800 + log Z(X^4), below the normal float range
+        m1 = chain_cov(1)
+        v = var0()
+        P = WickPolynomial((800.0, 0.0, 0.0, 0.0, 1.0))
+        with pytest.raises(OverflowError, match="log Z = ") as info:
+            partition_function_mc(m1, P, SourceSpec(g=np.ones(1)), 7, 100_000, v)
+        log_z = float(re.search(r"log Z = ([^,]+),", str(info.value)).group(1))
+        sigma = math.sqrt(m1.entries[0, 0])
+
+        def f(t):
+            return math.exp(-0.5 * (t / sigma) ** 2 - (t**4 - 6 * v * t**2 + 3 * v * v)) / (
+                sigma * math.sqrt(2 * math.pi))
+
+        want = -800.0 + math.log(scipy.integrate.quad(f, -12, 12, epsabs=1e-12)[0])
+        assert abs(log_z - want) <= 0.02  # Z's relative error is about 0.4% here
+
+    def test_nan_draw_reports_low_ess(self):
+        bad = replace(chain_cov(1), factor=np.full((1, 1), np.nan))
+        with np.errstate(invalid="ignore"):
+            est = partition_function_mc(bad, X4, self.one_cell(), 7, 1000, var0())
+        assert math.isnan(est.value) and est.low_ess
 
     def test_griffiths_mc_margin_finite(self, cov2):
         src = SourceSpec(g=np.full(2, self.G), h_list=())

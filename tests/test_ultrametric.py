@@ -11,7 +11,6 @@ from padicqft.ultrametric import (
     SAME,
     BallAddress,
     Region,
-    complement_membership,
     distance,
     parse_region,
     refine,
@@ -219,68 +218,3 @@ class TestRefine:
         lat_big = refine(big, -1)
         positions = [lat_big.index_of(c) for c in lat_small.cells]
         assert positions == sorted(positions)
-
-
-class TestComplementMembership:
-    def region(self):
-        return Region(
-            q=3,
-            ambient_level=2,
-            ball_level=0,
-            balls=(ball(2, 0, (0, 0)), ball(2, 0, (0, 1)), ball(2, 0, (1, 1))),
-        )
-
-    def test_stay_in_own_ball(self):
-        assert complement_membership(self.region(), 0, SAME, 0)
-        assert complement_membership(self.region(), 0, 0, 0)
-
-    def test_toward_other_ball(self):
-        # offsets within radius of x_i - x_j land the translate inside ball j
-        assert complement_membership(self.region(), 0, 0, 1)
-        assert complement_membership(self.region(), 2, -3, 1)
-
-    def test_far_offset_outside(self):
-        assert not complement_membership(self.region(), 0, 1, 1)
-        assert not complement_membership(self.region(), 0, 2, 2)
-
-    def test_bad_indices(self):
-        with pytest.raises(ValueError):
-            complement_membership(self.region(), 3, 0, 0)
-        with pytest.raises(ValueError):
-            complement_membership(self.region(), 0, 0, -1)
-
-    @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 2)])
-    def test_agrees_with_digit_arithmetic(self, p, n):
-        """Translation membership by exact point arithmetic matches the rule.
-
-        For sampled offsets y we locate the nearest candidate center among
-        {x_i - x_j}, feed its index and distance to the library predicate, and
-        compare with direct membership of x - y for every point x of cell i.
-        """
-        q = p**n
-        model = FieldModel(p, n, ambient=1, depth=4)
-        rand = random.Random(q)
-        capacity = q
-        codes = rand.sample(range(capacity), min(3, capacity))
-        balls = tuple(ball(1, 0, (c,)) for c in sorted(codes))
-        region = Region(q=q, ambient_level=1, ball_level=0, balls=balls)
-        centers = [model.from_tree_digits(b.digits) for b in balls]
-        for _ in range(300):
-            i = rand.randrange(len(balls))
-            y = model.random_point(rand)
-            candidates = [model.sub(centers[i], c) for c in centers]
-            dists = [model.norm_exponent(model.sub(y, c)) for c in candidates]
-            best = min(range(len(balls)), key=lambda j: dists[j])
-            got = complement_membership(region, i, dists[best], best)
-
-            # direct route: translate a few points of cell i and test membership
-            for _ in range(5):
-                offset = model.random_point(rand)
-                # force offset into the cell: x = center + (offset scaled into radius 1)
-                scaled = tuple((p ** (model.ambient - region.ball_level) * o) % model.mod
-                               for o in offset)
-                x = model.add(centers[i], scaled)
-                translated = model.sub(x, y)
-                digits = model.to_tree_digits(translated, region.ambient_level - region.ball_level)
-                inside = any(digits == b.digits for b in balls)
-                assert inside == got
