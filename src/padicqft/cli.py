@@ -305,11 +305,7 @@ class _ArtifactWriter:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return format(v, ".17g")
-    return str(v)
+    return format(v, ".17g") if isinstance(v, float) else str(v)
 
 
 def run_integrals(cfg: RunConfig, writer: _ArtifactWriter) -> int:
@@ -358,12 +354,13 @@ def run_lattice(cfg: RunConfig, writer: _ArtifactWriter) -> int:
     h = config_hash(cfg)
     n = lat.precision_matrix(lattice, params)
     m = lat.covariance_matrix(n)
-    n_path = writer.path(f"lattice_{h}_N.csv")
-    m_path = writer.path(f"lattice_{h}_M.csv")
-    lat.write_matrix_csv(n_path, n.entries, lattice, "precision")
-    lat.write_matrix_csv(m_path, m.entries, lattice, "covariance")
-    print(f"wrote {n_path}")
-    print(f"wrote {m_path}")
+    for suffix, name, matrix in (("N", "precision", n.entries), ("M", "covariance", m.entries)):
+        meta = (
+            f"# name={name};lattice={lattice.region.serialize()};"
+            f"l={lattice.cell_level};eta={lattice.eta}"
+        )
+        path = writer.write_csv(f"lattice_{h}_{suffix}.csv", [meta], matrix)
+        print(f"wrote {path}")
     return 0
 
 

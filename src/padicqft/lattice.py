@@ -87,9 +87,11 @@ class _BallTree:
     leaf: int  # amb - l, the class of the diagonal
     pairs: tuple
 
-    def runs(self, depth: int):
-        """(lo, hi) sorted-position ranges of the tree nodes at ``depth``."""
-        bounds = [0, *(np.flatnonzero(self.lcp < depth) + 1).tolist(), len(self.order)]
+    def runs(self, depth: int, lo: int = 0, hi: int | None = None):
+        """(lo, hi) sorted-position ranges of the tree nodes at ``depth`` within [lo, hi)."""
+        hi = len(self.order) if hi is None else hi
+        cuts = np.flatnonzero(self.lcp[lo : hi - 1] < depth) + lo + 1
+        bounds = [lo, *cuts.tolist(), hi]
         return zip(bounds[:-1], bounds[1:])
 
     def to_cells(self, ranked: np.ndarray) -> np.ndarray:
@@ -130,13 +132,6 @@ def _ball_tree(lattice: LatticeSpec) -> _BallTree:
     return _BallTree(order, bool(np.all(order[1:] > order[:-1])), lcp, leaf, tuple(pairs))
 
 
-def distance_exponent_matrix(lattice: LatticeSpec) -> np.ndarray:
-    """Pairwise center-distance exponents d(i,j) = amb - class; the diagonal is a placeholder 0."""
-    out = lattice.region.ambient_level - _ball_tree(lattice).classes().astype(np.int64)
-    np.fill_diagonal(out, 0)  # placeholder; diagonal entries are set separately
-    return out
-
-
 def precision_diagonal(params: FieldParams, l: int, diagonal_mass_term: bool = True) -> float:
     """Diagonal entry: m^2 plus the complement integral of the jump kernel.
 
@@ -161,27 +156,23 @@ def precision_offdiagonal(params: FieldParams, l: int, d: int) -> float:
 
 
 def precision_matrix(
-    lattice: LatticeSpec,
-    params: FieldParams,
-    diagonal_mass_term: bool = True,
-    max_cells: int = MAX_DENSE_CELLS,
+    lattice: LatticeSpec, params: FieldParams, diagonal_mass_term: bool = True
 ) -> PrecisionMatrix:
     """Assemble the dense precision matrix from the closed-form entries.
 
     Every entry depends only on (distance class, l, params) through one fixed
-    arithmetic path, evaluated once per class, so shared cell pairs of nested
-    regions produce bit-identical entries (the restriction identity is exact).
+    arithmetic path, the scalar formula evaluated once per class, so shared cell
+    pairs of nested regions produce bit-identical entries (the restriction
+    identity is exact).
     """
     eta = lattice.eta
-    if eta > max_cells:
-        raise ValueError(f"lattice has {eta} cells (> {max_cells}); pass max_cells to override")
+    if eta > MAX_DENSE_CELLS:
+        raise ValueError(f"lattice has {eta} cells (> {MAX_DENSE_CELLS})")
     l, amb = lattice.cell_level, lattice.region.ambient_level
     tree = _ball_tree(lattice)
     classes = tree.classes()
-    q = params.q_float
-    d = amb - np.arange(amb - l + 1)
-    table = params.omega_const * q**l * q ** (-(params.beta_hat_float + 1.0) * d)
-    table[amb - l] = precision_diagonal(params, l, diagonal_mass_term)
+    table = [precision_offdiagonal(params, l, amb - c) for c in range(amb - l)]
+    table = np.array(table + [precision_diagonal(params, l, diagonal_mass_term)])
     return PrecisionMatrix(lattice=lattice, entries=table[classes], classes=classes, tree=tree)
 
 
@@ -298,11 +289,11 @@ def covariance_nonnegative_check(M: CovarianceMatrix, tol: float = 1e-12) -> Che
     return CheckReport("covariance_nonnegative", passed, worst, violations)
 
 
-def _shared_indices(pi: Region, pi_prime: Region, l: int, max_cells: int) -> tuple:
+def _shared_indices(pi: Region, pi_prime: Region, l: int) -> tuple:
     if not pi.is_subregion_of(pi_prime):
         raise ValueError("regions are not nested: every ball of pi must be a ball of pi_prime")
-    lat = refine(pi, l, max_cells)
-    lat_prime = refine(pi_prime, l, max_cells)
+    lat = refine(pi, l)
+    lat_prime = refine(pi_prime, l)
     idx = np.asarray([lat_prime.index_of(c) for c in lat.cells], dtype=np.intp)
     return lat, lat_prime, idx
 
@@ -313,12 +304,11 @@ def restriction_check(
     l: int,
     params: FieldParams,
     diagonal_mass_term: bool = True,
-    max_cells: int = MAX_DENSE_CELLS,
 ) -> bool:
     """Shared cells of nested regions must carry bit-identical precision entries."""
-    lat, lat_prime, idx = _shared_indices(pi, pi_prime, l, max_cells)
-    n_small = precision_matrix(lat, params, diagonal_mass_term, max_cells)
-    n_big = precision_matrix(lat_prime, params, diagonal_mass_term, max_cells)
+    lat, lat_prime, idx = _shared_indices(pi, pi_prime, l)
+    n_small = precision_matrix(lat, params, diagonal_mass_term)
+    n_big = precision_matrix(lat_prime, params, diagonal_mass_term)
     block = np.asarray(n_big.entries)[np.ix_(idx, idx)]
     return bool(np.array_equal(np.asarray(n_small.entries), block))
 
@@ -349,12 +339,11 @@ def monotonicity_check(
     l: int,
     params: FieldParams,
     tol: float = 1e-9,
-    max_cells: int = MAX_DENSE_CELLS,
 ) -> CheckReport:
     """Covariance entries grow entrywise when the region is extended."""
-    lat, lat_prime, idx = _shared_indices(pi, pi_prime, l, max_cells)
-    m_small = covariance_matrix(precision_matrix(lat, params, max_cells=max_cells))
-    m_big = covariance_matrix(precision_matrix(lat_prime, params, max_cells=max_cells))
+    lat, lat_prime, idx = _shared_indices(pi, pi_prime, l)
+    m_small = covariance_matrix(precision_matrix(lat, params))
+    m_big = covariance_matrix(precision_matrix(lat_prime, params))
     block = np.asarray(m_big.entries)[np.ix_(idx, idx)]
     margins = block - np.asarray(m_small.entries)
     worst = float(np.min(margins))
@@ -363,16 +352,3 @@ def monotonicity_check(
         i, j = np.unravel_index(int(np.argmin(margins)), margins.shape)
         violations.append(f"covariance shrank at shared pair ({i},{j}) by {-worst:.3e}")
     return CheckReport("covariance_monotonicity", not violations, worst, tuple(violations))
-
-
-def write_matrix_csv(path, matrix: np.ndarray, lattice: LatticeSpec, name: str) -> None:
-    """Row-major CSV with a metadata header comment line."""
-    meta = (
-        f"# name={name};lattice={lattice.region.serialize()};"
-        f"l={lattice.cell_level};eta={lattice.eta}"
-    )
-    lines = [meta]
-    for row in np.asarray(matrix):
-        lines.append(",".join(format(v, ".17g") for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .lattice import (
-    MAX_DENSE_CELLS,
     CovarianceMatrix,
     _class_couplings,
     _shared_indices,
@@ -236,8 +235,8 @@ def _tree_pass(M, P, source, variances, forms, moments, order):
     over +-12 sd of the widest cell.
     """
     N = M.precision
-    eta = M.lattice.eta
-    leaf_depth = N.tree.leaf
+    eta, tree = M.lattice.eta, N.tree
+    cells = tree.order.tolist()  # cell indices by sorted position
     beta, d_prime = _class_couplings(N)
     step = 4.0 / (order * math.sqrt(d_prime))
     half = math.ceil(QUADRATURE_WINDOW * math.sqrt(float(np.max(np.diag(M.entries)))) / step)
@@ -249,33 +248,31 @@ def _tree_pass(M, P, source, variances, forms, moments, order):
     ]
     memo: dict = {}
 
-    def subtree(cells, depth, powers):
-        """(array, log scale) of the node at ``depth`` holding ``cells``, memoized."""
-        key = (cells, depth, tuple(powers[i] for i in cells))
+    def subtree(lo, hi, depth, powers):
+        """(array, log scale) of the node at ``depth`` on sorted cells lo..hi-1, memoized."""
+        key = (lo, hi, depth, tuple(powers[i] for i in cells[lo:hi]))
         if key in memo:
             return memo[key]
-        if depth == leaf_depth:
-            memo[key] = _weigh(x ** powers[cells[0]], log_leaf[cells[0]])
+        if depth == tree.leaf:
+            memo[key] = _weigh(x ** powers[cells[lo]], log_leaf[cells[lo]])
             return memo[key]
-        arr, scale, rest = np.ones(1), 0.0, cells
-        while rest:  # the children: groups of cells whose pairwise class exceeds depth
-            child = tuple(j for j in rest if N.classes[rest[0], j] > depth)
-            rest = tuple(j for j in rest if N.classes[rest[0], j] <= depth)
-            c_arr, c_scale = subtree(child, depth + 1, powers)
+        arr, scale = np.ones(1), 0.0
+        children = sorted(tree.runs(depth + 1, lo, hi), key=lambda r: min(cells[r[0] : r[1]]))
+        for c_lo, c_hi in children:  # by lowest cell index, so the sums keep one order
+            c_arr, c_scale = subtree(c_lo, c_hi, depth + 1, powers)
             arr, scale = np.convolve(arr, c_arr), scale + c_scale
         s = step * (np.arange(len(arr)) - len(arr) // 2)
         arr, top = _weigh(arr, -0.5 * beta[depth] * s * s)
         memo[key] = arr, scale + top
         return memo[key]
 
-    root = tuple(range(eta))
-    base, base_scale = subtree(root, 0, (0,) * eta)
+    base, base_scale = subtree(0, eta, 0, (0,) * eta)
     base_sum = float(base.sum())
     vals = np.zeros(len(moments))
     with np.errstate(over="ignore"):
         for s_i, moment in enumerate(moments):
             for powers, coeff in _cell_monomials(moment, forms, eta).items():
-                arr, scale = subtree(root, 0, powers)
+                arr, scale = subtree(0, eta, 0, powers)
                 vals[s_i] += coeff * (float(arr.sum()) / base_sum) * np.exp(scale - base_scale)
         sign, logdet = np.linalg.slogdet(N.entries)
         log_z = base_scale + math.log(base_sum) + eta * math.log(step / math.sqrt(2.0 * math.pi))
@@ -447,7 +444,6 @@ def monotonicity_experiment(
     n_samples: int = 100_000,
     order: int = 40,
     tol: float = 1e-8,
-    max_cells: int = MAX_DENSE_CELLS,
 ) -> RegionComparison:
     """Schwinger moments must not decrease when the region is extended.
 
@@ -456,7 +452,7 @@ def monotonicity_experiment(
     off the shared cells).  The Wick-ordering variance is the free cell
     variance, identical for both regions.
     """
-    lat, lat_prime, idx = _shared_indices(pi, pi_prime, l, max_cells)
+    lat, lat_prime, idx = _shared_indices(pi, pi_prime, l)
 
     def extend(vec: np.ndarray, name: str) -> np.ndarray:
         vec = np.asarray(vec, dtype=float)
@@ -479,8 +475,8 @@ def monotonicity_experiment(
         g=extend(source.g, "g"), h_list=tuple(extend(h, "h") for h in source.h_list)
     )
     var = free_cell_variance(params, l)
-    m_small = covariance_matrix(precision_matrix(lat, params, max_cells=max_cells))
-    m_big = covariance_matrix(precision_matrix(lat_prime, params, max_cells=max_cells))
+    m_small = covariance_matrix(precision_matrix(lat, params))
+    m_big = covariance_matrix(precision_matrix(lat_prime, params))
 
     if method == "quadrature":
         s_small = schwinger_quadrature(m_small, P, src_small, var, order)

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import distance_exponent_matrix
+from .lattice import _ball_tree
 from .model import (
     FieldParams,
     c_kappa_sq,
@@ -258,7 +258,7 @@ def wick_l2_distance(
         raise ValueError(f"g must have one value per cell ({lattice.eta}), got {g.shape}")
     if kappa1 == kappa2:
         return 0.0
-    l = lattice.cell_level
+    l, amb = lattice.cell_level, lattice.region.ambient_level
     q = params.q_float
 
     def power_diff(d) -> float:
@@ -268,12 +268,13 @@ def wick_l2_distance(
         return delta * sum(e1**a * e2 ** (k - 1 - a) for a in range(k))
 
     total = 0.0
-    # cross-cell pairs, grouped by distance d > l in row-major upper-triangle order
+    # cross-cell pairs in row-major upper-triangle order, grouped by distance class
+    # c (distance amb - c), nearest class first
     upper = np.triu(np.ones((lattice.eta, lattice.eta), dtype=bool), 1)
-    offsets = distance_exponent_matrix(lattice)[upper] - (l + 1)
-    weights = np.bincount(offsets, weights=np.outer(2.0 * g, g)[upper])
-    for offset in np.flatnonzero(np.bincount(offsets)):
-        total += weights[offset] * q ** (2 * l) * power_diff(l + 1 + int(offset))
+    classes = _ball_tree(lattice).classes()[upper]
+    weights = np.bincount(classes, weights=np.outer(2.0 * g, g)[upper])
+    for c in np.flatnonzero(np.bincount(classes))[::-1]:
+        total += weights[c] * q ** (2 * l) * power_diff(amb - int(c))
 
     # same-cell term: exact ball value below the finer cutoff, shells above
     c1 = c_kappa_sq(params, kappa1, tol)

@@ -12,6 +12,7 @@ import pytest
 
 from padicqft.cli import (
     ConfigError,
+    _fmt,
     canonical_text,
     config_hash,
     main,
@@ -385,6 +386,23 @@ class TestVerifySubcommand:
         a = next((tmp_path / "a").glob("lattice_*_M.csv"))
         b = next((tmp_path / "b").glob("lattice_*_M.csv"))
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestCsvEmitter:
+    def test_header_and_shape(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(MINIMAL + "\n[region]\nballs = 0,1\n")
+        assert main(["lattice", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        path = next((tmp_path / "o").glob("lattice_*_N.csv"))
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "# name=precision;lattice=amb=1;k=0;balls=0,1;l=0;eta=2"
+        assert len(lines) == 3
+        first = [float(v) for v in lines[1].split(",")]
+        assert first[0] == pytest.approx(22.0 / 13.0, rel=1e-15)
+
+    def test_infinite_values(self):
+        assert [_fmt(float("inf")), _fmt(float("-inf")), _fmt(np.float64(-np.inf))] == [
+            "inf", "-inf", "-inf"]
 
 
 class TestConsoleEntryPoint:

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -360,19 +361,24 @@ class TestL2Distance:
                 assert got == pytest.approx(want, rel=1e-8, abs=0.0), (k, k1, k2)
 
     def test_equals_per_pair_loop_exactly(self):
-        rand = random.Random(31)
+        # each region and a twin listing its balls out of order, so the cells are unsorted
+        rand, shuffler = random.Random(31), random.Random(32)
         bhs = (Fraction(1), Fraction(2), Fraction(3, 2), Fraction(5, 3))
         for i in range(24):
             q = (3, 5)[i % 2]
             region, l = random_region_with_level(rand, q, max_eta=60)
             p = params_for(q, bhs[i % 4])
             lat = refine(region, l)
+            balls = list(region.balls)
+            shuffler.shuffle(balls)
+            twin = refine(replace(region, balls=tuple(balls)), l)
             g = np.array([rand.uniform(-1.0, 1.5) for _ in range(lat.eta)])
             k2 = rand.randint(-1, 3)
             k1 = k2 + rand.randint(1, 6)
-            for k in (2, 3, 4):
-                got = wick_l2_distance(p, k1, k2, k, lat, g)
-                assert got == _per_pair_l2_distance(p, k1, k2, k, lat, g), (i, k)
+            for lattice in (lat, twin):
+                for k in (2, 3, 4):
+                    got = wick_l2_distance(p, k1, k2, k, lattice, g)
+                    assert got == _per_pair_l2_distance(p, k1, k2, k, lattice, g), (i, k)
 
     def test_nonincreasing_in_shared_cutoff(self):
         p = self.params()
