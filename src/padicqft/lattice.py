@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .model import FieldParams, free_cell_variance, free_covariance_entry
 from .reporting import CheckReport
@@ -31,7 +30,11 @@ from .ultrametric import MAX_DENSE_CELLS, LatticeSpec, Region, refine
 
 
 class NotPositiveDefiniteError(ValueError):
-    """Raised when a symmetric factorization hits a nonpositive pivot."""
+    """Raised when a matrix fails its positive-definiteness test at a 1-based pivot.
+
+    The pivot is a cell index: the cell whose leaf term or whose tree node's
+    denominator is nonpositive, or the column where a Cholesky factorization stops.
+    """
 
     def __init__(self, matrix_name: str, pivot: int):
         self.pivot = pivot
@@ -58,16 +61,14 @@ class PrecisionMatrix:
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Inverse of a precision matrix, with its lower Cholesky factor for sampling."""
+    """Inverse of a precision matrix; a Monte Carlo draw takes its own Cholesky factor."""
 
     lattice: LatticeSpec
     entries: np.ndarray
-    factor: np.ndarray
     precision: PrecisionMatrix
 
     def __post_init__(self):
         self.entries.setflags(write=False)
-        self.factor.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -176,26 +177,28 @@ def precision_matrix(
     return PrecisionMatrix(lattice=lattice, entries=table[classes], classes=classes, tree=tree)
 
 
-def _cholesky(matrix: np.ndarray, name: str) -> np.ndarray:
-    factor, info = scipy.linalg.lapack.dpotrf(np.asarray_chkfinite(matrix), lower=1, clean=1)
-    if info:
-        raise NotPositiveDefiniteError(name, info)
-    return factor
+def _class_entries(N: PrecisionMatrix) -> list:
+    """w(c), the entry of distance class c < amb - l, read from one pair per class.
+
+    With w(-1) = 0, a class with no pairs repeats w(c-1).
+    """
+    off, w = [], 0.0
+    for pair in N.tree.pairs:
+        w = w if pair is None else float(N.entries[pair])
+        off.append(w)
+    return off
 
 
 def _class_couplings(N: PrecisionMatrix, num=float) -> tuple[list, float]:
     """Node couplings beta per tree depth and the leaf term D', from one pair per class.
 
-    With w(c) the entry of distance class c (w(-1) = 0; a class with no pairs
-    repeats w(c-1)), beta_c = w(c) - w(c-1) and D' = D - w(amb-l-1), so
+    With w(c) the class entries (``_class_entries``), beta_c = w(c) - w(c-1) and
+    D' = D - w(amb-l-1), so
     t^T N t = D' sum t_i^2 + sum over tree nodes a of beta_depth(a) (sum of t under a)^2.
     ``num`` is the number type the differences are taken in.
     """
-    entries = N.entries
-    off = [num(0)]  # w(c - 1) for c = 0, 1, ..., amb - l
-    for pair in N.tree.pairs:
-        off.append(off[-1] if pair is None else num(entries[pair]))
-    return [b - a for a, b in zip(off, off[1:])], num(entries[0, 0]) - off[-1]
+    off = [num(0)] + [num(w) for w in _class_entries(N)]  # w(c - 1), c = 0, ..., amb - l
+    return [b - a for a, b in zip(off, off[1:])], num(N.entries[0, 0]) - off[-1]
 
 
 _ROW_CHUNK = 1 << 16  # entries per row chunk of a rank-one update
@@ -212,9 +215,17 @@ def _tree_inverse(N: PrecisionMatrix) -> np.ndarray:
     they are carried in 40-digit decimals, because each den cancels digits and
     a float recursion compounds that loss from level to level.  The update is
     written as +-v v^T, so M stays exactly symmetric.
+
+    Every cell's leaf term N_ii - w(amb-l-1) and every den must be positive,
+    or NotPositiveDefiniteError names the first failing cell (the gate argued in
+    ``covariance_matrix``).
     """
     tree = N.tree
     eta = len(tree.order)
+    w_last = ([0.0] + _class_entries(N))[-1]
+    bad = np.flatnonzero(~(np.diagonal(N.entries) > w_last))
+    if bad.size:
+        raise NotPositiveDefiniteError("precision matrix", int(bad[0]) + 1)
     with decimal.localcontext() as ctx:
         ctx.prec = _NODE_DIGITS
         beta, d_prime = _class_couplings(N, decimal.Decimal)
@@ -246,23 +257,34 @@ def _tree_inverse(N: PrecisionMatrix) -> np.ndarray:
 
 
 def covariance_matrix(N: PrecisionMatrix, residual_tol: float = 1e-10) -> CovarianceMatrix:
-    """Invert the precision matrix up its ball tree, with three checks.
+    """Invert the precision matrix up its ball tree, behind the tree's own SPD gate.
 
-    N must pass a Cholesky factorization (the SPD gate), the product M N is
-    checked against the identity to residual_tol * eta using N's actual
-    entries, and M must pass a Cholesky factorization, which is its sampling factor.
+    In order: N must be finite; in the tree pass every leaf term N_ii - w(amb-l-1)
+    and every node denominator den = 1 + beta s must be positive; every entry
+    must equal its distance class's entry; and the product M N is checked
+    against the identity to residual_tol * eta using N's actual entries.  The
+    class check makes N exactly D' I + sum_a beta_a 1_a 1_a^T, and by the matrix
+    determinant lemma, node by node, that matrix is positive definite when D' > 0
+    and every den > 0 (if and only if, when every beta <= 0, as in this model).
     """
     eta = N.lattice.eta
-    _cholesky(np.asarray(N.entries), "precision matrix")
+    np.asarray_chkfinite(N.entries)
     m = _tree_inverse(N)
+    table = np.array(_class_entries(N) + [N.entries[0, 0]])
+    differs = table[N.classes] != N.entries
+    if differs.any():
+        i, j = np.unravel_index(int(np.argmax(differs)), differs.shape)
+        raise ValueError(
+            f"precision entry N[{i},{j}]={float(N.entries[i, j])!r} differs from its distance "
+            f"class's entry {float(table[N.classes[i, j]])!r}"
+        )
+    del differs
     product = m @ N.entries
     product.flat[:: eta + 1] -= 1.0
     residual = float(np.max(np.abs(product, out=product)))
-    del product  # freed before the factorization of M
     if not (residual <= residual_tol * eta):  # a NaN residual fails too
         raise ValueError(f"inverse residual {residual:.3e} exceeds {residual_tol:.1e} * eta")
-    factor = _cholesky(m, "covariance matrix")
-    return CovarianceMatrix(lattice=N.lattice, entries=m, factor=factor, precision=N)
+    return CovarianceMatrix(lattice=N.lattice, entries=m, precision=N)
 
 
 def sign_structure_check(N: PrecisionMatrix) -> CheckReport:

@@ -154,7 +154,9 @@ def resolvent_tail_integral(
     Requires beta_hat * beta > 1 (otherwise the integral diverges).  The
     partial sums converge geometrically with ratio q^-(beta_hat*beta - 1)
     and the remainder bound gamma^(-beta) (1-1/q) q^(-(M+1)(bb-1)) / (1-q^(1-bb))
-    controls truncation.
+    controls truncation.  When bb is close to 1 the terms' powers leave float
+    range before that bound falls under tol, and OverflowError is raised naming
+    kappa, beta and bb.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -168,13 +170,19 @@ def resolvent_tail_integral(
     tail_const = resolvent_tail_bound_constant(params, beta)
     total = 0.0
     m = kappa
-    while True:
-        total += q**m * shell * (gamma * q ** (m * bh) + m_sq) ** -beta
-        bound = tail_const * q ** (-(m + 1) * (bb - 1.0))
-        # tol * min(1, total), with the builtin call kept out of the loop
-        if bound < tol * (total if total < 1.0 else 1.0) or bound < 1e-300:
-            return total
-        m += 1
+    try:
+        while True:
+            total += q**m * shell * (gamma * q ** (m * bh) + m_sq) ** -beta
+            bound = tail_const * q ** (-(m + 1) * (bb - 1.0))
+            # tol * min(1, total), with the builtin call kept out of the loop
+            if bound < tol * (total if total < 1.0 else 1.0) or bound < 1e-300:
+                return total
+            m += 1
+    except OverflowError:  # a power left float range before the tail bound fell under tol
+        raise OverflowError(
+            f"resolvent_tail_integral: the shell series overflows float range at kappa = "
+            f"{kappa}, beta = {beta} (beta_hat * beta = {bb})"
+        ) from None
 
 
 def c_kappa_sq(params: FieldParams, kappa: int, tol: float = DEFAULT_TOL) -> float:

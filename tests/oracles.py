@@ -307,6 +307,23 @@ def exact_inverse(entries) -> list:
     return [row[n:] for row in rows]
 
 
+def first_nonpositive_pivot(entries):
+    """Gaussian elimination without row exchanges, in rational arithmetic on the float
+    entries: the 1-based index of the first pivot <= 0, or None.
+
+    For a symmetric matrix, None means positive definite (every leading minor is positive).
+    """
+    rows = [[Fraction(float(v)) for v in row] for row in np.asarray(entries)]
+    for col, lead_row in enumerate(rows):
+        lead = lead_row[col]
+        if lead <= 0:
+            return col + 1
+        for r in range(col + 1, len(rows)):
+            factor = rows[r][col] / lead
+            rows[r] = [a - factor * b for a, b in zip(rows[r], lead_row)]
+    return None
+
+
 def grid_minimum(func, lo: float, hi: float, points: int = 200_001) -> float:
     step = (hi - lo) / (points - 1)
     return min(func(lo + i * step) for i in range(points))

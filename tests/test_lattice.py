@@ -20,6 +20,7 @@ from padicqft.lattice import (
     sign_structure_check,
 )
 from padicqft.model import FieldParams, free_covariance_entry
+from padicqft.sampler import _cholesky
 from padicqft.ultrametric import BallAddress, Region, parse_region, refine
 from padicqft.verify import params_for, random_nested_pair, random_region_with_level
 
@@ -203,9 +204,11 @@ class TestCovarianceMatrix:
         assert not isinstance(err.value, NotPositiveDefiniteError)
 
     def test_factor_reproduces_matrix(self):
+        # the sampling factor a Monte Carlo draw takes of M
         lat = refine(chain_region(3), 0)
         m = covariance_matrix(precision_matrix(lat, params()))
-        assert np.allclose(m.factor @ m.factor.T, m.entries, atol=1e-14)
+        factor = _cholesky(m.entries, "covariance matrix")
+        assert np.allclose(factor @ factor.T, m.entries, atol=1e-14)
 
     def test_inverse_residual(self):
         lat = refine(chain_region(3), 0)
@@ -278,12 +281,71 @@ class TestTreeInverse:
         assert min(seen.values()) >= 4, seen
 
     def test_nonpositive_denominator_is_typed(self):
-        # Cholesky reads the lower triangle; the tree reads its coupling from N[0, 1]
+        # the tree reads its coupling from N[0, 1]; the den test fires before the class check
         n = precision_matrix(refine(chain_region(2), 0), params())
         bad = np.array([[1.0, -2.0], [0.0, 1.0]])
         with pytest.raises(NotPositiveDefiniteError, match="precision matrix") as err:
             covariance_matrix(replace(n, entries=bad))
         assert err.value.pivot == 1
+
+
+def _tree_form(n, diagonal):
+    """N rebuilt from one pair per distance class, with the diagonal set to ``diagonal``."""
+    table = [0.0 if pair is None else n.entries[pair] for pair in n.tree.pairs]
+    return replace(n, entries=np.array(table + [diagonal])[n.classes])
+
+
+class TestSpdGate:
+    """The tree's leaf, denominator and class tests against exact elimination."""
+
+    def test_matches_exact_pivots_at_the_critical_diagonal(self):
+        # the lowest eigenvalue (the near-constant mode) reaches 0 at the critical diagonal
+        rand = random.Random(29)
+        bhs = (Fraction(1), Fraction(2), Fraction(3, 2))
+        verdicts, qs, tried = [], set(), 0
+        while len(verdicts) < 16 and tried < 200:
+            q = (3, 5)[tried % 2]
+            region, l = random_region_with_level(rand, q, max_eta=12)
+            n = precision_matrix(refine(region, l), params_for(q, bhs[tried % 3]))
+            tried += 1
+            if np.ptp(n.entries.sum(axis=1)) == 0:  # regular: the constant mode is exact
+                continue
+            qs.add(q)
+            off = np.array(n.entries)
+            np.fill_diagonal(off, 0.0)
+            critical = -np.linalg.eigvalsh(off)[0]
+            for side in (-1, 1):
+                m = _tree_form(n, critical * (1 + side * 1e-9))
+                pivot = oracles.first_nonpositive_pivot(m.entries)
+                try:
+                    # an inverse this close to singular cannot meet the residual bound
+                    covariance_matrix(m, residual_tol=np.inf)
+                    rejected = False
+                except NotPositiveDefiniteError:
+                    rejected = True
+                assert rejected == (pivot is not None), (tried, side, pivot)
+                verdicts.append((side, rejected))
+        assert len(verdicts) == 16 and qs == {3, 5}, tried
+        assert all(rejected == (side < 0) for side, rejected in verdicts)
+
+    def test_acceptance_lattices_are_accepted(self):
+        import test_acceptance
+
+        suite = test_acceptance.matrix_suite()
+        assert len(suite) == 200
+        for p, lattice, n, m in suite:
+            assert m.precision is n
+            assert np.linalg.eigvalsh(n.entries)[0] > 0
+
+    def test_edited_pair_fails_the_class_check(self):
+        n = precision_matrix(refine(parse_region(FIXED_REGIONS[3][0], 3), -2), params())
+        i, j = 1, n.lattice.eta - 1
+        assert (i, j) not in n.tree.pairs and (j, i) not in n.tree.pairs
+        bad = np.array(n.entries)
+        bad[i, j] = bad[j, i] = bad[i, j] * 1.01
+        assert np.linalg.eigvalsh(bad)[0] > 0  # still symmetric positive definite
+        with pytest.raises(ValueError, match=rf"N\[{i},{j}\]=.* differs from its distance class"):
+            covariance_matrix(replace(n, entries=bad))
 
 
 class TestRestriction:

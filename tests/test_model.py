@@ -259,6 +259,13 @@ class TestResolventTailIntegral:
         with pytest.raises(ValueError):
             resolvent_tail_integral(params(alpha=Fraction(1, 2)), 1, 1.0)
 
+    @pytest.mark.parametrize("beta", [0.50001, 0.501])
+    def test_overflow_near_the_divergence_boundary_is_typed(self, beta):
+        # beta_hat * beta just above 1: the powers overflow before the tail bound falls under tol
+        match = rf"resolvent_tail_integral: .* kappa = 1, beta = {beta} \(beta_hat \* beta = "
+        with pytest.raises(OverflowError, match=match):
+            resolvent_tail_integral(params(), 1, beta)
+
     def test_matches_series_oracle(self):
         p = params()
         for kappa in (0, 1, 3, 18, 30):

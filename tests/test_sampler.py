@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from padicqft.lattice import covariance_matrix, precision_matrix
+import padicqft.sampler
+from padicqft.lattice import NotPositiveDefiniteError, covariance_matrix, precision_matrix
 from padicqft.model import FieldParams, free_cell_variance
 from padicqft.sampler import (
     QuadratureError,
     SourceSpec,
     effective_sample_size,
+    _cholesky,
     _mc_draw,
     griffiths_check,
     monotonicity_experiment,
@@ -74,6 +76,13 @@ def draw(m, seed, n_samples):
     return _mc_draw(m, X4, src, var0(), seed, n_samples)[0]
 
 
+def nan_factor(monkeypatch):
+    """Make every draw's Cholesky factor NaN."""
+    monkeypatch.setattr(
+        padicqft.sampler, "_cholesky", lambda matrix, name: np.full(matrix.shape, np.nan)
+    )
+
+
 class TestSampleField:
     """The exact Gaussian draw behind every Monte Carlo estimate."""
 
@@ -101,6 +110,19 @@ class TestSampleField:
         corr = np.corrcoef(t[:, 0], t[:, 1])[0, 1]
         want = cov2.entries[0, 1] / cov2.entries[0, 0]  # = 52/286
         assert abs(corr - want) < 0.015
+
+    def test_draw_is_seeded_normals_times_the_factor(self, cov3):
+        # pins the draw's bytes: the seeded normals times the transposed Cholesky factor of M
+        seed, n = 9, 1000
+        z = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0]).standard_normal((n, 3))
+        want = z @ _cholesky(cov3.entries, "covariance matrix").T
+        assert np.array_equal(draw(cov3, seed, n), want)
+
+    def test_indefinite_covariance_rejected_at_draw_time(self, cov2):
+        bad = replace(cov2, entries=np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(NotPositiveDefiniteError, match="covariance matrix") as err:
+            draw(bad, 1, 1000)
+        assert err.value.pivot == 2
 
 
 def replace_params_identity():
@@ -275,10 +297,10 @@ class TestStrongCouplingMC:
         want = -800.0 + math.log(scipy.integrate.quad(f, -12, 12, epsabs=1e-12)[0])
         assert abs(log_z - want) <= 0.02  # Z's relative error is about 0.4% here
 
-    def test_nan_draw_reports_low_ess(self):
-        bad = replace(chain_cov(1), factor=np.full((1, 1), np.nan))
+    def test_nan_draw_reports_low_ess(self, monkeypatch):
+        nan_factor(monkeypatch)
         with np.errstate(invalid="ignore"):
-            est = partition_function_mc(bad, X4, self.one_cell(), 7, 1000, var0())
+            est = partition_function_mc(chain_cov(1), X4, self.one_cell(), 7, 1000, var0())
         assert math.isnan(est.value) and est.low_ess
 
     def test_griffiths_mc_margin_finite(self, cov2):
@@ -521,12 +543,12 @@ class TestGriffiths:
         with pytest.raises(ValueError):  # negative g caught at construction
             SourceSpec(g=np.array([-0.1, 0.1]), h_list=())
 
-    def test_nan_moments_fail(self, cov2):
+    def test_nan_moments_fail(self, cov2, monkeypatch):
         # a NaN sampling factor makes every Monte Carlo moment NaN
-        bad = replace(cov2, factor=np.full((2, 2), np.nan))
+        nan_factor(monkeypatch)
         src = SourceSpec(g=np.full(2, 0.1), h_list=())
         with np.errstate(invalid="ignore"):
-            report = griffiths_check(bad, X4, src, "mc", var0(), seed=1, n_samples=2000)
+            report = griffiths_check(cov2, X4, src, "mc", var0(), seed=1, n_samples=2000)
         assert not report.passed
         assert np.isnan(report.worst_margin)
 
@@ -654,12 +676,11 @@ class TestPartitionStability:
             z, _ = scipy.integrate.quad(integrand, -12, 12, epsabs=1e-12)
             assert abs(est.value - z) <= 3 * est.std_error
 
-    def test_nan_draw_fails(self):
-        m1 = chain_cov(1)
-        bad = replace(m1, factor=np.full((1, 1), np.nan))
+    def test_nan_draw_fails(self, monkeypatch):
+        nan_factor(monkeypatch)
         src = SourceSpec(g=np.ones(1), h_list=())
         with np.errstate(invalid="ignore"):
-            res = partition_stability(bad, X4, src, var0(), seed=2, n_samples=5000)
+            res = partition_stability(chain_cov(1), X4, src, var0(), seed=2, n_samples=5000)
         assert not res.passed
         assert not res.report().passed
 
