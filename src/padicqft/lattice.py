@@ -11,9 +11,10 @@ cells; the precision entries and the free-covariance bound are read from one
 table per class.  The same structure writes N = D' I + sum over tree nodes a of
 beta_depth(a) 1_a 1_a^T, so the covariance is inverted by one leaf-to-root
 Sherman-Morrison pass, the classical inverse of an ultrametric matrix (Martinez,
-Michon and San Martin, SIAM J. Matrix Anal. Appl. 15, 1994).  Its entrywise
-nonnegativity, domination by the free covariance, and growth under region
-extension are the checkable facts.
+Michon and San Martin, SIAM J. Matrix Anal. Appl. 15, 1994), and the inverse is
+checked by forming M N - I from that same tree form, node sums of M instead of a
+dense product.  Its entrywise nonnegativity, domination by the free covariance,
+and growth under region extension are the checkable facts.
 """
 
 from __future__ import annotations
@@ -94,6 +95,16 @@ class _BallTree:
         cuts = np.flatnonzero(self.lcp[lo : hi - 1] < depth) + lo + 1
         bounds = [lo, *cuts.tolist(), hi]
         return zip(bounds[:-1], bounds[1:])
+
+    def levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cut, node) over depths 0..leaf, depth leaf being the cells.
+
+        ``cut[c, k]``: the k-th sorted cell is the first of its depth-c node;
+        ``node[c, k]``: that node's index among the depth-c nodes.
+        """
+        cut = np.ones((self.leaf + 1, len(self.order)), dtype=bool)
+        cut[:, 1:] = self.lcp < np.arange(self.leaf + 1)[:, None]
+        return cut, np.cumsum(cut, axis=1) - 1
 
     def to_cells(self, ranked: np.ndarray) -> np.ndarray:
         """A matrix indexed by sorted position, permuted once into cell order."""
@@ -201,8 +212,14 @@ def _class_couplings(N: PrecisionMatrix, num=float) -> tuple[list, float]:
     return [b - a for a, b in zip(off, off[1:])], num(N.entries[0, 0]) - off[-1]
 
 
-_ROW_CHUNK = 1 << 16  # entries per row chunk of a rank-one update
+_ROW_CHUNK = 1 << 16  # entries per row chunk of a rank-one update or a check
 _NODE_DIGITS = 40  # precision of the per-node scalars, far beyond their cancellation
+
+
+def _row_chunks(eta: int):
+    """Row ranges of about ``_ROW_CHUNK`` entries each, covering 0..eta."""
+    step = max(1, _ROW_CHUNK // eta)
+    return (slice(r, min(r + step, eta)) for r in range(0, eta, step))
 
 
 def _tree_inverse(N: PrecisionMatrix) -> np.ndarray:
@@ -247,13 +264,45 @@ def _tree_inverse(N: PrecisionMatrix) -> np.ndarray:
                 if b:
                     v = math.sqrt(float(abs(b) / den)) * u[lo:hi]
                     left = v if b < 0 else -v
-                    step = max(1, _ROW_CHUNK // (hi - lo))
-                    for r in range(0, hi - lo, step):  # a chunk of rows at a time
-                        rows = left[r : r + step]
-                        m[lo + r : lo + r + len(rows), lo:hi] += np.multiply.outer(rows, v)
+                    for rows in _row_chunks(hi - lo):
+                        block = m[lo + rows.start : lo + rows.stop, lo:hi]
+                        block += np.multiply.outer(left[rows], v)
                     u[lo:hi] /= float(den)
             starts, sums = [lo for lo, _ in runs], node_sums
     return tree.to_cells(m)
+
+
+def _inverse_residual(m: np.ndarray, N: PrecisionMatrix) -> np.float64:
+    """max |M N - I| over all entries, with N in its tree form D' I + sum_a beta_a 1_a 1_a^T.
+
+    So (M N)_ij = D' M_ij + sum over the tree nodes a above j of beta_a (M 1_a)_i.  Row
+    chunk by row chunk, in sorted-cell order: the node sums M 1_a bottom-up, each
+    level from the level below; the beta sums along each root-to-node path top-down;
+    then gathered to the columns.  A chunk is held transposed, cells down the rows,
+    so a node sum adds contiguous rows.  Chunk maxima fold by ``np.maximum``, so a
+    NaN in any entry of M makes the residual NaN.
+    """
+    tree = N.tree
+    eta, leaf = len(tree.order), tree.leaf
+    beta, d_prime = _class_couplings(N)
+    cut, node = tree.levels()
+    firsts = [node[c + 1][cut[c]] for c in range(leaf)]  # each node's first child
+    parents = [np.zeros(1, dtype=np.intp)] + [node[c - 1][cut[c]] for c in range(1, leaf + 1)]
+    residual = np.float64(0.0)
+    for rows in _row_chunks(eta):
+        chunk = m[rows] if tree.in_order else m[np.ix_(tree.order[rows], tree.order)]
+        x = np.ascontiguousarray(chunk.T)
+        sums = [x]  # sums[k]: (M 1_a) over the depth leaf - k nodes a
+        for c in range(leaf - 1, -1, -1):
+            sums.append(np.add.reduceat(sums[-1], firsts[c], axis=0))
+        path = np.zeros((1, x.shape[1]))
+        for c in range(leaf):
+            path = path[parents[c]] + beta[c] * sums[leaf - c]
+        out = path[parents[leaf]]
+        out += d_prime * x
+        out[rows].flat[:: x.shape[1] + 1] -= 1.0  # the chunk's diagonal
+        residual = np.maximum(residual, np.abs(out, out=out).max())
+    return residual
 
 
 def covariance_matrix(N: PrecisionMatrix, residual_tol: float = 1e-10) -> CovarianceMatrix:
@@ -261,27 +310,29 @@ def covariance_matrix(N: PrecisionMatrix, residual_tol: float = 1e-10) -> Covari
 
     In order: N must be finite; in the tree pass every leaf term N_ii - w(amb-l-1)
     and every node denominator den = 1 + beta s must be positive; every entry
-    must equal its distance class's entry; and the product M N is checked
-    against the identity to residual_tol * eta using N's actual entries.  The
-    class check makes N exactly D' I + sum_a beta_a 1_a 1_a^T, and by the matrix
-    determinant lemma, node by node, that matrix is positive definite when D' > 0
-    and every den > 0 (if and only if, when every beta <= 0, as in this model).
+    must equal its distance class's entry; and every entry of M N - I must be
+    within residual_tol * eta.  The class check makes N exactly
+    D' I + sum_a beta_a 1_a 1_a^T, so M N is formed from that tree form
+    (``_inverse_residual``), with no dense product; and by the matrix determinant
+    lemma, node by node, that matrix is positive definite when D' > 0 and every
+    den > 0 (if and only if, when every beta <= 0, as in this model).  Each check
+    runs row chunk by row chunk, so no eta x eta array but M is made.
     """
     eta = N.lattice.eta
-    np.asarray_chkfinite(N.entries)
+    for rows in _row_chunks(eta):
+        np.asarray_chkfinite(N.entries[rows])
     m = _tree_inverse(N)
     table = np.array(_class_entries(N) + [N.entries[0, 0]])
-    differs = table[N.classes] != N.entries
-    if differs.any():
-        i, j = np.unravel_index(int(np.argmax(differs)), differs.shape)
-        raise ValueError(
-            f"precision entry N[{i},{j}]={float(N.entries[i, j])!r} differs from its distance "
-            f"class's entry {float(table[N.classes[i, j]])!r}"
-        )
-    del differs
-    product = m @ N.entries
-    product.flat[:: eta + 1] -= 1.0
-    residual = float(np.max(np.abs(product, out=product)))
+    for rows in _row_chunks(eta):
+        differs = table[N.classes[rows]] != N.entries[rows]
+        if differs.any():
+            i, j = np.unravel_index(int(np.argmax(differs)), differs.shape)
+            i += rows.start
+            raise ValueError(
+                f"precision entry N[{i},{j}]={float(N.entries[i, j])!r} differs from its "
+                f"distance class's entry {float(table[N.classes[i, j]])!r}"
+            )
+    residual = float(_inverse_residual(m, N))
     if not (residual <= residual_tol * eta):  # a NaN residual fails too
         raise ValueError(f"inverse residual {residual:.3e} exceeds {residual_tol:.1e} * eta")
     return CovarianceMatrix(lattice=N.lattice, entries=m, precision=N)
@@ -350,7 +401,8 @@ def domination_check(
     if not (worst >= -tol):  # np.min and np.argmin report a NaN margin first
         i, j = np.unravel_index(int(np.argmin(margins)), margins.shape)
         violations.append(
-            f"M[{i},{j}]={M.entries[i, j]!r} exceeds free covariance {table[classes[i, j]]!r}"
+            f"M[{i},{j}]={float(M.entries[i, j])!r} exceeds free covariance "
+            f"{float(table[classes[i, j]])!r}"
         )
     return CheckReport("covariance_domination", not violations, worst, tuple(violations))
 

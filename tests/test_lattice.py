@@ -1,6 +1,7 @@
 """Precision/covariance matrices: signs, SPD, restriction, domination, growth."""
 
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from padicqft.lattice import (
     restriction_check,
     sign_structure_check,
 )
-from padicqft.model import FieldParams, free_covariance_entry
+from padicqft.model import FieldParams, free_cell_variance, free_covariance_entry
 from padicqft.sampler import _cholesky
 from padicqft.ultrametric import BallAddress, Region, parse_region, refine
 from padicqft.verify import params_for, random_nested_pair, random_region_with_level
@@ -348,6 +349,102 @@ class TestSpdGate:
             covariance_matrix(replace(n, entries=bad))
 
 
+# 729 cells each, so _ROW_CHUNK // 729 = 89 rows per chunk and 9 chunks; the second
+# lists its balls out of lexicographic order, so its sorted-order chunks are not its cell rows
+CHUNKED_REGIONS = ("amb=1;k=0;balls=0,1,2", "amb=1;k=0;balls=2,0,1")
+
+
+@pytest.fixture(scope="module")
+def chunked():
+    """(N, M) per region of CHUNKED_REGIONS."""
+    out = {}
+    for text in CHUNKED_REGIONS:
+        n = precision_matrix(refine(parse_region(text, 3), -5), params())
+        out[text] = n, covariance_matrix(n).entries
+    return out
+
+
+def _dense_residual(m, n):
+    return float(np.abs(m @ n.entries - np.eye(len(m))).max())
+
+
+def _rounding(m, n):
+    """A bound on the rounding of either form of M N in any entry: eta eps (|M| |N|)."""
+    return len(m) * np.finfo(float).eps * float((np.abs(m) @ np.abs(n.entries)).max())
+
+
+def _residual_cases():
+    """FIXED_REGIONS, then seeded random lattices for q = 3 and 5, half with shuffled balls."""
+    for i, (text, l) in enumerate(FIXED_REGIONS):
+        yield precision_matrix(refine(parse_region(text, 3), l), params_for(3, Fraction(1 + i % 2)))
+    rand = random.Random(12)
+    bhs = (Fraction(1), Fraction(2), Fraction(3, 2))
+    for i in range(24):
+        q = (3, 5)[i % 2]
+        region, l = random_region_with_level(rand, q, max_eta=64)
+        if i % 4 >= 2:
+            region = _shuffled(region, rand)
+        yield precision_matrix(refine(region, l), params_for(q, bhs[i % 3]))
+
+
+class TestTreeResidual:
+    """The residual M N - I formed from N's tree form, against the dense product."""
+
+    def test_matches_the_dense_product(self):
+        rand = np.random.default_rng(5)
+        qs = set()
+        for n in _residual_cases():
+            qs.add(n.lattice.region.q)
+            m = covariance_matrix(n).entries
+            noise = rand.standard_normal(m.shape) * 1e-6
+            for trial in (m, m + noise + noise.T, m + noise):  # exact, symmetric, one-sided
+                got = float(padicqft.lattice._inverse_residual(trial, n))
+                want = _dense_residual(trial, n)
+                assert abs(got - want) <= 2 * _rounding(trial, n), (n.lattice.region, got, want)
+        assert qs == {3, 5}
+
+    @pytest.mark.parametrize("text", CHUNKED_REGIONS)
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("where", ["last row", "last diagonal", "first row, far column",
+                                       "inside a chunk"])
+    def test_shifted_entry_fails(self, monkeypatch, chunked, text, symmetric, where):
+        n, m = chunked[text]
+        eta = len(m)
+        i, j = {"last row": (eta - 1, 0), "last diagonal": (eta - 1, eta - 1),
+                "first row, far column": (3, eta - 2), "inside a chunk": (400, 401)}[where]
+        shifted = np.array(m)
+        shifted[i, j] += 1e-6
+        if symmetric and i != j:
+            shifted[j, i] += 1e-6
+        residual = float(padicqft.lattice._inverse_residual(shifted, n))
+        assert abs(residual - _dense_residual(shifted, n)) <= 2 * _rounding(shifted, n)
+        monkeypatch.setattr(padicqft.lattice, "_tree_inverse", lambda N: shifted)
+        with pytest.raises(ValueError, match="inverse residual"):
+            covariance_matrix(n)
+
+    @pytest.mark.parametrize("cell", [(728, 5), (0, 728)])
+    def test_single_nan_fails(self, monkeypatch, chunked, cell):
+        # (728, 5) is in the last chunk: a builtin max would drop it there
+        n, m = chunked[CHUNKED_REGIONS[0]]
+        bad = np.array(m)
+        bad[cell] = np.nan
+        monkeypatch.setattr(padicqft.lattice, "_tree_inverse", lambda N: bad)
+        with pytest.raises(ValueError, match="inverse residual nan"):
+            covariance_matrix(n)
+
+    def test_no_square_temporary_beside_m(self, monkeypatch, chunked):
+        # small chunks, so the chunk temporaries stay far below one eta x eta array
+        monkeypatch.setattr(padicqft.lattice, "_ROW_CHUNK", 1 << 12)
+        n, m = chunked[CHUNKED_REGIONS[0]]
+        tracemalloc.start()
+        try:
+            covariance_matrix(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.nbytes < peak < 1.25 * m.nbytes
+
+
 class TestRestriction:
     def test_equal_regions(self):
         r = chain_region(3)
@@ -436,6 +533,16 @@ class TestSignsAndDomination:
         report = domination_check(replace(m, entries=bad), params())
         assert not report.passed
         assert report.violations[0].startswith("M[1,2]=")
+
+    def test_violation_text_holds_plain_floats(self):
+        n = precision_matrix(refine(parse_region("amb=1;k=0;balls=0,1", 3), 0), params())
+        m = covariance_matrix(n)
+        report = domination_check(replace(m, entries=2 * m.entries), params())
+        assert not report.passed
+        text = report.violations[0]
+        assert text == (f"M[0,0]={float(2 * m.entries[0, 0])!r} exceeds free covariance "
+                        f"{free_cell_variance(params(), 0)!r}")
+        assert text.startswith("M[0,0]=1.22222") and "np.float64" not in text
 
     def test_nan_covariance_fails_monotonicity(self, monkeypatch):
         real = padicqft.lattice.covariance_matrix
