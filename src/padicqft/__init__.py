@@ -60,6 +60,7 @@ from .wick import (
     wick_change_of_variance,
     wick_change_of_variance_coeffs,
     wick_coefficients,
+    wick_l2_decay,
     wick_l2_distance,
     wick_poly_cell_bound,
     wick_poly_eval,

@@ -375,11 +375,12 @@ def run_wick(cfg: RunConfig, writer: _ArtifactWriter) -> int:
     path = writer.write_csv(f"wick_coeffs_{h}.csv", ["k", "j", "w"], rows)
     print(f"wrote {path}")
     g = cfg.resolve_g(lattice.eta)
-    for k in (2, 3, 4):
+    orders, kappa2_values = (2, 3, 4), range(1, 11)
+    table = wick.wick_l2_decay(params, 20, kappa2_values, orders, lattice, g, tol=cfg.tol)
+    for k, values in zip(orders, table.tolist()):
         rows = []
         prev = None
-        for kappa2 in range(1, 11):
-            value = wick.wick_l2_distance(params, 20, kappa2, k, lattice, g, tol=cfg.tol)
+        for kappa2, value in zip(kappa2_values, values):
             ratio = (
                 math.log(prev / value) / math.log(params.q)
                 if prev is not None and value > 0 and prev > 0

@@ -107,11 +107,26 @@ class _BallTree:
         return cut, np.cumsum(cut, axis=1) - 1
 
     def to_cells(self, ranked: np.ndarray) -> np.ndarray:
-        """A matrix indexed by sorted position, permuted once into cell order."""
+        """A matrix indexed by sorted position, permuted in place into cell order.
+
+        Rows follow the permutation's cycles through a one-row buffer; columns then
+        move row chunk by row chunk, so no second eta x eta array is made.
+        """
         if self.in_order:
             return ranked
-        pos = np.argsort(self.order)
-        return ranked[np.ix_(pos, pos)]
+        pos = np.argsort(self.order).tolist()  # row i of the result is row pos[i]
+        done = [False] * len(pos)
+        for start in range(len(pos)):
+            if done[start]:
+                continue
+            buffer, i = ranked[start].copy(), start
+            while pos[i] != start:
+                ranked[i] = ranked[pos[i]]
+                done[i], i = True, pos[i]
+            ranked[i], done[i] = buffer, True
+        for rows in _row_chunks(len(pos)):
+            ranked[rows] = ranked[rows][:, pos]
+        return ranked
 
     def classes(self) -> np.ndarray:
         """Pairwise distance classes, one byte per pair for up to 256 classes.
@@ -290,8 +305,10 @@ def _inverse_residual(m: np.ndarray, N: PrecisionMatrix) -> np.float64:
     parents = [np.zeros(1, dtype=np.intp)] + [node[c - 1][cut[c]] for c in range(1, leaf + 1)]
     residual = np.float64(0.0)
     for rows in _row_chunks(eta):
-        chunk = m[rows] if tree.in_order else m[np.ix_(tree.order[rows], tree.order)]
-        x = np.ascontiguousarray(chunk.T)
+        if tree.in_order:
+            x = np.ascontiguousarray(m[rows].T)
+        else:  # gathered straight into the transposed chunk, with no copy between
+            x = m.T[np.ix_(tree.order, tree.order[rows])]
         sums = [x]  # sums[k]: (M 1_a) over the depth leaf - k nodes a
         for c in range(leaf - 1, -1, -1):
             sums.append(np.add.reduceat(sums[-1], firsts[c], axis=0))

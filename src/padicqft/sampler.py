@@ -145,7 +145,8 @@ def _mc_draw(M, P, source, variances, seed, n_samples):
 
 def effective_sample_size(weights: np.ndarray) -> float:
     s = weights.sum()
-    return float(s * s / np.dot(weights, weights))
+    # not np.dot: a long dot wakes OpenBLAS's helper thread, which then spins
+    return float(s * s / np.sum(weights * weights))
 
 
 def _mc_moments(M, P, source, variances, seed, n_samples, forms, moments):
@@ -154,7 +155,8 @@ def _mc_moments(M, P, source, variances, seed, n_samples, forms, moments):
     A moment indexes the forms t @ h (h in ``forms``), or t's cells if ``forms`` is None."""
     t, _, w, _ = _mc_draw(M, P, source, variances, seed, n_samples)
     wsum = w.sum()
-    columns = list(t.T) if forms is None else [t @ h for h in forms]
+    # not `t @ h`: a long gemv wakes OpenBLAS's helper thread, which then spins
+    columns = list(t.T) if forms is None else [np.einsum("ij,j->i", t, h) for h in forms]
     vals, ses = [], []
     for moment in moments:
         num = np.ones(len(t))

@@ -181,12 +181,16 @@ def check_green_increment_identity(tol: float = 1e-12) -> CheckReport:
     violations = []
     for q, bh in ((3, Fraction(2)), (5, Fraction(1))):
         params = params_for(q, bh)
+        distances = [SAME] + list(range(-5, 6))
+        # series evaluated well below the identity tolerance, once per (kappa, d)
+        green = {
+            (kappa, d): model.green_regularized(params, kappa, d, 1e-15)
+            for kappa in range(-4, 7)
+            for d in distances
+        }
         for kappa in range(-3, 7):
-            for d in [SAME] + list(range(-5, 6)):
-                # series evaluated well below the identity tolerance
-                lhs = model.green_regularized(params, kappa, d, 1e-15) - model.green_regularized(
-                    params, kappa - 1, d, 1e-15
-                )
+            for d in distances:
+                lhs = green[kappa, d] - green[kappa - 1, d]
                 rhs = model.character_shell_integral(params, kappa, d) / (
                     model.symbol_a(params, kappa) + params.m_sq
                 )
@@ -343,10 +347,9 @@ def check_wick_decay_slope(kappa1: int = 20) -> CheckReport:
         region = Region(q=q, ambient_level=0, ball_level=0, balls=(BallAddress(0, 0, ()),))
         lattice = refine(region, 0)
         g = np.ones(1)
-        for k in (2, 3, 4):
-            values = [
-                wick.wick_l2_distance(params, kappa1, k2, k, lattice, g) for k2 in range(1, 11)
-            ]
+        orders = (2, 3, 4)
+        table = wick.wick_l2_decay(params, kappa1, range(1, 11), orders, lattice, g)
+        for k, values in zip(orders, table):
             logs = np.log(values)
             slope = np.polyfit(np.arange(1, 11), logs, 1)[0]
             tau = -slope / math.log(q)

@@ -109,12 +109,12 @@ def shell_character_integral(p: int, m: int, d: float, unit: int = 1) -> float:
 # ---------------------------------------------------------------------------
 
 
-def shell(q: int, m: int) -> float:
-    return float(q) ** m * (1.0 - 1.0 / q)
+def shell(q: int, m: int, num=float) -> float:
+    return num(q) ** m * (1 - 1 / num(q))
 
 
-def symbol(q: int, beta_hat: float, gamma: float, m: int) -> float:
-    return gamma * float(q) ** (m * beta_hat)
+def symbol(q: int, beta_hat: float, gamma: float, m: int, num=float) -> float:
+    return num(gamma) * num(q) ** num(m * beta_hat)
 
 
 def series_ball_integral(q, beta_hat, gamma, m_sq, kappa, beta=1.0, floor=1e-18) -> float:
@@ -137,21 +137,21 @@ def series_tail_integral(q, beta_hat, gamma, m_sq, kappa, beta, floor=1e-18) -> 
         m += 1
 
 
-def exact_shell_char(q: int, m: int, d: float) -> float:
+def exact_shell_char(q: int, m: int, d: float, num=float) -> float:
     """Three-case closed form, restated independently for series assembly."""
     if m + d <= 0:
-        return shell(q, m)
+        return shell(q, m, num)
     if m + d == 1:
-        return -float(q) ** (m - 1)
-    return 0.0
+        return -num(q) ** (m - 1)
+    return num(0)
 
 
-def series_green_regularized(q, beta_hat, gamma, m_sq, kappa, d, floor=1e-18) -> float:
+def series_green_regularized(q, beta_hat, gamma, m_sq, kappa, d, floor=1e-18, num=float) -> float:
     """E_kappa at |x| = q^d as the literal character-weighted resolvent series."""
-    total = 0.0
+    total = num(0)
     m = kappa
-    while float(q) ** (m - 1) / m_sq > floor * min(1.0, max(abs(total), 1e-30)):
-        total += exact_shell_char(q, m, d) / (symbol(q, beta_hat, gamma, m) + m_sq)
+    while float(q) ** (m - 1) / m_sq > floor * min(1.0, max(abs(float(total)), 1e-30)):
+        total += exact_shell_char(q, m, d, num) / (symbol(q, beta_hat, gamma, m, num) + num(m_sq))
         m -= 1
     return total
 
@@ -166,35 +166,42 @@ def series_covariance_entry(q, beta_hat, gamma, m_sq, l, d, floor=1e-18) -> floa
     return float(q) ** l * series_green_regularized(q, beta_hat, gamma, m_sq, -l, d, floor)
 
 
-def series_l2_distance(q, beta_hat, gamma, m_sq, kappa1, kappa2, k, l, g, dmat, floor=1e-16) -> float:
+def series_l2_distance(
+    q, beta_hat, gamma, m_sq, kappa1, kappa2, k, l, g, dmat, floor=1e-16, num=float
+) -> float:
     """(g, E_k1^k * g) - (g, E_k2^k * g) by the literal double sum, in difference form.
 
     Each e1^k - e2^k is written (e1 - e2) sum_a e1^a e2^(k-1-a), with e1 - e2 the
-    literal sum over the shells (kappa2, kappa1], so nothing cancels.
+    literal sum over the shells (kappa2, kappa1], so no difference of two series
+    cancels.  The sum over m and the cell pairs can: once kappa2 is well above -l
+    the distance is far smaller than its terms (at q = 5, kappa2 = 10, about 1e-9
+    of them), and a float sum keeps only about 8 digits.  ``num`` is the number
+    type of the sum: ``decimal.Decimal`` under a wide context gives a reference there.
     """
 
     def power_diff(d) -> float:
-        e1 = series_green_regularized(q, beta_hat, gamma, m_sq, kappa1, d, floor)
-        e2 = series_green_regularized(q, beta_hat, gamma, m_sq, kappa2, d, floor)
+        e1 = series_green_regularized(q, beta_hat, gamma, m_sq, kappa1, d, floor, num)
+        e2 = series_green_regularized(q, beta_hat, gamma, m_sq, kappa2, d, floor, num)
         delta = sum(
-            exact_shell_char(q, m, d) / (symbol(q, beta_hat, gamma, m) + m_sq)
+            exact_shell_char(q, m, d, num) / (symbol(q, beta_hat, gamma, m, num) + num(m_sq))
             for m in range(kappa2 + 1, kappa1 + 1)
         )
         return delta * sum(e1**a * e2 ** (k - 1 - a) for a in range(k))
 
+    g = [num(x) for x in g]
     eta = len(g)
-    total = 0.0
+    total = num(0)
     for i in range(eta):
         for j in range(eta):
             if i != j:
-                total += g[i] * g[j] * float(q) ** (2 * l) * power_diff(dmat[i][j])
-    same = 0.0
+                total += g[i] * g[j] * num(q) ** (2 * l) * power_diff(dmat[i][j])
+    same = num(0)
     m = l
     while float(q) ** m > floor:
-        same += shell(q, m) * power_diff(m)
+        same += shell(q, m, num) * power_diff(m)
         m -= 1
     for i in range(eta):
-        total += g[i] * g[i] * float(q) ** l * same
+        total += g[i] * g[i] * num(q) ** l * same
     return total
 
 

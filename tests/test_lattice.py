@@ -445,6 +445,41 @@ class TestTreeResidual:
         assert m.nbytes < peak < 1.25 * m.nbytes
 
 
+class TestOutOfOrderLattice:
+    """A lattice listing its balls out of order gets M permuted into cell order in place."""
+
+    def test_holds_m_once(self, chunked):
+        n, m = chunked[CHUNKED_REGIONS[1]]
+        assert not n.tree.in_order
+        tracemalloc.start()
+        try:
+            covariance_matrix(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.nbytes < peak < 1.6 * m.nbytes
+
+    @staticmethod
+    def _assert_sorted_twin_permuted(n0, m0, n1, m1):
+        index = {cell.digits: i for i, cell in enumerate(n0.lattice.cells)}
+        perm = np.array([index[cell.digits] for cell in n1.lattice.cells])
+        assert not np.array_equal(perm, np.arange(len(perm)))
+        assert np.array_equal(m1.view(np.uint64), m0[np.ix_(perm, perm)].view(np.uint64))
+        assert np.array_equal(n1.classes, n0.classes[np.ix_(perm, perm)])
+
+    def test_equals_the_sorted_lattice_permuted(self, chunked):
+        (n0, m0), (n1, m1) = (chunked[text] for text in CHUNKED_REGIONS)
+        self._assert_sorted_twin_permuted(n0, m0, n1, m1)
+
+    def test_irregular_region_equals_its_sorted_twin_permuted(self):
+        # the full ball above is invariant under its block shift; this region is not
+        pair = []
+        for text in ("amb=2;k=0;balls=00,12,20,21", "amb=2;k=0;balls=21,00,12,20"):
+            n = precision_matrix(refine(parse_region(text, 3), -2), params())
+            pair += [n, covariance_matrix(n).entries]
+        self._assert_sorted_twin_permuted(*pair)
+
+
 class TestRestriction:
     def test_equal_regions(self):
         r = chain_region(3)

@@ -231,6 +231,41 @@ class TestSchwingerMC:
         assert a == b
 
 
+class TestVectorReductions:
+    """The ESS and the form columns against math.fsum, on positive terms."""
+
+    def test_effective_sample_size_matches_fsum(self):
+        w = np.random.default_rng(3).uniform(0.0, 1.0, 20_000)
+        s = math.fsum(w)
+        want = s * s / math.fsum(w * w)
+        assert effective_sample_size(w) == pytest.approx(want, rel=1e-14, abs=0.0)
+        w[17] = np.nan
+        assert math.isnan(effective_sample_size(w))
+
+    def test_form_columns_match_fsum(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        t = rng.uniform(0.5, 2.0, (20_000, 3))
+        w = rng.uniform(0.0, 1.0, 20_000)
+        forms = [np.array([0.3, 1.0, 0.7]), np.array([0.0, 0.5, 2.0])]
+        moments = [(0,), (1,), (0, 1)]
+        monkeypatch.setattr(padicqft.sampler, "_mc_draw", lambda *args: (t, None, w, None))
+
+        def moments_of(t):
+            return padicqft.sampler._mc_moments(None, None, None, None, 0, len(t), forms, moments)
+
+        columns = [[math.fsum(x * h for x, h in zip(row, form)) for row in t.tolist()]
+                   for form in forms]
+        wsum = math.fsum(w)
+        vals, _, _ = moments_of(t)
+        for got, moment in zip(vals, moments):
+            want = math.fsum(
+                wi * math.prod(columns[k][i] for k in moment) for i, wi in enumerate(w.tolist())
+            ) / wsum
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0), moment
+        t[9, 1] = np.nan
+        assert np.all(np.isnan(moments_of(t)[0]))
+
+
 class TestStrongCouplingMC:
     """One cell at g = 400, where exp(-:P:) overflows double range, and Z that underflows it."""
 

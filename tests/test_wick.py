@@ -1,15 +1,19 @@
 """Normal-ordered powers, the change of variance, lower bounds, L2 decay."""
 
+import decimal
 import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import padicqft.wick
+from padicqft import cli
 from padicqft.model import (
     FieldParams,
     c_kappa_sq,
@@ -17,13 +21,14 @@ from padicqft.model import (
     green_regularized_increment,
     shell_measure,
 )
-from padicqft.ultrametric import BallAddress, Region, refine
-from padicqft.verify import params_for, random_region_with_level
+from padicqft.ultrametric import BallAddress, Region, parse_region, refine
+from padicqft.verify import check_wick_decay_slope, params_for, random_region_with_level
 from padicqft.wick import (
     WickPolynomial,
     wick_change_of_variance,
     wick_change_of_variance_coeffs,
     wick_coefficients,
+    wick_l2_decay,
     wick_l2_distance,
     wick_poly_cell_bound,
     wick_poly_eval,
@@ -245,6 +250,30 @@ class TestPolyEval:
         for i in range(50):
             assert batch[i] == pytest.approx(wick_poly_eval(poly, t[i], g, v), rel=1e-12)
 
+    @pytest.mark.parametrize("eta", [1, 3, 27])
+    def test_cell_sum_matches_fsum(self, eta):
+        # positive terms (x >= 2, v <= 0.3, g > 0), so the relative error is the sum's own
+        rng = np.random.default_rng(eta)
+        poly = WickPolynomial((1.0, 0.0, 1.0, 0.0, 1.0))
+        t = rng.uniform(2.0, 4.0, (500, eta))
+        g = rng.uniform(0.1, 1.0, eta)
+        v = rng.uniform(0.0, 0.3, eta)
+        # one cell at unit weight is that cell's term exactly
+        terms = np.stack(
+            [wick_poly_eval(poly, t[:, [j]], np.ones(1), v[[j]]) for j in range(eta)], axis=1
+        ) * g
+        want = np.array([math.fsum(row) for row in terms])
+        got = wick_poly_eval(poly, t, g, v)
+        assert got.shape == (500,)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        for i in (0, 499):
+            one = wick_poly_eval(poly, t[i], g, v)
+            assert np.ndim(one) == 0 and one == pytest.approx(want[i], rel=1e-14, abs=0.0)
+        t[7, eta - 1] = np.nan
+        got = wick_poly_eval(poly, t, g, v)
+        assert np.isnan(got[7]) and np.all(np.isfinite(np.delete(got, 7)))
+        assert np.isnan(wick_poly_eval(poly, t[7], g, v))
+
     def test_length_mismatch(self):
         poly = WickPolynomial((0.0, 0.0, 1.0))
         with pytest.raises(ValueError):
@@ -399,6 +428,71 @@ class TestL2Distance:
                 slope = np.polyfit(np.arange(1, 11), np.log(values), 1)[0]
                 tau = -slope / math.log(3)
                 assert tau > 0, (bh, k, tau)
+
+
+DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.ini"
+
+
+def _counted(monkeypatch, name):
+    """The argument tuples of every call to ``padicqft.wick.<name>``."""
+    calls = []
+    original = getattr(padicqft.wick, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(padicqft.wick, name, counting)
+    return calls
+
+
+class TestL2Decay:
+    """The whole (k, kappa2) table from one Green table per call."""
+
+    @pytest.mark.parametrize("q", [3, 5])
+    @pytest.mark.parametrize("region", ["amb=0;k=0;balls=", "amb=2;k=0;balls=00,01,12"])
+    def test_matches_series_oracle(self, q, region):
+        # the oracle in 34 digits: for kappa2 well above -l the distance is about 1e-9 of its
+        # terms, and a float double sum keeps only about 8 digits of it
+        p = FieldParams(p=q, n=1, alpha=Fraction(1), m_sq=1.0)
+        lat = refine(parse_region(region, q), 0)
+        g = np.linspace(0.3, 1.4, lat.eta)
+        orders, kappa2_values = (2, 3, 4), range(1, 11)
+        table = wick_l2_decay(p, 20, kappa2_values, orders, lat, g)
+        assert table.shape == (3, 10)
+        with decimal.localcontext(prec=34):
+            for row, k in zip(table, orders):
+                for got, k2 in zip(row, kappa2_values):
+                    want = math.factorial(k) * oracles.series_l2_distance(
+                        q, 2.0, 1.0, 1.0, 20, k2, k, 0, list(g), _dmat(lat), floor=1e-28,
+                        num=decimal.Decimal,
+                    )
+                    assert got == pytest.approx(float(want), rel=1e-8, abs=0.0), (k, k2)
+                    assert got == wick_l2_distance(p, 20, k2, k, lat, g)
+
+    def test_cli_wick_evaluates_each_green_value_once(self, monkeypatch, tmp_path):
+        greens = _counted(monkeypatch, "green_regularized")
+        increments = _counted(monkeypatch, "green_regularized_increment")
+        assert cli.main(["wick", "--config", str(DEFAULT_CONFIG), "--out", str(tmp_path)]) == 0
+        # 231 distinct (kappa, d) in the series sums and the d = SAME entries for
+        # kappa = 20 and kappa2 = 1..10; one increment per (kappa2, d)
+        assert len(greens) == len(set(greens)) == 242
+        assert len(increments) == len(set(increments)) == 220
+
+    def test_decay_slope_check_evaluates_each_green_value_once(self, monkeypatch):
+        greens = _counted(monkeypatch, "green_regularized")
+        assert check_wick_decay_slope().passed
+        # two parameter sets of 231 arguments each; the arguments name the set
+        assert len(greens) == len(set(greens)) == 2 * 231
+        assert len({args[0] for args in greens}) == 2
+
+    def test_order_validated_for_every_entry(self):
+        lat = single_cell_lattice()
+        p = FieldParams(p=3, n=1, alpha=Fraction(1), m_sq=1.0)
+        with pytest.raises(ValueError, match="kappa1 must be >= kappa2"):
+            wick_l2_decay(p, 5, [2, 6], [2], lat, np.ones(1))
+        equal_cutoffs = wick_l2_decay(p, 5, [5, 5], [2, 3], lat, np.ones(1))
+        assert np.array_equal(equal_cutoffs, np.zeros((2, 2)))
 
 
 def _dmat(lat):
