@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import FieldParams, free_cell_variance, free_covariance_entry
-from .reporting import CheckReport
+from .reporting import CheckReport, worse
 from .ultrametric import MAX_DENSE_CELLS, LatticeSpec, Region, refine
 
 
@@ -410,13 +410,17 @@ def domination_check(
     l, amb = M.lattice.cell_level, M.lattice.region.ambient_level
     table = [free_covariance_entry(params, l, amb - c) for c in range(amb - l)]
     table = np.array(table + [free_cell_variance(params, l)])
-    classes = M.precision.classes
-    margins = table[classes]
-    margins -= M.entries
-    worst = float(np.min(margins))
+    classes, eta = M.precision.classes, M.lattice.eta
+    worst, where = math.inf, None  # the first smallest margin in row-major order, or first NaN
+    for rows in _row_chunks(eta):
+        margins = table[classes[rows]]
+        margins -= M.entries[rows]
+        k = int(np.argmin(margins))  # the first NaN margin, if there is one
+        if worse(margins.flat[k], worst):
+            worst, where = float(margins.flat[k]), divmod(rows.start * eta + k, eta)
     violations = []
-    if not (worst >= -tol):  # np.min and np.argmin report a NaN margin first
-        i, j = np.unravel_index(int(np.argmin(margins)), margins.shape)
+    if not (worst >= -tol):
+        i, j = where
         violations.append(
             f"M[{i},{j}]={float(M.entries[i, j])!r} exceeds free covariance "
             f"{float(table[classes[i, j]])!r}"

@@ -36,7 +36,7 @@ from .lattice import (
     sign_structure_check,
 )
 from .model import FieldParams, free_cell_variance
-from .reporting import CheckReport
+from .reporting import CheckReport, Margins
 from .ultrametric import Region
 from .wick import WickPolynomial, wick_poly_eval
 
@@ -403,15 +403,12 @@ def griffiths_check(
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    slacks = []
-    violations = []
+    tally = Margins("griffiths_inequalities")
     for m in multi_indices:
         key = tuple(sorted(m))
         value = float(vals[pos[key]])
         allowance = tol if method == "quadrature" else 3.0 * float(ses[pos[key]])
-        slacks.append(value + allowance)
-        if not (value + allowance >= 0):  # a NaN slack is a violation
-            violations.append(f"first inequality: <t^{key}> = {value:.6g} < 0")
+        tally.add(value + allowance, lambda: f"first inequality: <t^{key}> = {value:.6g} < 0")
     for a, b in pairs:
         ka, kb, kab = tuple(sorted(a)), tuple(sorted(b)), tuple(sorted(a + b))
         diff = float(vals[pos[kab]] - vals[pos[ka]] * vals[pos[kb]])
@@ -422,11 +419,9 @@ def griffiths_check(
                 math.sqrt(ses[pos[kab]] ** 2 + (vals[pos[ka]] * ses[pos[kb]]) ** 2
                           + (vals[pos[kb]] * ses[pos[ka]]) ** 2)
             )
-        slacks.append(diff + allowance)
-        if not (diff + allowance >= 0):
-            violations.append(f"second inequality: pair {a},{b} correlation gap {diff:.6g} < 0")
-    worst = float(np.min(slacks)) if slacks else math.inf
-    return CheckReport("griffiths_inequalities", not violations, worst, tuple(violations))
+        tally.add(diff + allowance, lambda: f"second inequality: pair {a},{b} "
+                  f"correlation gap {diff:.6g} < 0")
+    return tally.report()
 
 
 @dataclass(frozen=True)

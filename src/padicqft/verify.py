@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from . import lattice as lat
 from . import model, sampler, wick
 from .model import FieldParams
-from .reporting import CheckReport, combine
+from .reporting import CheckReport, Margins, combine
 from .ultrametric import SAME, BallAddress, Region, refine
 
 _QMAP = {3: (3, 1), 5: (5, 1), 9: (3, 2), 25: (5, 2), 27: (3, 3), 125: (5, 3)}
@@ -89,8 +90,7 @@ def check_omega_consistency(rel_tol: float = 1e-12) -> CheckReport:
     Both sides are summed as literal shell series against the unit-ball
     indicator; the closed-form constant has to reconcile them identically.
     """
-    worst = math.inf
-    violations = []
+    tally = Margins("omega_consistency")
     for q in OMEGA_GRID_Q:
         for bh in OMEGA_GRID_BH:
             bhf = float(bh)
@@ -108,16 +108,13 @@ def check_omega_consistency(rel_tol: float = 1e-12) -> CheckReport:
                 m += 1
             hyper *= -omega
             rel = abs(spectral - hyper) / abs(spectral)
-            worst = min(worst, rel_tol - rel)
-            if rel > rel_tol:
-                violations.append(f"q={q} beta_hat={bh}: relative gap {rel:.3e}")
-    return CheckReport("omega_consistency", not violations, worst, tuple(violations))
+            tally.add(rel_tol - rel, lambda: f"q={q} beta_hat={bh}: relative gap {rel:.3e}")
+    return tally.report()
 
 
 def check_resolvent_ball_bound(kappa_max: int = 30) -> CheckReport:
     """c_kappa^2 <= c1 * kappa with the explicit constant, kappa = 1..kappa_max."""
-    worst = math.inf
-    violations = []
+    tally = Margins("resolvent_ball_bound")
     for q in OMEGA_GRID_Q:
         for bh in BOUND_GRID_BH:
             for m_sq, gamma in ((1.0, 1.0), (0.5, 2.0)):
@@ -125,10 +122,8 @@ def check_resolvent_ball_bound(kappa_max: int = 30) -> CheckReport:
                 c1 = model.resolvent_ball_bound_constant(params)
                 for kappa in range(1, kappa_max + 1):
                     margin = c1 * kappa - model.c_kappa_sq(params, kappa)
-                    worst = min(worst, margin)
-                    if margin < 0:
-                        violations.append(f"q={q} bh={bh} kappa={kappa}: excess {-margin:.3e}")
-    return CheckReport("resolvent_ball_bound", not violations, worst, tuple(violations))
+                    tally.add(margin, lambda: f"q={q} bh={bh} kappa={kappa}: excess {-margin:.3e}")
+    return tally.report()
 
 
 def check_resolvent_tail_bound(kappa_max: int = 30, rel_tol: float = 1e-12) -> CheckReport:
@@ -138,8 +133,7 @@ def check_resolvent_tail_bound(kappa_max: int = 30, rel_tol: float = 1e-12) -> C
     bound agree to the last float digit (m^2 falls below the resolution of
     a + m^2), so the comparison carries a 1e-12 relative allowance.
     """
-    worst = math.inf
-    violations = []
+    tally = Margins("resolvent_tail_bound")
     for q in OMEGA_GRID_Q:
         for bh in BOUND_GRID_BH:
             for beta in BOUND_GRID_BETA:
@@ -150,35 +144,26 @@ def check_resolvent_tail_bound(kappa_max: int = 30, rel_tol: float = 1e-12) -> C
                     bound = c2 * float(q) ** (-kappa * (bb - 1.0))
                     value = model.resolvent_tail_integral(params, kappa, beta)
                     margin = rel_tol + (bound - value) / max(bound, 1e-300)
-                    worst = min(worst, margin)
-                    if margin < 0:
-                        violations.append(
-                            f"q={q} bh={bh} beta={beta} kappa={kappa}: excess {-margin:.3e}"
-                        )
-    return CheckReport("resolvent_tail_bound", not violations, worst, tuple(violations))
+                    tally.add(margin, lambda: f"q={q} bh={bh} beta={beta} kappa={kappa}: "
+                              f"excess {-margin:.3e}")
+    return tally.report()
 
 
 def check_green_nonnegative() -> CheckReport:
-    worst = math.inf
-    violations = []
+    tally = Margins("green_nonnegative")
     for q in (3, 5, 9):
         for bh in (Fraction(1), Fraction(3, 2), Fraction(2)):
             params = params_for(q, bh)
             points = [SAME] + list(range(-12, 13))
-            for d in points:
+            for d in points:  # E(0) = +inf in the log case (beta_hat = 1) passes as it is
                 value = model.green_function(params, d)
-                if math.isinf(value):
-                    continue  # the logarithmic edge case at the origin
-                worst = min(worst, value)
-                if value < 0:
-                    violations.append(f"q={q} bh={bh} d={d}: E = {value:.3e} < 0")
-    return CheckReport("green_nonnegative", not violations, worst, tuple(violations))
+                tally.add(value, lambda: f"q={q} bh={bh} d={d}: E = {value:.3e} < 0")
+    return tally.report()
 
 
 def check_green_increment_identity(tol: float = 1e-12) -> CheckReport:
     """Cutoff increments equal the single added shell term exactly."""
-    worst = math.inf
-    violations = []
+    tally = Margins("green_increment_identity")
     for q, bh in ((3, Fraction(2)), (5, Fraction(1))):
         params = params_for(q, bh)
         distances = [SAME] + list(range(-5, 6))
@@ -195,16 +180,13 @@ def check_green_increment_identity(tol: float = 1e-12) -> CheckReport:
                     model.symbol_a(params, kappa) + params.m_sq
                 )
                 err = abs(lhs - rhs) / max(1.0, abs(rhs))
-                worst = min(worst, tol - err)
-                if err > tol:
-                    violations.append(f"q={q} kappa={kappa} d={d}: gap {err:.3e}")
-    return CheckReport("green_increment_identity", not violations, worst, tuple(violations))
+                tally.add(tol - err, lambda: f"q={q} kappa={kappa} d={d}: gap {err:.3e}")
+    return tally.report()
 
 
 def check_variance_ball_identity(tol: float = 1e-12) -> CheckReport:
     """sigma_l^2 equals q^l times the literal resolvent series up to scale q^-l."""
-    worst = math.inf
-    violations = []
+    tally = Margins("variance_ball_identity")
     for q, bh in ((3, Fraction(2)), (5, Fraction(3, 2))):
         params = params_for(q, bh)
         for l in range(-3, 4):
@@ -220,10 +202,8 @@ def check_variance_ball_identity(tol: float = 1e-12) -> CheckReport:
                 m -= 1
             rhs *= float(q) ** l
             err = abs(lhs - rhs) / max(abs(rhs), 1e-30)
-            worst = min(worst, tol - err)
-            if err > tol:
-                violations.append(f"q={q} l={l}: relative gap {err:.3e}")
-    return CheckReport("variance_ball_identity", not violations, worst, tuple(violations))
+            tally.add(tol - err, lambda: f"q={q} l={l}: relative gap {err:.3e}")
+    return tally.report()
 
 
 def _lattice_suite(seed: int, count: int, qs=(3, 5), max_eta: int = 40):
@@ -251,15 +231,14 @@ def check_lattice_structure(seed: int, count: int = 20) -> CheckReport:
 
 def check_restriction_identity(seed: int, count: int = 10) -> CheckReport:
     rand = random.Random(seed)
-    violations = []
+    tally = Margins("restriction_identity")
     for i in range(count):
         q = (3, 5)[i % 2]
         small, big, l = random_nested_pair(rand, q, max_eta=40)
         params = params_for(q, (Fraction(1), Fraction(2))[i % 2])
-        if not lat.restriction_check(small, big, l, params):
-            violations.append(f"case {i}: shared precision entries differ")
-    worst = 0.0 if not violations else -1.0
-    return CheckReport("restriction_identity", not violations, worst, tuple(violations))
+        same = lat.restriction_check(small, big, l, params)
+        tally.add(0.0 if same else -1.0, lambda: f"case {i}: shared precision entries differ")
+    return tally.report()
 
 
 def check_monotonicity(seed: int, count: int = 10) -> CheckReport:
@@ -275,7 +254,7 @@ def check_monotonicity(seed: int, count: int = 10) -> CheckReport:
 
 def check_wick_recursion(k_max: int = 20) -> CheckReport:
     """Coefficient tables satisfy the Hermite recursion in exact integers."""
-    violations = []
+    tally = Margins("wick_recursion")
     for k in range(1, k_max):
         nxt = wick.wick_coefficients(k + 1).coefficients
         cur = wick.wick_coefficients(k).coefficients
@@ -283,10 +262,8 @@ def check_wick_recursion(k_max: int = 20) -> CheckReport:
         for j in range(len(nxt)):
             x_part = cur[j] if j < len(cur) else 0
             v_part = prev[j - 1] if 1 <= j <= len(prev) else 0
-            if nxt[j] != x_part - k * v_part:
-                violations.append(f"k={k} j={j}")
-    return CheckReport("wick_recursion", not violations, 0.0 if not violations else -1.0,
-                       tuple(violations))
+            tally.add(0.0 if nxt[j] == x_part - k * v_part else -1.0, lambda: f"k={k} j={j}")
+    return tally.report()
 
 
 def _gh_gaussian_moment(func, sigma_sq: float, rule: tuple[np.ndarray, np.ndarray]) -> float:
@@ -297,8 +274,7 @@ def _gh_gaussian_moment(func, sigma_sq: float, rule: tuple[np.ndarray, np.ndarra
 
 
 def check_wick_orthogonality(tol: float = 1e-8) -> CheckReport:
-    worst = math.inf
-    violations = []
+    tally = Margins("wick_orthogonality")
     rule = np.polynomial.hermite.hermgauss(24)  # exact for the degree <= 8 integrands here
     for sigma_sq in (0.5, 1.0, 2.3):
         for j in range(5):
@@ -310,15 +286,12 @@ def check_wick_orthogonality(tol: float = 1e-8) -> CheckReport:
                 )
                 want = math.factorial(k) * sigma_sq**k if j == k else 0.0
                 err = abs(got - want) / max(1.0, abs(want))
-                worst = min(worst, tol - err)
-                if err > tol:
-                    violations.append(f"sigma^2={sigma_sq} j={j} k={k}: gap {err:.3e}")
-    return CheckReport("wick_orthogonality", not violations, worst, tuple(violations))
+                tally.add(tol - err, lambda: f"sigma^2={sigma_sq} j={j} k={k}: gap {err:.3e}")
+    return tally.report()
 
 
 def check_wick_change_roundtrip(tol: float = 1e-12) -> CheckReport:
-    worst = math.inf
-    violations = []
+    tally = Margins("wick_change_roundtrip")
     for k in (2, 3, 5, 8):
         for va, vb in ((0.3, 1.7), (2.0, 0.1)):
             size = k // 2 + 1
@@ -332,16 +305,13 @@ def check_wick_change_roundtrip(tol: float = 1e-12) -> CheckReport:
                     bw[row + j, row] = c
             scale = max(1.0, float(np.max(np.abs(fw))), float(np.max(np.abs(bw))))
             dev = float(np.max(np.abs(bw @ fw - np.eye(size)))) / scale
-            worst = min(worst, tol - dev)
-            if dev > tol:
-                violations.append(f"k={k} va={va} vb={vb}: deviation {dev:.3e}")
-    return CheckReport("wick_change_roundtrip", not violations, worst, tuple(violations))
+            tally.add(tol - dev, lambda: f"k={k} va={va} vb={vb}: deviation {dev:.3e}")
+    return tally.report()
 
 
 def check_wick_decay_slope(kappa1: int = 20) -> CheckReport:
     """Cutoff discrepancies shrink geometrically: fitted decay rate positive."""
-    worst = math.inf
-    violations = []
+    tally = Margins("wick_decay_slope")
     for q, bh in ((3, Fraction(1)), (3, Fraction(2))):
         params = params_for(q, bh)
         region = Region(q=q, ambient_level=0, ball_level=0, balls=(BallAddress(0, 0, ()),))
@@ -353,16 +323,13 @@ def check_wick_decay_slope(kappa1: int = 20) -> CheckReport:
             logs = np.log(values)
             slope = np.polyfit(np.arange(1, 11), logs, 1)[0]
             tau = -slope / math.log(q)
-            worst = min(worst, tau)
-            if tau <= 0:
-                violations.append(f"q={q} bh={bh} k={k}: tau_hat = {tau:.4f} <= 0")
-    return CheckReport("wick_decay_slope", not violations, worst, tuple(violations))
+            tally.add(tau, lambda: f"q={q} bh={bh} k={k}: tau_hat = {tau:.4f} <= 0", strict=True)
+    return tally.report()
 
 
 def check_wick_lower_bound(seed: int, n_draws: int = 100_000) -> CheckReport:
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    worst = math.inf
-    violations = []
+    tally = Margins("wick_lower_bound")
     polys = [
         wick.WickPolynomial((0.0, 0.0, 1.0)),
         wick.WickPolynomial((0.5, -1.0, 0.0, 0.0, 1.0)),
@@ -374,10 +341,9 @@ def check_wick_lower_bound(seed: int, n_draws: int = 100_000) -> CheckReport:
             x = rng.standard_normal(n_draws) * (3.0 + 2.0 * variance)
             vals = wick.wick_poly_eval(poly, x[:, None], np.ones(1), np.array([variance]))
             margin = float(vals.min() - bound)
-            worst = min(worst, margin)
-            if margin < 0:
-                violations.append(f"poly deg {poly.degree} var {variance}: violated by {-margin:.3e}")
-    return CheckReport("wick_lower_bound", not violations, worst, tuple(violations))
+            tally.add(margin, lambda: f"poly deg {poly.degree} var {variance}: "
+                      f"violated by {-margin:.3e}")
+    return tally.report()
 
 
 def _default_lattice(params: FieldParams, nu: int, l: int = 0):
@@ -393,19 +359,15 @@ def check_free_reduction(seed: int, n_samples: int = 20_000) -> CheckReport:
     m = lat.covariance_matrix(lat.precision_matrix(lattice, params))
     var = model.free_cell_variance(params, 0)
     poly = wick.WickPolynomial((0.0, 0.0, 0.0, 0.0, 1.0))
-    worst = math.inf
-    violations = []
+    tally = Margins("free_reduction_mc")
     for i, j in ((0, 0), (0, 1), (1, 2)):
         h_i = np.eye(3)[i]
         h_j = np.eye(3)[j]
         src = sampler.SourceSpec(g=np.zeros(3), h_list=(h_i, h_j))
         est = sampler.schwinger_mc(m, poly, src, seed + 10 * i + j, n_samples, var)
         gap = abs(est.value - m.entries[i, j])
-        margin = 4.0 * est.std_error - gap
-        worst = min(worst, margin)
-        if margin < 0:
-            violations.append(f"pair ({i},{j}): gap {gap:.3e} > 4 se")
-    return CheckReport("free_reduction_mc", not violations, worst, tuple(violations))
+        tally.add(4.0 * est.std_error - gap, lambda: f"pair ({i},{j}): gap {gap:.3e} > 4 se")
+    return tally.report()
 
 
 def check_griffiths_quadrature() -> CheckReport:
@@ -416,8 +378,7 @@ def check_griffiths_quadrature() -> CheckReport:
     poly = wick.WickPolynomial((0.0, -0.5, 0.0, 0.0, 1.0))
     src = sampler.SourceSpec(g=np.full(2, 0.2), h_list=())
     report = sampler.griffiths_check(m, poly, src, "quadrature", var)
-    return CheckReport("griffiths_quadrature", report.passed, report.worst_margin,
-                       report.violations)
+    return replace(report, check="griffiths_quadrature")
 
 
 def check_schwinger_monotonicity() -> CheckReport:
@@ -451,9 +412,9 @@ def check_mc_quadrature_agreement(seed: int, n_samples: int = 20_000) -> CheckRe
     q_est = sampler.schwinger_quadrature(m, poly, src, var)
     mc_est = sampler.schwinger_mc(m, poly, src, seed, n_samples, var)
     gap = abs(q_est.value - mc_est.value)
-    margin = 4.0 * mc_est.std_error - gap
-    violations = () if margin >= 0 else (f"gap {gap:.3e} beyond 4 se",)
-    return CheckReport("mc_quadrature_agreement", margin >= 0, margin, violations)
+    tally = Margins("mc_quadrature_agreement")
+    tally.add(4.0 * mc_est.std_error - gap, lambda: f"gap {gap:.3e} beyond 4 se")
+    return tally.report()
 
 
 def run_verify(seed: int) -> list[CheckReport]:

@@ -1,6 +1,7 @@
 """Config parsing, canonical round-trip, subcommand artifacts, determinism."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import padicqft.model
 from padicqft.cli import (
     ConfigError,
     _fmt,
@@ -377,6 +379,22 @@ class TestVerifySubcommand:
         b = next((tmp_path / "b").glob("verify_*.json"))
         assert a.name == b.name
         assert a.read_bytes() == b.read_bytes()
+
+    def test_nan_margin_fails_and_keeps_strict_json(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(padicqft.model, "resolvent_ball_bound_constant", lambda p: math.nan)
+        rc = main(["verify", "--config", str(Path("configs/default.ini")),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "FAIL resolvent_ball_bound (worst_margin=nan)" in capsys.readouterr().out
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        text = next((tmp_path / "o").glob("verify_*.json")).read_text()
+        report = json.loads(text, parse_constant=reject)
+        assert report["all_pass"] is False
+        failed = [c for c in report["checks"] if not c["pass"]]
+        assert [(c["check"], c["worst_margin"]) for c in failed] == [("resolvent_ball_bound", "nan")]
 
     def test_lattice_deterministic_bytes(self, tmp_path):
         cfg = tmp_path / "cfg.ini"

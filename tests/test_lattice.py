@@ -10,6 +10,7 @@ import pytest
 
 import padicqft.lattice
 from padicqft.lattice import (
+    CovarianceMatrix,
     NotPositiveDefiniteError,
     covariance_matrix,
     domination_check,
@@ -478,6 +479,53 @@ class TestOutOfOrderLattice:
             n = precision_matrix(refine(parse_region(text, 3), -2), params())
             pair += [n, covariance_matrix(n).entries]
         self._assert_sorted_twin_permuted(*pair)
+
+
+class TestChunkedDomination:
+    """domination_check reads its margins row chunk by row chunk, as one dense argmin would."""
+
+    @staticmethod
+    def _dense_reference(n, entries):
+        """The worst margin and the violation text, from one eta x eta margin array."""
+        l, amb = n.lattice.cell_level, n.lattice.region.ambient_level
+        table = [free_covariance_entry(params(), l, amb - c) for c in range(amb - l)]
+        bound = np.array(table + [free_cell_variance(params(), l)])[n.classes]
+        margins = bound - entries
+        i, j = divmod(int(np.argmin(margins)), len(entries))
+        text = (f"M[{i},{j}]={float(entries[i, j])!r} exceeds free covariance "
+                f"{float(bound[i, j])!r}")
+        return float(margins[i, j]), text
+
+    def test_no_square_temporary(self, monkeypatch, chunked):
+        # small chunks, so the chunk temporaries stay far below one eta x eta array
+        monkeypatch.setattr(padicqft.lattice, "_ROW_CHUNK", 1 << 12)
+        n, m = chunked[CHUNKED_REGIONS[0]]
+        cov = CovarianceMatrix(lattice=n.lattice, entries=m, precision=n)
+        tracemalloc.start()
+        try:
+            report = domination_check(cov, params())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 0.1 * m.nbytes
+
+    @pytest.mark.parametrize("cells", [
+        {(0, 0): 1.0, (728, 5): np.nan},  # a NaN in the last chunk, after a larger excess
+        {(700, 3): 1.0, (5, 700): 1.0},  # equal excesses: the first in row-major order
+        {(400, 401): 2.0, (3, 727): 1.0},  # the larger excess, in a later chunk
+    ])
+    def test_reports_the_dense_worst_cell(self, monkeypatch, chunked, cells):
+        monkeypatch.setattr(padicqft.lattice, "_ROW_CHUNK", 1 << 12)
+        n, m = chunked[CHUNKED_REGIONS[0]]
+        bad = np.array(m)
+        for cell, excess in cells.items():
+            bad[cell] += excess
+        report = domination_check(CovarianceMatrix(n.lattice, bad, n), params())
+        worst, text = self._dense_reference(n, bad)
+        assert not report.passed
+        assert report.worst_margin == worst or np.isnan(report.worst_margin) and np.isnan(worst)
+        assert report.violations == (text,)
 
 
 class TestRestriction:
