@@ -407,8 +407,8 @@ def run_schwinger(cfg: RunConfig, writer: _ArtifactWriter, trace: bool = False) 
         est = sampler.schwinger_quadrature(m, poly, src, var, cfg.quadrature_order)
         z = replace(est, value=est.partition)
     else:
-        est = sampler.schwinger_mc(m, poly, src, cfg.seed, cfg.n_samples, var)
-        z = sampler.partition_function_mc(m, poly, src, cfg.seed, cfg.n_samples, var)
+        draw = sampler._mc_draw(m, poly, src, var, cfg.seed, cfg.n_samples)
+        est, z = sampler._mc_schwinger(draw, src), sampler._mc_partition(draw)
     header = ["statistic", "value", "std_error", "ess", "n_samples", "method"]
     rows = [
         ["schwinger", est.value, est.std_error, est.ess if est.ess is not None else "", est.n_samples, est.method],
@@ -419,7 +419,7 @@ def run_schwinger(cfg: RunConfig, writer: _ArtifactWriter, trace: bool = False) 
     if est.low_ess or z.low_ess:
         print("warning: effective sample size below 10; estimates are low quality")
     if trace and cfg.method == "mc":  # the first rows of the draw behind both estimates
-        t = sampler._mc_draw(m, poly, src, var, cfg.seed, min(cfg.n_samples, 10_000))[0]
+        t = draw[0][:10_000]
         rows = [[i, *row] for i, row in enumerate(t.tolist())]
         header = ["index"] + [f"t{i}" for i in range(lattice.eta)]
         path = writer.write_csv(f"trace_{h}.csv", header, rows)

@@ -42,6 +42,11 @@ from .wick import WickPolynomial, wick_poly_eval
 
 MIN_MC_SAMPLES = 1_000
 MC_BATCHES = 30
+# OpenBLAS (interface/gemm.c) keeps a dgemm with m n k <= SMP_THRESHOLD_MIN *
+# GEMM_MULTITHREAD_THRESHOLD on the calling thread: 65536 * 4 in its default build,
+# as in the scipy-openblas 0.3.31 measured in BENCH_15.json; a BLAS built otherwise
+# may thread these blocks again, or leave them smaller than it needs.
+MC_PRODUCT_BLOCK = 2**18
 LOW_ESS_THRESHOLD = 10.0
 QUADRATURE_MAX_CELLS = 4
 MAX_QUADRATURE_ORDER = 512  # cap on the doubled order, which bounds the grid and the run time
@@ -106,14 +111,20 @@ def _as_variances(variances, eta: int) -> np.ndarray:
     return v
 
 
-def _batch_se(num: np.ndarray, den: np.ndarray) -> float:
-    """Batch-means standard error of the ratio sum(num) / sum(den)."""
-    size = len(num) // MC_BATCHES
-    vals = []
-    for b in range(MC_BATCHES):
-        sl = slice(b * size, (b + 1) * size)
-        dsum = den[sl].sum()
-        vals.append(num[sl].sum() / dsum if dsum > 0 else 0.0)
+def _batch_sums(x: np.ndarray) -> np.ndarray:
+    """Sums of x over MC_BATCHES consecutive equal batches; a remainder is left out."""
+    size = len(x) // MC_BATCHES
+    return x[: MC_BATCHES * size].reshape(MC_BATCHES, size).sum(axis=1)
+
+
+def _batch_se(num: np.ndarray, den_sums: np.ndarray | None = None) -> float:
+    """Batch-means standard error of the ratio sum(num) / sum(den), given den's
+    ``_batch_sums``; without them, of the plain mean of num.  A batch whose den
+    sum is not positive contributes 0."""
+    sums = _batch_sums(num)
+    if den_sums is None:
+        den_sums = np.full(MC_BATCHES, float(len(num) // MC_BATCHES))
+    vals = np.divide(sums, den_sums, out=np.zeros(MC_BATCHES), where=den_sums > 0)
     return float(np.std(vals, ddof=1) / math.sqrt(MC_BATCHES))
 
 
@@ -130,14 +141,25 @@ def _mc_draw(M, P, source, variances, seed, n_samples):
 
     L is the lower Cholesky factor of M, taken per draw: its O(eta^3 / 3) cost is
     at most about that of the n_samples * eta^2 product, as n_samples >= MIN_MC_SAMPLES.
+    The product is formed in row blocks of at most MC_PRODUCT_BLOCK multiply-adds
+    (one row at least, which exceeds it above 512 cells), each of which OpenBLAS
+    runs on the calling thread: the product takes about twice the wall time of one
+    threaded product, but no OpenBLAS helper thread is left spinning through the
+    rest of the estimate, and the draw costs one core.
     """
     P.require_semibounded()
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError(f"n_samples must be at least {MIN_MC_SAMPLES}")
+    eta = M.lattice.eta
     factor = _cholesky(M.entries, "covariance matrix")
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    t = rng.standard_normal((n_samples, M.lattice.eta)) @ factor.T
-    v = _as_variances(variances, M.lattice.eta)
+    z = rng.standard_normal((n_samples, eta))
+    t = np.empty_like(z)
+    rows = max(1, MC_PRODUCT_BLOCK // eta**2)
+    for lo in range(0, n_samples, rows):
+        np.matmul(z[lo : lo + rows], factor.T, out=t[lo : lo + rows])
+    del z
+    v = _as_variances(variances, eta)
     minus_v = -wick_poly_eval(P, t, source.g, v)
     top = float(minus_v.max())
     return t, minus_v, np.exp(minus_v - top), top
@@ -149,12 +171,13 @@ def effective_sample_size(weights: np.ndarray) -> float:
     return float(s * s / np.sum(weights * weights))
 
 
-def _mc_moments(M, P, source, variances, seed, n_samples, forms, moments):
-    """Self-normalized moments of one draw, their batch-means errors, and the ESS.
+def _mc_moments(draw, forms, moments):
+    """Self-normalized moments of a ``_mc_draw``, their batch-means errors, and the ESS.
 
     A moment indexes the forms t @ h (h in ``forms``), or t's cells if ``forms`` is None."""
-    t, _, w, _ = _mc_draw(M, P, source, variances, seed, n_samples)
+    t, _, w, _ = draw
     wsum = w.sum()
+    w_sums = _batch_sums(w)
     # not `t @ h`: a long gemv wakes OpenBLAS's helper thread, which then spins
     columns = list(t.T) if forms is None else [np.einsum("ij,j->i", t, h) for h in forms]
     vals, ses = [], []
@@ -164,8 +187,41 @@ def _mc_moments(M, P, source, variances, seed, n_samples, forms, moments):
             num = num * columns[i]
         num = num * w
         vals.append(num.sum() / wsum)
-        ses.append(_batch_se(num, w))
+        ses.append(_batch_se(num, w_sums))
     return np.array(vals), np.array(ses), effective_sample_size(w)
+
+
+def _mc_schwinger(draw, source: SourceSpec) -> SchwingerEstimate:
+    """The Schwinger estimate of ``schwinger_mc`` from a ``_mc_draw``."""
+    moment = tuple(range(len(source.h_list)))
+    vals, ses, ess = _mc_moments(draw, source.h_list, [moment])
+    return SchwingerEstimate(
+        value=float(vals[0]),
+        std_error=float(ses[0]),
+        n_samples=len(draw[0]),
+        method="mc",
+        ess=ess,
+        low_ess=not (ess >= LOW_ESS_THRESHOLD),  # a NaN ESS counts as low
+    )
+
+
+def _mc_partition(draw) -> SchwingerEstimate:
+    """The Z estimate of ``partition_function_mc`` from a ``_mc_draw``."""
+    _, _, w, top = draw
+    mean = float(w.mean())
+    log_z = math.log(mean) + top
+    if top > _LOG_FLOAT_MAX or log_z < _LOG_FLOAT_MIN:  # a NaN draw gives a low-ESS estimate
+        raise OverflowError(f"log Z = {log_z:.6g}, largest log weight {top:.6g}: out of float range")
+    scale = math.exp(top)
+    ess = effective_sample_size(w)
+    return SchwingerEstimate(
+        value=mean * scale,
+        std_error=_batch_se(w) * scale,
+        n_samples=len(w),
+        method="mc",
+        ess=ess,
+        low_ess=not (ess >= LOW_ESS_THRESHOLD),  # a NaN ESS counts as low
+    )
 
 
 def schwinger_mc(
@@ -182,16 +238,7 @@ def schwinger_mc(
     errors come from 30 batch means; an effective sample size below 10 sets
     the low_ess flag rather than failing silently.
     """
-    moment = tuple(range(len(source.h_list)))
-    vals, ses, ess = _mc_moments(M, P, source, variances, seed, n_samples, source.h_list, [moment])
-    return SchwingerEstimate(
-        value=float(vals[0]),
-        std_error=float(ses[0]),
-        n_samples=n_samples,
-        method="mc",
-        ess=ess,
-        low_ess=not (ess >= LOW_ESS_THRESHOLD),  # a NaN ESS counts as low
-    )
+    return _mc_schwinger(_mc_draw(M, P, source, variances, seed, n_samples), source)
 
 
 def partition_function_mc(
@@ -206,21 +253,7 @@ def partition_function_mc(
 
     Raises OverflowError, giving log Z, when Z or its largest weight leaves the normal
     float range."""
-    _, _, w, top = _mc_draw(M, P, source, variances, seed, n_samples)
-    mean = float(w.mean())
-    log_z = math.log(mean) + top
-    if top > _LOG_FLOAT_MAX or log_z < _LOG_FLOAT_MIN:  # a NaN draw gives a low-ESS estimate
-        raise OverflowError(f"log Z = {log_z:.6g}, largest log weight {top:.6g}: out of float range")
-    scale = math.exp(top)
-    ess = effective_sample_size(w)
-    return SchwingerEstimate(
-        value=mean * scale,
-        std_error=_batch_se(w, np.ones_like(w)) * scale,  # a mean is a ratio to a count
-        n_samples=n_samples,
-        method="mc",
-        ess=ess,
-        low_ess=not (ess >= LOW_ESS_THRESHOLD),  # a NaN ESS counts as low
-    )
+    return _mc_partition(_mc_draw(M, P, source, variances, seed, n_samples))
 
 
 def _weigh(values: np.ndarray, log_factor: np.ndarray):
@@ -399,7 +432,8 @@ def griffiths_check(
         vals, _, _ = _quadrature_converged(M, P, source, variances, None, needed, order)
         ses = np.zeros(len(needed))
     elif method == "mc":
-        vals, ses, _ = _mc_moments(M, P, source, variances, seed, n_samples, None, needed)
+        draw = _mc_draw(M, P, source, variances, seed, n_samples)
+        vals, ses, _ = _mc_moments(draw, None, needed)
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -568,7 +602,7 @@ def partition_stability(
         wp = w1**rho
         scale = math.exp(rho * top1)
         gap = abs(float(wp.mean()) * scale - est.value)
-        combined = math.sqrt((_batch_se(wp, np.ones_like(wp)) * scale) ** 2 + est.std_error**2)
+        combined = math.sqrt((_batch_se(wp) * scale) ** 2 + est.std_error**2)
         slack = 3.0 * combined - gap
         slacks.append(slack)
         if not (slack >= 0):

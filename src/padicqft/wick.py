@@ -29,6 +29,7 @@ from .model import (
 from .ultrametric import SAME, LatticeSpec
 
 MAX_WICK_POWER = 40
+EVAL_BLOCK_VALUES = 2**16  # values per wick_poly_eval block: 512 KiB, which stays in cache
 
 
 @dataclass(frozen=True)
@@ -212,7 +213,9 @@ def wick_poly_eval(P: WickPolynomial, values, g, variance_per_cell):
 
     ``values`` may be a vector (one configuration) or a samples-by-cells
     array; ``g`` and ``variance_per_cell`` are per-cell vectors.  Linear in g
-    and equal to the plain polynomial when every variance is zero.
+    and equal to the plain polynomial when every variance is zero.  Rows are
+    evaluated about EVAL_BLOCK_VALUES values at a time, so Horner's rule runs in
+    cache; a row's value does not depend on the blocks.
     """
     values = np.asarray(values, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -225,12 +228,18 @@ def wick_poly_eval(P: WickPolynomial, values, g, variance_per_cell):
     if np.any(variances < 0):
         raise ValueError("variances must be nonnegative")
     mono = np.array([_ordered_monomial_coeffs(P, v) for v in variances.tolist()])
-    per_cell = np.zeros_like(values)
-    for c in mono.T[::-1]:  # Horner's rule, highest power first
-        per_cell *= values
-        per_cell += c
-    # not `@`: a long gemv wakes OpenBLAS's helper thread, which then spins
-    return np.einsum("...j,j->...", per_cell, g)
+    rows = values.reshape(-1, eta)
+    out = np.empty(len(rows))
+    step = max(1, EVAL_BLOCK_VALUES // eta)
+    for lo in range(0, len(rows), step):  # a cache-sized block at a time
+        block = rows[lo : lo + step]
+        per_cell = np.zeros_like(block)
+        for c in mono.T[::-1]:  # Horner's rule, highest power first
+            per_cell *= block
+            per_cell += c
+        # not `@`: a long gemv wakes OpenBLAS's helper thread, which then spins
+        np.einsum("ij,j->i", per_cell, g, out=out[lo : lo + step])
+    return out.reshape(values.shape[:-1])[()]
 
 
 def wick_l2_distance(

@@ -15,9 +15,13 @@ import padicqft.sampler
 from padicqft.lattice import NotPositiveDefiniteError, covariance_matrix, precision_matrix
 from padicqft.model import FieldParams, free_cell_variance
 from padicqft.sampler import (
+    MC_BATCHES,
+    MC_PRODUCT_BLOCK,
     QuadratureError,
     SourceSpec,
     effective_sample_size,
+    _batch_se,
+    _batch_sums,
     _cholesky,
     _mc_draw,
     griffiths_check,
@@ -111,12 +115,24 @@ class TestSampleField:
         want = cov2.entries[0, 1] / cov2.entries[0, 0]  # = 52/286
         assert abs(corr - want) < 0.015
 
-    def test_draw_is_seeded_normals_times_the_factor(self, cov3):
-        # pins the draw's bytes: the seeded normals times the transposed Cholesky factor of M
-        seed, n = 9, 1000
-        z = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0]).standard_normal((n, 3))
-        want = z @ _cholesky(cov3.entries, "covariance matrix").T
-        assert np.array_equal(draw(cov3, seed, n), want)
+    def test_draw_is_seeded_normals_times_the_factor(self):
+        # pins the draw's bytes: the seeded normals times the transposed Cholesky factor of M;
+        # at 3 cells the 1,000 rows are one row block, whose bytes are the whole product's; at
+        # 27 and 54 cells they cross row blocks and end inside one, which may move last digits
+        n = 1000
+        ferro = WickPolynomial((0.0, -0.5, 0.0, 0.0, 1.0))
+        for nu, l, rel in [(3, 0, 0.0), (1, -3, 1e-14), (2, -3, 1e-14)]:
+            m = chain_cov(nu, l)
+            eta = m.lattice.eta
+            rows = MC_PRODUCT_BLOCK // eta**2
+            assert (rows >= n) if eta == 3 else (n > rows and n % rows), eta
+            z = np.random.default_rng(np.random.SeedSequence(9).spawn(1)[0]).standard_normal((n, eta))
+            want = z @ _cholesky(m.entries, "covariance matrix").T
+            src = SourceSpec(g=np.full(eta, 0.2))
+            var = free_cell_variance(params(), l)
+            t, minus_v, _, _ = _mc_draw(m, ferro, src, var, 9, n)
+            assert np.max(np.abs(t - want)) <= rel * np.max(np.abs(want)), eta
+            assert np.array_equal(minus_v, -wick_poly_eval(ferro, t, src.g, np.full(eta, var)))
 
     def test_indefinite_covariance_rejected_at_draw_time(self, cov2):
         bad = replace(cov2, entries=np.array([[1.0, 2.0], [2.0, 1.0]]))
@@ -242,16 +258,34 @@ class TestVectorReductions:
         w[17] = np.nan
         assert math.isnan(effective_sample_size(w))
 
-    def test_form_columns_match_fsum(self, monkeypatch):
+    @pytest.mark.parametrize("n", [1000, 20_011])
+    def test_batch_se_matches_slice_sums(self, n):
+        # the loop over batch slices that the reshaped sums replace, as the reference
+        rng = np.random.default_rng(n)
+        num, den = rng.standard_normal(n), rng.uniform(0.0, 1.0, n)
+        size = n // MC_BATCHES
+        den[2 * size : 3 * size] = 0.0  # a batch with no weight contributes 0
+
+        def loop_se(den):
+            vals = []
+            for b in range(MC_BATCHES):
+                sl = slice(b * size, (b + 1) * size)
+                dsum = den[sl].sum()
+                vals.append(num[sl].sum() / dsum if dsum > 0 else 0.0)
+            return float(np.std(vals, ddof=1) / math.sqrt(MC_BATCHES))
+
+        assert _batch_se(num, _batch_sums(den)) == loop_se(den)
+        assert _batch_se(num) == loop_se(np.ones(n))
+
+    def test_form_columns_match_fsum(self):
         rng = np.random.default_rng(4)
         t = rng.uniform(0.5, 2.0, (20_000, 3))
         w = rng.uniform(0.0, 1.0, 20_000)
         forms = [np.array([0.3, 1.0, 0.7]), np.array([0.0, 0.5, 2.0])]
         moments = [(0,), (1,), (0, 1)]
-        monkeypatch.setattr(padicqft.sampler, "_mc_draw", lambda *args: (t, None, w, None))
 
         def moments_of(t):
-            return padicqft.sampler._mc_moments(None, None, None, None, 0, len(t), forms, moments)
+            return padicqft.sampler._mc_moments((t, None, w, None), forms, moments)
 
         columns = [[math.fsum(x * h for x, h in zip(row, form)) for row in t.tolist()]
                    for form in forms]

@@ -24,7 +24,9 @@ from padicqft.model import (
 from padicqft.ultrametric import BallAddress, Region, parse_region, refine
 from padicqft.verify import check_wick_decay_slope, params_for, random_region_with_level
 from padicqft.wick import (
+    EVAL_BLOCK_VALUES,
     WickPolynomial,
+    _ordered_monomial_coeffs,
     wick_change_of_variance,
     wick_change_of_variance_coeffs,
     wick_coefficients,
@@ -273,6 +275,27 @@ class TestPolyEval:
         got = wick_poly_eval(poly, t, g, v)
         assert np.isnan(got[7]) and np.all(np.isfinite(np.delete(got, 7)))
         assert np.isnan(wick_poly_eval(poly, t[7], g, v))
+
+    @pytest.mark.parametrize("eta", [1, 27, 54])
+    def test_blocks_match_one_pass(self, eta):
+        # bit for bit: each block of rows alone, and Horner's rule over all rows at once
+        block = EVAL_BLOCK_VALUES // eta
+        rng = np.random.default_rng(eta)
+        poly = WickPolynomial((0.5, -1.0, 2.0, 0.0, 1.0))
+        g, v = rng.random(eta), rng.random(eta)
+        mono = np.array([_ordered_monomial_coeffs(poly, x) for x in v])
+        for n in (1, block - 1, block, block + 1, 3 * block + 7):
+            t = rng.standard_normal((n, eta))
+            per_cell = np.zeros_like(t)
+            for c in mono.T[::-1]:
+                per_cell *= t
+                per_cell += c
+            got = wick_poly_eval(poly, t, g, v)
+            assert np.array_equal(got, np.einsum("ij,j->i", per_cell, g)), n
+            for lo in range(0, n, block):
+                assert np.array_equal(got[lo : lo + block], wick_poly_eval(poly, t[lo : lo + block], g, v))
+            one = wick_poly_eval(poly, t[-1], g, v)
+            assert np.ndim(one) == 0 and one == got[-1]
 
     def test_length_mismatch(self):
         poly = WickPolynomial((0.0, 0.0, 1.0))
