@@ -81,6 +81,10 @@ class _BallTree:
     a depth-c tree node are a maximal run of sorted cells joined by lcp >= c, and
     the distance class of a pair is the depth of the deepest node holding both.
     ``pairs[c]`` is one cell pair of class c, or None where no pair has that class.
+    The node table, per depth c = 0..leaf (depth leaf: the cells): ``bounds[c]``
+    holds the sorted positions where the depth-c nodes start, then eta; for c < leaf,
+    ``firsts[c]`` holds each depth-c node's first child among the depth-(c+1)
+    nodes, then the count of depth-(c+1) nodes.
     """
 
     order: np.ndarray
@@ -88,23 +92,8 @@ class _BallTree:
     lcp: np.ndarray
     leaf: int  # amb - l, the class of the diagonal
     pairs: tuple
-
-    def runs(self, depth: int, lo: int = 0, hi: int | None = None):
-        """(lo, hi) sorted-position ranges of the tree nodes at ``depth`` within [lo, hi)."""
-        hi = len(self.order) if hi is None else hi
-        cuts = np.flatnonzero(self.lcp[lo : hi - 1] < depth) + lo + 1
-        bounds = [lo, *cuts.tolist(), hi]
-        return zip(bounds[:-1], bounds[1:])
-
-    def levels(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cut, node) over depths 0..leaf, depth leaf being the cells.
-
-        ``cut[c, k]``: the k-th sorted cell is the first of its depth-c node;
-        ``node[c, k]``: that node's index among the depth-c nodes.
-        """
-        cut = np.ones((self.leaf + 1, len(self.order)), dtype=bool)
-        cut[:, 1:] = self.lcp < np.arange(self.leaf + 1)[:, None]
-        return cut, np.cumsum(cut, axis=1) - 1
+    bounds: tuple
+    firsts: tuple
 
     def to_cells(self, ranked: np.ndarray) -> np.ndarray:
         """A matrix indexed by sorted position, permuted in place into cell order.
@@ -132,11 +121,15 @@ class _BallTree:
         """Pairwise distance classes, one byte per pair for up to 256 classes.
 
         Each node's block is set to its depth, root first, so deeper nodes overwrite.
+        Every other eta x eta array of a lattice is built after this one, so it holds the cap.
         """
         eta = len(self.order)
+        if eta > MAX_DENSE_CELLS:
+            raise ValueError(f"lattice has {eta} cells (> {MAX_DENSE_CELLS})")
         out = np.zeros((eta, eta), dtype=self.lcp.dtype)
         for depth in range(1, self.leaf):
-            for lo, hi in self.runs(depth):
+            bounds = self.bounds[depth].tolist()
+            for lo, hi in zip(bounds, bounds[1:]):
                 if hi - lo > 1:
                     out[lo:hi, lo:hi] = depth
         out.flat[:: eta + 1] = self.leaf
@@ -144,7 +137,7 @@ class _BallTree:
 
 
 def _ball_tree(lattice: LatticeSpec) -> _BallTree:
-    """Lexsort the digit rows once and take the common prefix of each adjacent pair."""
+    """Lexsort the digit rows once, take each adjacent pair's common prefix, cut the nodes."""
     eta, leaf = lattice.eta, lattice.region.ambient_level - lattice.cell_level
     digits = np.asarray([c.digits for c in lattice.cells], dtype=np.int64).reshape(eta, leaf)
     if not leaf:  # one cell, the whole ambient ball
@@ -156,7 +149,12 @@ def _ball_tree(lattice: LatticeSpec) -> _BallTree:
     for k, c in enumerate(lcp.tolist()):
         if pairs[c] is None:
             pairs[c] = (int(order[k]), int(order[k + 1]))
-    return _BallTree(order, bool(np.all(order[1:] > order[:-1])), lcp, leaf, tuple(pairs))
+    cut = np.ones((leaf + 1, eta + 1), dtype=bool)  # cut[c, k]: a depth-c node starts at k
+    cut[:, 1:-1] = lcp < np.arange(leaf + 1)[:, None]
+    bounds = [row.nonzero()[0] for row in cut]
+    firsts = [bounds[c + 1].searchsorted(bounds[c]) for c in range(leaf)]
+    in_order = bool(np.all(order[1:] > order[:-1]))
+    return _BallTree(order, in_order, lcp, leaf, tuple(pairs), tuple(bounds), tuple(firsts))
 
 
 def precision_diagonal(params: FieldParams, l: int, diagonal_mass_term: bool = True) -> float:
@@ -192,9 +190,6 @@ def precision_matrix(
     pairs of nested regions produce bit-identical entries (the restriction
     identity is exact).
     """
-    eta = lattice.eta
-    if eta > MAX_DENSE_CELLS:
-        raise ValueError(f"lattice has {eta} cells (> {MAX_DENSE_CELLS})")
     l, amb = lattice.cell_level, lattice.region.ambient_level
     tree = _ball_tree(lattice)
     classes = tree.classes()
@@ -261,17 +256,15 @@ def _tree_inverse(N: PrecisionMatrix) -> np.ndarray:
     with decimal.localcontext() as ctx:
         ctx.prec = _NODE_DIGITS
         beta, d_prime = _class_couplings(N, decimal.Decimal)
-        starts, sums = range(eta), [1 / d_prime] * eta  # the nodes one level down
+        sums = [1 / d_prime] * eta  # s / den of the nodes one level down
         m = np.zeros((eta, eta))
         m.flat[:: eta + 1] = float(1 / d_prime)
         u = np.full(eta, float(1 / d_prime))
         for depth in range(tree.leaf - 1, -1, -1):
-            b = beta[depth]
-            runs, node_sums, child = list(tree.runs(depth)), [], 0
-            for lo, hi in runs:
-                s = decimal.Decimal(0)
-                while child < len(starts) and starts[child] < hi:
-                    s, child = s + sums[child], child + 1
+            b, node_sums = beta[depth], []
+            bounds, firsts = tree.bounds[depth].tolist(), tree.firsts[depth].tolist()
+            for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                s = sum(sums[firsts[k] : firsts[k + 1]], decimal.Decimal(0))
                 den = 1 + b * s
                 if not (den > 0):
                     raise NotPositiveDefiniteError("precision matrix", int(tree.order[lo]) + 1)
@@ -283,7 +276,7 @@ def _tree_inverse(N: PrecisionMatrix) -> np.ndarray:
                         block = m[lo + rows.start : lo + rows.stop, lo:hi]
                         block += np.multiply.outer(left[rows], v)
                     u[lo:hi] /= float(den)
-            starts, sums = [lo for lo, _ in runs], node_sums
+            sums = node_sums
     return tree.to_cells(m)
 
 
@@ -300,9 +293,6 @@ def _inverse_residual(m: np.ndarray, N: PrecisionMatrix) -> np.float64:
     tree = N.tree
     eta, leaf = len(tree.order), tree.leaf
     beta, d_prime = _class_couplings(N)
-    cut, node = tree.levels()
-    firsts = [node[c + 1][cut[c]] for c in range(leaf)]  # each node's first child
-    parents = [np.zeros(1, dtype=np.intp)] + [node[c - 1][cut[c]] for c in range(1, leaf + 1)]
     residual = np.float64(0.0)
     for rows in _row_chunks(eta):
         if tree.in_order:
@@ -311,11 +301,10 @@ def _inverse_residual(m: np.ndarray, N: PrecisionMatrix) -> np.float64:
             x = m.T[np.ix_(tree.order, tree.order[rows])]
         sums = [x]  # sums[k]: (M 1_a) over the depth leaf - k nodes a
         for c in range(leaf - 1, -1, -1):
-            sums.append(np.add.reduceat(sums[-1], firsts[c], axis=0))
-        path = np.zeros((1, x.shape[1]))
-        for c in range(leaf):
-            path = path[parents[c]] + beta[c] * sums[leaf - c]
-        out = path[parents[leaf]]
+            sums.append(np.add.reduceat(sums[-1], tree.firsts[c][:-1], axis=0))
+        out = np.zeros((1, x.shape[1]))  # above the root; a one-cell tree (leaf 0) reads it as is
+        for c in range(leaf):  # the depth-c path sums, repeated down to each depth-(c+1) child
+            out = np.repeat(out + beta[c] * sums[leaf - c], np.diff(tree.firsts[c]), axis=0)
         out += d_prime * x
         out[rows].flat[:: x.shape[1] + 1] -= 1.0  # the chunk's diagonal
         residual = np.maximum(residual, np.abs(out, out=out).max())

@@ -279,13 +279,17 @@ def _tree_pass(M, P, source, variances, forms, moments, order):
 
     t^T N t = D' sum t_i^2 + sum over tree nodes a of beta_depth(a) (sum of t under a)^2
     (``_class_couplings``).  A leaf is exp(-D' t^2 / 2 - g_i :P:(t)) t^a_i; a node
-    convolves its children and multiplies by exp(-beta s^2 / 2).  Each array is
-    kept at max |.| = 1 with its log scale alongside.  Spacing 4 / (order sqrt D'),
-    over +-12 sd of the widest cell.
+    convolves its children, read from the tree's node table in order of lowest
+    cell index, and multiplies by exp(-beta s^2 / 2).  Each array is kept at
+    max |.| = 1 with its log scale alongside.  Spacing 4 / (order sqrt D'), over
+    +-12 sd of the widest cell.
     """
     N = M.precision
     eta, tree = M.lattice.eta, N.tree
     cells = tree.order.tolist()  # cell indices by sorted position
+    bounds = [b.tolist() for b in tree.bounds]
+    firsts = [f.tolist() for f in tree.firsts]
+    lowest = [np.minimum.reduceat(tree.order, b[:-1]).tolist() for b in tree.bounds]
     beta, d_prime = _class_couplings(N)
     step = 4.0 / (order * math.sqrt(d_prime))
     half = math.ceil(QUADRATURE_WINDOW * math.sqrt(float(np.max(np.diag(M.entries)))) / step)
@@ -297,31 +301,32 @@ def _tree_pass(M, P, source, variances, forms, moments, order):
     ]
     memo: dict = {}
 
-    def subtree(lo, hi, depth, powers):
-        """(array, log scale) of the node at ``depth`` on sorted cells lo..hi-1, memoized."""
-        key = (lo, hi, depth, tuple(powers[i] for i in cells[lo:hi]))
+    def subtree(depth, k, powers):
+        """(array, log scale) of the k-th node at ``depth``, memoized."""
+        lo, hi = bounds[depth][k], bounds[depth][k + 1]
+        key = (depth, k, tuple(powers[i] for i in cells[lo:hi]))
         if key in memo:
             return memo[key]
         if depth == tree.leaf:
             memo[key] = _weigh(x ** powers[cells[lo]], log_leaf[cells[lo]])
             return memo[key]
         arr, scale = np.ones(1), 0.0
-        children = sorted(tree.runs(depth + 1, lo, hi), key=lambda r: min(cells[r[0] : r[1]]))
-        for c_lo, c_hi in children:  # by lowest cell index, so the sums keep one order
-            c_arr, c_scale = subtree(c_lo, c_hi, depth + 1, powers)
+        children = range(firsts[depth][k], firsts[depth][k + 1])
+        for child in sorted(children, key=lowest[depth + 1].__getitem__):
+            c_arr, c_scale = subtree(depth + 1, child, powers)
             arr, scale = np.convolve(arr, c_arr), scale + c_scale
         s = step * (np.arange(len(arr)) - len(arr) // 2)
         arr, top = _weigh(arr, -0.5 * beta[depth] * s * s)
         memo[key] = arr, scale + top
         return memo[key]
 
-    base, base_scale = subtree(0, eta, 0, (0,) * eta)
+    base, base_scale = subtree(0, 0, (0,) * eta)
     base_sum = float(base.sum())
     vals = np.zeros(len(moments))
     with np.errstate(over="ignore"):
         for s_i, moment in enumerate(moments):
             for powers, coeff in _cell_monomials(moment, forms, eta).items():
-                arr, scale = subtree(0, eta, 0, powers)
+                arr, scale = subtree(0, 0, powers)
                 vals[s_i] += coeff * (float(arr.sum()) / base_sum) * np.exp(scale - base_scale)
         sign, logdet = np.linalg.slogdet(N.entries)
         log_z = base_scale + math.log(base_sum) + eta * math.log(step / math.sqrt(2.0 * math.pi))

@@ -308,8 +308,9 @@ def wick_l2_decay(
 
     # cross-cell pairs in row-major upper-triangle order, grouped by distance class
     # c (distance amb - c), nearest class first
-    upper = np.triu(np.ones((lattice.eta, lattice.eta), dtype=bool), 1)
-    classes = _ball_tree(lattice).classes()[upper]
+    classes = _ball_tree(lattice).classes()  # first, so it holds the cell cap
+    upper = np.triu(np.ones_like(classes, dtype=bool), 1)
+    classes = classes[upper]
     weights = np.bincount(classes, weights=np.outer(2.0 * g, g)[upper])
     pairs = [(weights[c], amb - int(c)) for c in np.flatnonzero(np.bincount(classes))[::-1]]
     g_sq = float(np.sum(g * g))

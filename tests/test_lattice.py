@@ -25,6 +25,7 @@ from padicqft.model import FieldParams, free_cell_variance, free_covariance_entr
 from padicqft.sampler import _cholesky
 from padicqft.ultrametric import BallAddress, Region, parse_region, refine
 from padicqft.verify import params_for, random_nested_pair, random_region_with_level
+from padicqft.wick import wick_l2_distance
 
 import oracles
 
@@ -82,6 +83,8 @@ class TestPrecisionMatrix:
         lat = refine(region, -8, max_cells=10**5)
         with pytest.raises(ValueError):
             precision_matrix(lat, params())
+        with pytest.raises(ValueError, match="19683 cells"):
+            wick_l2_distance(params(), 2, 1, 2, lat, np.ones(lat.eta))
 
     def test_translation_invariance_under_relabeling(self):
         # permuting the region's balls permutes the matrix accordingly
@@ -127,7 +130,7 @@ class TestPrecisionMatrix:
                         assert n.entries[a, b] == precision_offdiagonal(p, l, d)
                         assert n.classes[a, b] == amb - d
 
-    def test_distance_matrix_built_once_per_lattice(self, monkeypatch):
+    def test_ball_tree_built_once_per_lattice(self, monkeypatch):
         calls = []
         build = padicqft.lattice._ball_tree
 
@@ -145,6 +148,8 @@ class TestPrecisionMatrix:
     def test_classes_match_pairwise_on_unsorted_regions(self):
         rand = random.Random(10)
         lattices = [refine(parse_region(text, 3), l) for text, l in FIXED_REGIONS]
+        whole = Region(q=3, ambient_level=1, ball_level=1, balls=(BallAddress(1, 1, ()),))
+        lattices += [refine(whole, 1), refine(chain_region(1), 0)]  # one cell, leaf 0 and 1
         for i in range(16):
             region, l = random_region_with_level(rand, (3, 5)[i % 2], max_eta=40)
             lattices.append(refine(_shuffled(region, rand), l))
@@ -158,7 +163,22 @@ class TestPrecisionMatrix:
                 for b in range(lat.eta):
                     if a != b:
                         assert n.classes[a, b] == amb - lat.cell_distance(a, b)
+            _assert_node_table(n.tree, lat)
         assert unsorted >= 4
+
+
+def _assert_node_table(tree, lat):
+    """bounds and firsts against their definitions, from the sorted cells' digits."""
+    digits = [lat.cells[i].digits for i in tree.order]
+    assert digits == sorted(digits)
+    assert len(tree.bounds) == tree.leaf + 1 and len(tree.firsts) == tree.leaf
+    for c in range(tree.leaf + 1):
+        starts = [k for k in range(1, lat.eta) if digits[k][:c] != digits[k - 1][:c]]
+        assert tree.bounds[c].tolist() == [0, *starts, lat.eta]
+    for c in range(tree.leaf):
+        below = tree.bounds[c + 1].tolist()
+        want = [next(j for j, b in enumerate(below) if b >= lo) for lo in tree.bounds[c]]
+        assert tree.firsts[c].tolist() == want
 
 
 class TestCovarianceMatrix:
