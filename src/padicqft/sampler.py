@@ -38,7 +38,7 @@ from .lattice import (
 from .model import FieldParams, free_cell_variance
 from .reporting import CheckReport, Margins
 from .ultrametric import Region
-from .wick import WickPolynomial, wick_poly_eval
+from .wick import EVAL_BLOCK_VALUES, WickPolynomial, _poly_rows, _poly_table, wick_poly_eval
 
 MIN_MC_SAMPLES = 1_000
 MC_BATCHES = 30
@@ -141,28 +141,42 @@ def _mc_draw(M, P, source, variances, seed, n_samples):
 
     L is the lower Cholesky factor of M, taken per draw: its O(eta^3 / 3) cost is
     at most about that of the n_samples * eta^2 product, as n_samples >= MIN_MC_SAMPLES.
-    The product is formed in row blocks of at most MC_PRODUCT_BLOCK multiply-adds
-    (one row at least, which exceeds it above 512 cells), each of which OpenBLAS
-    runs on the calling thread: the product takes about twice the wall time of one
-    threaded product, but no OpenBLAS helper thread is left spinning through the
-    rest of the estimate, and the draw costs one core.
+    The draw is one pass over sample blocks of about EVAL_BLOCK_VALUES values: each
+    fills one reused block of normals z, forms its rows of t and evaluates their
+    -:P:(g) while they are in cache, so the draw holds t and one block, never a whole
+    z.  The normals do not depend on the blocks, being one stream in row order.  The
+    product runs in row blocks of at most MC_PRODUCT_BLOCK multiply-adds, starting at
+    the same rows whatever the sample block, so t's bytes do not depend on it either;
+    OpenBLAS runs each on the calling thread, and the draw costs one core.  Above 512
+    cells one row exceeds MC_PRODUCT_BLOCK, and the product is formed once per sample
+    block instead of as one-row products, which OpenBLAS threads anyway.
     """
     P.require_semibounded()
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError(f"n_samples must be at least {MIN_MC_SAMPLES}")
     eta = M.lattice.eta
     factor = _cholesky(M.entries, "covariance matrix")
+    g, mono = _poly_table(P, source.g, _as_variances(variances, eta), eta)
+    rows = MC_PRODUCT_BLOCK // eta**2
+    if rows:  # a whole number of product blocks per sample block
+        block = rows * max(1, EVAL_BLOCK_VALUES // (rows * eta))
+    else:
+        block = rows = max(1, EVAL_BLOCK_VALUES // eta)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    z = rng.standard_normal((n_samples, eta))
-    t = np.empty_like(z)
-    rows = max(1, MC_PRODUCT_BLOCK // eta**2)
-    for lo in range(0, n_samples, rows):
-        np.matmul(z[lo : lo + rows], factor.T, out=t[lo : lo + rows])
-    del z
-    v = _as_variances(variances, eta)
-    minus_v = -wick_poly_eval(P, t, source.g, v)
+    z = np.empty((min(block, n_samples), eta))
+    t = np.empty((n_samples, eta))
+    minus_v = np.empty(n_samples)
+    for lo in range(0, n_samples, block):
+        z_b = z[: n_samples - lo]
+        t_b, v_b = t[lo : lo + len(z_b)], minus_v[lo : lo + len(z_b)]
+        rng.standard_normal(out=z_b)
+        for r in range(0, len(z_b), rows):
+            np.matmul(z_b[r : r + rows], factor.T, out=t_b[r : r + rows])
+        _poly_rows(mono, g, t_b, v_b)
+        np.negative(v_b, out=v_b)
     top = float(minus_v.max())
-    return t, minus_v, np.exp(minus_v - top), top
+    w = minus_v - top
+    return t, minus_v, np.exp(w, out=w), top
 
 
 def effective_sample_size(weights: np.ndarray) -> float:
@@ -174,18 +188,28 @@ def effective_sample_size(weights: np.ndarray) -> float:
 def _mc_moments(draw, forms, moments):
     """Self-normalized moments of a ``_mc_draw``, their batch-means errors, and the ESS.
 
-    A moment indexes the forms t @ h (h in ``forms``), or t's cells if ``forms`` is None."""
+    A moment indexes the forms t @ h (h in ``forms``), or t's cells if ``forms`` is None.
+    A moment's product is taken left to right, so a moment that starts as the one
+    before it reuses the products of that prefix; only the current chain is kept."""
     t, _, w, _ = draw
     wsum = w.sum()
     w_sums = _batch_sums(w)
     # not `t @ h`: a long gemv wakes OpenBLAS's helper thread, which then spins
-    columns = list(t.T) if forms is None else [np.einsum("ij,j->i", t, h) for h in forms]
+    if forms is None:
+        columns = np.ascontiguousarray(t.T)  # a strided column takes twice as long to read
+    else:
+        columns = [np.einsum("ij,j->i", t, h) for h in forms]
     vals, ses = [], []
+    chain, last = [], ()  # chain[k]: the product of the columns last[0..k]
     for moment in moments:
-        num = np.ones(len(t))
-        for i in moment:
-            num = num * columns[i]
-        num = num * w
+        k = 0
+        while k < min(len(moment), len(chain)) and moment[k] == last[k]:
+            k += 1
+        del chain[k:]
+        for i in moment[k:]:
+            chain.append(chain[-1] * columns[i] if chain else columns[i])
+        last = moment
+        num = chain[-1] * w if chain else w
         vals.append(num.sum() / wsum)
         ses.append(_batch_se(num, w_sums))
     return np.array(vals), np.array(ses), effective_sample_size(w)

@@ -218,19 +218,31 @@ def wick_poly_eval(P: WickPolynomial, values, g, variance_per_cell):
     cache; a row's value does not depend on the blocks.
     """
     values = np.asarray(values, dtype=float)
+    eta = values.shape[-1]
+    g, mono = _poly_table(P, g, variance_per_cell, eta)
+    rows = values.reshape(-1, eta)
+    out = np.empty(len(rows))
+    _poly_rows(mono, g, rows, out)
+    return out.reshape(values.shape[:-1])[()]
+
+
+def _poly_table(P: WickPolynomial, g, variance_per_cell, eta: int):
+    """g as a float vector, checked against eta cells, and the cells-by-powers table
+    of :P:'s plain-power coefficients at each cell's variance."""
     g = np.asarray(g, dtype=float)
     variances = np.asarray(variance_per_cell, dtype=float)
-    eta = values.shape[-1]
     if g.shape != (eta,) or variances.shape != (eta,):
         raise ValueError(
             f"length mismatch: values have {eta} cells, g has {g.shape}, variances {variances.shape}"
         )
     if np.any(variances < 0):
         raise ValueError("variances must be nonnegative")
-    mono = np.array([_ordered_monomial_coeffs(P, v) for v in variances.tolist()])
-    rows = values.reshape(-1, eta)
-    out = np.empty(len(rows))
-    step = max(1, EVAL_BLOCK_VALUES // eta)
+    return g, np.array([_ordered_monomial_coeffs(P, v) for v in variances.tolist()])
+
+
+def _poly_rows(mono: np.ndarray, g: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """:P:(g) of each row of a samples-by-cells array into ``out``, from ``_poly_table``."""
+    step = max(1, EVAL_BLOCK_VALUES // rows.shape[1])
     for lo in range(0, len(rows), step):  # a cache-sized block at a time
         block = rows[lo : lo + step]
         per_cell = np.zeros_like(block)
@@ -239,7 +251,6 @@ def wick_poly_eval(P: WickPolynomial, values, g, variance_per_cell):
             per_cell += c
         # not `@`: a long gemv wakes OpenBLAS's helper thread, which then spins
         np.einsum("ij,j->i", per_cell, g, out=out[lo : lo + step])
-    return out.reshape(values.shape[:-1])[()]
 
 
 def wick_l2_distance(

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from padicqft.sampler import (
     _batch_sums,
     _cholesky,
     _mc_draw,
+    default_moment_sets,
     griffiths_check,
     monotonicity_experiment,
     partition_function_mc,
@@ -34,7 +36,7 @@ from padicqft.sampler import (
 )
 from padicqft.ultrametric import BallAddress, Region, parse_region, refine
 from padicqft.verify import params_for, random_region_with_level
-from padicqft.wick import WickPolynomial, wick_poly_eval, wick_poly_lower_bound
+from padicqft.wick import EVAL_BLOCK_VALUES, WickPolynomial, wick_poly_eval, wick_poly_lower_bound
 
 import oracles
 
@@ -118,21 +120,75 @@ class TestSampleField:
     def test_draw_is_seeded_normals_times_the_factor(self):
         # pins the draw's bytes: the seeded normals times the transposed Cholesky factor of M;
         # at 3 cells the 1,000 rows are one row block, whose bytes are the whole product's; at
-        # 27 and 54 cells they cross row blocks and end inside one, which may move last digits
-        n = 1000
+        # 27 and 54 cells they cross row blocks and end inside one, which may move last digits;
+        # the second row count crosses several sample blocks and ends inside one
         ferro = WickPolynomial((0.0, -0.5, 0.0, 0.0, 1.0))
         for nu, l, rel in [(3, 0, 0.0), (1, -3, 1e-14), (2, -3, 1e-14)]:
             m = chain_cov(nu, l)
             eta = m.lattice.eta
             rows = MC_PRODUCT_BLOCK // eta**2
-            assert (rows >= n) if eta == 3 else (n > rows and n % rows), eta
-            z = np.random.default_rng(np.random.SeedSequence(9).spawn(1)[0]).standard_normal((n, eta))
-            want = z @ _cholesky(m.entries, "covariance matrix").T
+            block = rows * max(1, EVAL_BLOCK_VALUES // (rows * eta))  # a sample block's rows
+            factor = _cholesky(m.entries, "covariance matrix")
             src = SourceSpec(g=np.full(eta, 0.2))
             var = free_cell_variance(params(), l)
-            t, minus_v, _, _ = _mc_draw(m, ferro, src, var, 9, n)
-            assert np.max(np.abs(t - want)) <= rel * np.max(np.abs(want)), eta
-            assert np.array_equal(minus_v, -wick_poly_eval(ferro, t, src.g, np.full(eta, var)))
+            for n in (1000, 2 * block + 1001):
+                if n == 1000:
+                    assert (rows >= n) if eta == 3 else (n > rows and n % rows), eta
+                else:
+                    assert n > 2 * block and n % block, eta
+                z = np.random.default_rng(np.random.SeedSequence(9).spawn(1)[0]).standard_normal((n, eta))
+                want = z @ factor.T
+                t, minus_v, _, _ = _mc_draw(m, ferro, src, var, 9, n)
+                assert np.max(np.abs(t - want)) <= rel * np.max(np.abs(want)), (eta, n)
+                assert np.array_equal(minus_v, -wick_poly_eval(ferro, t, src.g, np.full(eta, var)))
+
+    def test_normals_do_not_depend_on_the_blocks(self):
+        # the draw fills one reused buffer a block at a time, and relies on numpy's stream
+        # giving the same normals as one call for the whole array
+        n, eta, block = 5003, 27, 1000
+        want = np.random.default_rng(np.random.SeedSequence(9).spawn(1)[0]).standard_normal((n, eta))
+        rng = np.random.default_rng(np.random.SeedSequence(9).spawn(1)[0])
+        buf = np.empty((block, eta))
+        got = np.empty((n, eta))
+        for lo in range(0, n, block):
+            part = buf[: n - lo]
+            rng.standard_normal(out=part)
+            got[lo : lo + len(part)] = part
+        assert np.array_equal(got, want)
+
+    def test_draw_holds_t_and_one_block(self):
+        # no whole array of normals beside t: the draw's peak is t plus a sample block
+        # and the sample-length vectors
+        m = chain_cov(2, -3)
+        src = SourceSpec(g=np.full(54, 0.2))
+        var = free_cell_variance(params(), -3)
+        tracemalloc.start()
+        try:
+            t = _mc_draw(m, X4, src, var, 3, 20_000)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.nbytes < peak < 1.2 * t.nbytes
+
+    def test_product_once_per_sample_block_above_512_cells(self, monkeypatch):
+        # at 729 cells one row exceeds MC_PRODUCT_BLOCK, so each sample block is one product
+        m = chain_cov(1, -6)
+        eta, n = m.lattice.eta, 1000
+        assert eta == 729 and eta**2 > MC_PRODUCT_BLOCK
+        calls = []
+        matmul = np.matmul
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        t = _mc_draw(m, X4, SourceSpec(g=np.full(eta, 0.2)), free_cell_variance(params(), -6), 9, n)[0]
+        monkeypatch.undo()
+        assert 0 < len(calls) <= math.ceil(n / (EVAL_BLOCK_VALUES // eta))
+        z = np.random.default_rng(np.random.SeedSequence(9).spawn(1)[0]).standard_normal((n, eta))
+        want = z @ _cholesky(m.entries, "covariance matrix").T
+        assert np.max(np.abs(t - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_indefinite_covariance_rejected_at_draw_time(self, cov2):
         bad = replace(cov2, entries=np.array([[1.0, 2.0], [2.0, 1.0]]))
@@ -298,6 +354,57 @@ class TestVectorReductions:
             assert got == pytest.approx(want, rel=1e-14, abs=0.0), moment
         t[9, 1] = np.nan
         assert np.all(np.isnan(moments_of(t)[0]))
+
+    @staticmethod
+    def _plain_moments(t, w, forms, moments):
+        """One product per moment, from ones, as the reference for the shared prefixes."""
+        columns = list(t.T) if forms is None else [np.einsum("ij,j->i", t, h) for h in forms]
+        vals, ses = [], []
+        for moment in moments:
+            num = np.ones(len(t))
+            for i in moment:
+                num = num * columns[i]
+            num = num * w
+            vals.append(num.sum() / w.sum())
+            ses.append(_batch_se(num, _batch_sums(w)))
+        return np.array(vals), np.array(ses), effective_sample_size(w)
+
+    @pytest.fixture(scope="class")
+    def draw27(self):
+        m = chain_cov(1, -3)
+        src = SourceSpec(g=np.full(27, 0.2))
+        ferro = WickPolynomial((0.0, -0.5, 0.0, 0.0, 1.0))
+        return _mc_draw(m, ferro, src, free_cell_variance(params(), -3), 41, 20_000)
+
+    def test_shared_prefixes_match_one_product_per_moment(self, draw27):
+        t, _, w, _ = draw27
+        firsts, seconds = default_moment_sets(27)
+        griffiths = sorted({tuple(sorted(m)) for m in firsts}
+                           | {tuple(sorted(a + b)) for a, b in seconds}
+                           | {tuple(sorted(m)) for pair in seconds for m in pair})
+        unsorted = [(3, 1, 1), (3,), (), (2, 5, 2, 5), (3, 1, 1), (3, 1), (2, 5), (), (0, 0, 0, 0), (3, 1, 1)]
+        forms = [np.linspace(0.1, 1.0, 27), np.eye(27)[4], np.full(27, -0.3)]
+        cases = [(None, griffiths), (None, unsorted), (forms, [(1, 0), (1, 0, 2), (), (1,), (1, 0, 2)])]
+        for forms, moments in cases:
+            got = padicqft.sampler._mc_moments(draw27, forms, moments)
+            want = self._plain_moments(t, w, forms, moments)
+            for g, x in zip(got, want):
+                assert np.array_equal(g, x), moments
+            for k, moment in enumerate(moments):
+                if not moment:
+                    assert got[0][k] == 1.0
+
+    def test_moments_keep_one_chain_of_products(self, draw27):
+        # a cache of every product would hold one sample-length vector per moment prefix
+        t, _, w, _ = draw27
+        moments = [(i, i, j, j) for i in range(27) for j in range(i, 27)]
+        tracemalloc.start()
+        try:
+            padicqft.sampler._mc_moments(draw27, None, moments)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < t.nbytes + 10 * w.nbytes
 
 
 class TestStrongCouplingMC:
