@@ -20,6 +20,7 @@ and growth under region extension are the checkable facts.
 from __future__ import annotations
 
 import decimal
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -139,7 +140,9 @@ class _BallTree:
 def _ball_tree(lattice: LatticeSpec) -> _BallTree:
     """Lexsort the digit rows once, take each adjacent pair's common prefix, cut the nodes."""
     eta, leaf = lattice.eta, lattice.region.ambient_level - lattice.cell_level
-    digits = np.asarray([c.digits for c in lattice.cells], dtype=np.int64).reshape(eta, leaf)
+    digits = np.fromiter(
+        itertools.chain.from_iterable(c.digits for c in lattice.cells), dtype=np.int64, count=eta * leaf
+    ).reshape(eta, leaf)
     if not leaf:  # one cell, the whole ambient ball
         digits = np.zeros((eta, 1), dtype=np.int64)
     order = np.lexsort(digits.T[::-1])

@@ -53,6 +53,7 @@ MAX_QUADRATURE_ORDER = 512  # cap on the doubled order, which bounds the grid an
 QUADRATURE_WINDOW = 12.0  # grid half-width in standard deviations of the widest cell
 QUADRATURE_TOL = 1e-6  # order-doubling agreement gate
 _LOG_FLOAT_MIN, _LOG_FLOAT_MAX = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
+_LOG_KEEP = 0.5 * _LOG_FLOAT_MIN  # 2**-511 of the peak: a product of two kept weights is normal
 
 
 class QuadratureError(RuntimeError):
@@ -281,11 +282,24 @@ def partition_function_mc(
 
 
 def _weigh(values: np.ndarray, log_factor: np.ndarray):
-    """values * exp(log_factor) divided by its largest magnitude, and the log of that divisor."""
+    """values * exp(log_factor) divided by its largest magnitude, and the log of that divisor.
+
+    Entries below 2**-511 of the largest (log magnitude under ``_LOG_KEEP``) become
+    signed zeros, so no product in a later convolution is subnormal; the length stays,
+    because ``np.convolve``'s summation order depends on it.  A NaN stays NaN.
+    """
     with np.errstate(divide="ignore"):
         log_mag = np.log(np.abs(values)) + log_factor
     top = float(np.max(log_mag))
-    return np.copysign(np.exp(log_mag - top), values), top
+    log_mag -= top
+    log_mag[log_mag < _LOG_KEEP] = -np.inf
+    return np.copysign(np.exp(log_mag), values), top
+
+
+def _flush(arr: np.ndarray) -> np.ndarray:
+    """arr with its entries below 2**-511 of its largest magnitude set to zero, in place."""
+    arr[np.abs(arr) < math.exp(_LOG_KEEP) * np.max(np.abs(arr))] = 0.0
+    return arr
 
 
 def _cell_monomials(moment, forms, eta: int) -> dict:
@@ -306,7 +320,10 @@ def _tree_pass(M, P, source, variances, forms, moments, order):
     convolves its children, read from the tree's node table in order of lowest
     cell index, and multiplies by exp(-beta s^2 / 2).  Each array is kept at
     max |.| = 1 with its log scale alongside.  Spacing 4 / (order sqrt D'), over
-    +-12 sd of the widest cell.
+    +-12 sd of the widest cell.  Every array ``np.convolve`` reads has its entries
+    below 2**-511 of its peak zeroed (``_weigh``, and ``_flush`` on a product of
+    three or more children), so no product in it is subnormal, which is many times
+    slower; no array is trimmed, since a shorter one changes the summation order.
     """
     N = M.precision
     eta, tree = M.lattice.eta, N.tree
@@ -336,8 +353,10 @@ def _tree_pass(M, P, source, variances, forms, moments, order):
             return memo[key]
         arr, scale = np.ones(1), 0.0
         children = range(firsts[depth][k], firsts[depth][k + 1])
-        for child in sorted(children, key=lowest[depth + 1].__getitem__):
+        for n, child in enumerate(sorted(children, key=lowest[depth + 1].__getitem__)):
             c_arr, c_scale = subtree(depth + 1, child, powers)
+            if n > 1:  # a product of two or more children, not yet weighed
+                arr = _flush(arr)
             arr, scale = np.convolve(arr, c_arr), scale + c_scale
         s = step * (np.arange(len(arr)) - len(arr) // 2)
         arr, top = _weigh(arr, -0.5 * beta[depth] * s * s)
@@ -355,6 +374,9 @@ def _tree_pass(M, P, source, variances, forms, moments, order):
         sign, logdet = np.linalg.slogdet(N.entries)
         log_z = base_scale + math.log(base_sum) + eta * math.log(step / math.sqrt(2.0 * math.pi))
         z = float(np.exp(log_z + 0.5 * logdet)) if sign > 0 else math.nan
+    # subtree holds itself through its closure; without this the cycle keeps the
+    # memo's arrays until the next garbage collection, and peak RSS creeps
+    del subtree
     if not (math.isfinite(z) and np.all(np.isfinite(vals))):
         raise QuadratureError(f"order {order}: Z = {z!r} or a moment is not finite")
     return vals, z, len(x) ** eta

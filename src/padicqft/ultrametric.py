@@ -179,8 +179,10 @@ class LatticeSpec:
             raise ValueError("cell count does not match nu * q^(k-l)")
         if len(self._index) != len(self.cells):
             raise ValueError("cells must be distinct")
+        amb, k = self.region.ambient_level, self.region.ball_level
+        balls = {b.digits for b in self.region.balls}  # all at (amb, k): is_descendant_of by prefix
         for c in self.cells:
-            if not any(c.is_descendant_of(b) for b in self.region.balls):
+            if c.ambient_level != amb or c.level > k or c.digits[: amb - k] not in balls:
                 raise ValueError(f"cell {c.digits} lies outside the region")
 
     @property

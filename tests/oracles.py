@@ -411,3 +411,19 @@ def gauss_hermite(cov, coeffs, g, variances, monomials, order: int):
     if not (max(drifts) <= GH_TOL):
         return None
     return vals2, z2
+
+
+# ---------------------------------------------------------------------------
+# the ball-tree quadrature's grid weighting before subnormal flushing
+# ---------------------------------------------------------------------------
+
+
+def weigh_unflushed(values: np.ndarray, log_factor: np.ndarray):
+    """values * exp(log_factor) over its largest magnitude, and the log of that divisor.
+
+    Every entry is kept, however small, subnormal results included.
+    """
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(np.abs(values)) + log_factor
+    top = float(np.max(log_mag))
+    return np.copysign(np.exp(log_mag - top), values), top

@@ -1,5 +1,6 @@
 """Gaussian sampling, importance-weighted moments, inequality experiments."""
 
+import gc
 import itertools
 import math
 import random
@@ -25,6 +26,7 @@ from padicqft.sampler import (
     _batch_sums,
     _cholesky,
     _mc_draw,
+    _weigh,
     default_moment_sets,
     griffiths_check,
     monotonicity_experiment,
@@ -572,6 +574,18 @@ class TestSchwingerQuadrature:
         got = schwinger_quadrature(blind, X4, src, var)
         assert (got.value, got.partition) == (want.value, want.partition)
 
+    def test_tree_pass_leaves_no_reference_cycle(self, cov3):
+        # the pass's arrays are freed when it returns, not at a later garbage
+        # collection, so repeated passes do not ratchet up the heap
+        src = SourceSpec(g=np.full(3, 0.1))
+        gc.collect()
+        gc.disable()
+        try:
+            padicqft.sampler._tree_pass(cov3, X4, src, var0(), None, [(0,), (0, 2)], 32)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_order_cap_is_typed(self, cov2):
         src = SourceSpec(g=np.zeros(2), h_list=())
         with pytest.raises(ValueError, match="order 257 too large"):
@@ -660,6 +674,104 @@ class TestTreeAgainstGaussHermite:
             orders = (8, 16) if eta == 4 else (16, 32)
             compared += _tree_vs_oracle(m, coeffs, g, var, orders)
         assert compared == len(cases)
+
+
+def _flush_cases(cov2, cov3):
+    """(M, P, g, variance, order) of one tree pass each: the bundled cases at the
+    workload's orders, the three-cell g = 0.5 pass at order 64, and a four-cell
+    region at g = 5, whose 3-cell node convolves a running product."""
+    cases = []
+    for lam in (0.0, 0.5):
+        P = WickPolynomial((0.0, -lam, 0.0, 0.0, 1.0))
+        for g in (0.1, 0.5):
+            for m in (chain_cov(1), cov2, cov3):
+                eta = m.lattice.eta
+                cases.append((m, P, np.full(eta, g), var0(), 32 if eta == 3 else 128))
+    cases.append((cov3, X4, np.full(3, 0.5), var0(), 64))
+    p = params_for(3, Fraction(2))
+    m4 = covariance_matrix(precision_matrix(refine(parse_region("amb=2;k=0;balls=00,01,02,10", 3), 0), p))
+    cases.append((m4, X4, np.full(4, 5.0), free_cell_variance(p, 0), 32))
+    return cases
+
+
+def _flush_pass(m, P, g, var, order):
+    """Values of <t0>, <t0^2> and <t0 t_last> and Z from one tree pass (odd powers give signed arrays)."""
+    moments = [(0,), (0, 0), (0, m.lattice.eta - 1)]
+    vals, z, _ = padicqft.sampler._tree_pass(m, P, SourceSpec(g=g), var, None, moments, order)
+    return vals, z
+
+
+def _spy_convolve(monkeypatch):
+    """Count np.convolve calls, the nonzero subnormal entries of their inputs, and
+    the calls where a product of two nonzero input entries can be subnormal."""
+    seen = {"calls": 0, "subnormal": 0, "subnormal_products": 0}
+    convolve, tiny = np.convolve, np.finfo(float).tiny
+
+    def spy(a, b, *args, **kwargs):
+        seen["calls"] += 1
+        seen["subnormal"] += sum(int(np.count_nonzero((x != 0) & (np.abs(x) < tiny))) for x in (a, b))
+        least = [np.min(np.abs(x[x != 0]), initial=np.inf) for x in (a, b)]
+        seen["subnormal_products"] += bool(least[0] * least[1] < tiny)
+        return convolve(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "convolve", spy)
+    return seen
+
+
+class TestSubnormalFlush:
+    """Grid weights below 2**-511 of their array's peak are zeroed before any convolution."""
+
+    def test_no_subnormal_input_to_convolve(self, cov2, cov3, monkeypatch):
+        seen = _spy_convolve(monkeypatch)
+        for case in _flush_cases(cov2, cov3):
+            _flush_pass(*case)
+        assert seen["calls"] > 0
+        assert seen["subnormal"] == 0
+        assert seen["subnormal_products"] == 0
+
+    def test_same_bits_as_the_unflushed_recursion(self, cov2, cov3, monkeypatch):
+        seen = _spy_convolve(monkeypatch)
+        for case in _flush_cases(cov2, cov3):
+            vals, z = _flush_pass(*case)
+            with monkeypatch.context() as mp:
+                mp.setattr(padicqft.sampler, "_weigh", oracles.weigh_unflushed)
+                mp.setattr(padicqft.sampler, "_flush", lambda arr: arr)
+                want, z_want = _flush_pass(*case)
+            assert np.array_equal(vals, want) and z == z_want, (case[2], case[4], vals, want)
+        assert seen["subnormal"] > 0  # the unflushed passes do convolve subnormal weights
+
+    def test_nan_or_inf_log_magnitude_gives_nan(self):
+        ones = np.ones(3)
+        for values, log_factor in (
+            (np.array([1.0, np.nan, 2.0]), np.zeros(3)),
+            (np.array([1.0, np.inf, 2.0]), np.zeros(3)),
+            (ones, np.array([0.0, np.nan, -1.0])),
+            (ones, np.array([0.0, np.inf, -1.0])),
+        ):
+            assert np.isnan(_weigh(values, log_factor)[0]).any()
+
+    def test_entry_at_the_threshold_is_kept(self):
+        keep = 0.5 * math.log(np.finfo(float).tiny)
+        below = np.nextafter(keep, -np.inf)
+        arr, top = _weigh(np.array([1.0, 1.0, -1.0, 1.0, -1.0]), np.array([0.0, keep, keep, below, below]))
+        assert top == 0.0
+        assert (arr[1], arr[2]) == (math.exp(keep), -math.exp(keep))
+        assert arr[1] * arr[1] >= np.finfo(float).tiny  # two kept weights make a normal product
+        assert (arr[3], arr[4]) == (0.0, 0.0)
+        assert not np.signbit(arr[3]) and np.signbit(arr[4])
+
+    def test_kept_entries_keep_their_bits_and_sign(self):
+        rng = np.random.default_rng(18)
+        values = rng.standard_normal(4001) * np.exp(rng.uniform(-300.0, 300.0, 4001))
+        log_factor = rng.uniform(-300.0, 0.0, 4001)
+        arr, top = _weigh(values, log_factor)
+        want, want_top = oracles.weigh_unflushed(values, log_factor)
+        kept = np.log(np.abs(values)) + log_factor - top >= 0.5 * math.log(np.finfo(float).tiny)
+        assert top == want_top
+        assert 0 < kept.sum() < len(kept) and np.any(want[~kept] != 0)
+        assert np.array_equal(arr[kept], want[kept])
+        assert np.all(arr[~kept] == 0.0)
+        assert np.array_equal(np.signbit(arr), np.signbit(values))
 
 
 class TestErrorScaling:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from padicqft.ultrametric import (
     SAME,
     BallAddress,
+    LatticeSpec,
     Region,
     distance,
     parse_region,
@@ -203,6 +204,27 @@ class TestRefine:
         region = Region(q=3, ambient_level=1, ball_level=0, balls=(ball(1, 0, (0,)),))
         with pytest.raises(ValueError):
             refine(region, 1)
+
+    def test_cells_outside_the_region_rejected(self):
+        # a spec's cell list with one cell swapped for another address is accepted
+        # exactly when that address lies in a region ball by is_descendant_of
+        region = Region(q=3, ambient_level=2, ball_level=1, balls=(ball(2, 1, (0,)), ball(2, 1, (2,))))
+        cells = refine(region, 0).cells
+        swaps = [ball(amb, lev, d) for amb in (2, 3) for lev in range(-1, amb + 1)
+                 for d in itertools.product(range(3), repeat=amb - lev)]
+        rejected = 0
+        for c in swaps:
+            if c.digits in {d.digits for d in cells[1:]}:  # the distinctness check's case
+                continue
+            inside = any(c.is_descendant_of(b) for b in region.balls)
+            swapped = (c,) + cells[1:]
+            if inside:
+                assert LatticeSpec(region, 0, swapped).cells == swapped
+            else:
+                with pytest.raises(ValueError, match="lies outside the region"):
+                    LatticeSpec(region, 0, swapped)
+                rejected += 1
+        assert 0 < rejected < len(swaps)
 
     def test_cell_guard(self):
         region = Region(q=3, ambient_level=1, ball_level=1, balls=(ball(1, 1, ()),))
