@@ -272,29 +272,28 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 class _ArtifactWriter:
-    """Tracks written files so partial outputs can be removed on failure."""
+    """The artifact policy: each file is ``outdir/<name>``, with the config hash in
+    place of ``{h}`` in name, prints one ``wrote <path>`` line, and is tracked so
+    partial outputs can be removed on failure."""
 
-    def __init__(self, outdir: Path):
+    def __init__(self, outdir: Path, config_hash: str):
         self.outdir = outdir
+        self.hash = config_hash
         self.written: list[Path] = []
 
-    def path(self, name: str) -> Path:
+    def write_text(self, name: str, text: str) -> None:
         self.outdir.mkdir(parents=True, exist_ok=True)
-        p = self.outdir / name
+        p = self.outdir / name.format(h=self.hash)
         self.written.append(p)
-        return p
-
-    def write_text(self, name: str, text: str) -> Path:
-        p = self.path(name)
         p.write_text(text, encoding="utf-8")
-        return p
+        print(f"wrote {p}")
 
-    def write_csv(self, name: str, header: list[str], rows) -> Path:
+    def write_csv(self, name: str, header: list[str], rows) -> None:
         buf = io.StringIO()
         buf.write(",".join(header) + "\n")
         for row in rows:
             buf.write(",".join(_fmt(v) for v in row) + "\n")
-        return self.write_text(name, buf.getvalue())
+        self.write_text(name, buf.getvalue())
 
     def discard_all(self) -> None:
         for p in self.written:
@@ -310,7 +309,6 @@ def _fmt(v) -> str:
 
 def run_integrals(cfg: RunConfig, writer: _ArtifactWriter) -> int:
     params = cfg.params()
-    h = config_hash(cfg)
     betas = (1.5, 2.0, 3.0)
     c1 = model.resolvent_ball_bound_constant(params)
     header = ["kappa", "c_kappa_sq", "ball_bound"]
@@ -326,14 +324,12 @@ def run_integrals(cfg: RunConfig, writer: _ArtifactWriter) -> int:
                 model.resolvent_tail_bound_constant(params, b) * params.q_float ** (-kappa * (bb - 1)),
             ]
         rows.append(row)
-    path = writer.write_csv(f"integrals_{h}.csv", header, rows)
-    print(f"wrote {path}")
+    writer.write_csv("integrals_{h}.csv", header, rows)
     return 0
 
 
 def run_green(cfg: RunConfig, writer: _ArtifactWriter) -> int:
     params = cfg.params()
-    h = config_hash(cfg)
     kappas = (0, 2, 5)
     header = ["d", "green"] + [f"green_reg_k{k}" for k in kappas]
     rows = []
@@ -343,15 +339,13 @@ def run_green(cfg: RunConfig, writer: _ArtifactWriter) -> int:
         row = [label, model.green_function(params, d, cfg.tol)]
         row += [model.green_regularized(params, k, d, cfg.tol) for k in kappas]
         rows.append(row)
-    path = writer.write_csv(f"green_{h}.csv", header, rows)
-    print(f"wrote {path}")
+    writer.write_csv("green_{h}.csv", header, rows)
     return 0
 
 
 def run_lattice(cfg: RunConfig, writer: _ArtifactWriter) -> int:
     params = cfg.params()
     lattice = cfg.lattice()
-    h = config_hash(cfg)
     n = lat.precision_matrix(lattice, params)
     m = lat.covariance_matrix(n)
     for suffix, name, matrix in (("N", "precision", n.entries), ("M", "covariance", m.entries)):
@@ -359,21 +353,18 @@ def run_lattice(cfg: RunConfig, writer: _ArtifactWriter) -> int:
             f"# name={name};lattice={lattice.region.serialize()};"
             f"l={lattice.cell_level};eta={lattice.eta}"
         )
-        path = writer.write_csv(f"lattice_{h}_{suffix}.csv", [meta], matrix)
-        print(f"wrote {path}")
+        writer.write_csv(f"lattice_{{h}}_{suffix}.csv", [meta], matrix)
     return 0
 
 
 def run_wick(cfg: RunConfig, writer: _ArtifactWriter) -> int:
     params = cfg.params()
     lattice = cfg.lattice()
-    h = config_hash(cfg)
     rows = []
     for k in range(0, 9):
         for j, w in enumerate(wick.wick_coefficients(k).coefficients):
             rows.append([k, j, w])
-    path = writer.write_csv(f"wick_coeffs_{h}.csv", ["k", "j", "w"], rows)
-    print(f"wrote {path}")
+    writer.write_csv("wick_coeffs_{h}.csv", ["k", "j", "w"], rows)
     g = cfg.resolve_g(lattice.eta)
     orders, kappa2_values = (2, 3, 4), range(1, 11)
     table = wick.wick_l2_decay(params, 20, kappa2_values, orders, lattice, g, tol=cfg.tol)
@@ -388,17 +379,15 @@ def run_wick(cfg: RunConfig, writer: _ArtifactWriter) -> int:
             )
             rows.append([kappa2, value, ratio])
             prev = value
-        path = writer.write_csv(
-            f"wick_decay_k{k}_{h}.csv", ["kappa2", "distance", "log_q_ratio"], rows
+        writer.write_csv(
+            f"wick_decay_k{k}_{{h}}.csv", ["kappa2", "distance", "log_q_ratio"], rows
         )
-        print(f"wrote {path}")
     return 0
 
 
 def run_schwinger(cfg: RunConfig, writer: _ArtifactWriter, trace: bool = False) -> int:
     params = cfg.params()
     lattice = cfg.lattice()
-    h = config_hash(cfg)
     poly = cfg.polynomial()
     src = cfg.source(lattice.eta)
     var = model.free_cell_variance(params, lattice.cell_level)
@@ -414,33 +403,29 @@ def run_schwinger(cfg: RunConfig, writer: _ArtifactWriter, trace: bool = False) 
         ["schwinger", est.value, est.std_error, est.ess if est.ess is not None else "", est.n_samples, est.method],
         ["partition", z.value, z.std_error, z.ess if z.ess is not None else "", z.n_samples, z.method],
     ]
-    path = writer.write_csv(f"schwinger_{h}.csv", header, rows)
-    print(f"wrote {path}")
+    writer.write_csv("schwinger_{h}.csv", header, rows)
     if est.low_ess or z.low_ess:
         print("warning: effective sample size below 10; estimates are low quality")
     if trace and cfg.method == "mc":  # the first rows of the draw behind both estimates
         t = draw[0][:10_000]
         rows = [[i, *row] for i, row in enumerate(t.tolist())]
         header = ["index"] + [f"t{i}" for i in range(lattice.eta)]
-        path = writer.write_csv(f"trace_{h}.csv", header, rows)
-        print(f"wrote {path}")
+        writer.write_csv("trace_{h}.csv", header, rows)
     return 0
 
 
 def run_verify_cmd(cfg: RunConfig, writer: _ArtifactWriter) -> int:
     reports = verify.run_verify(cfg.seed)
     all_pass = all(r.passed for r in reports)
+    for r in reports:
+        print(f"{'PASS' if r.passed else 'FAIL'} {r.check} (worst_margin={r.worst_margin:.6g})")
     doc = {
-        "config_hash": config_hash(cfg),
+        "config_hash": writer.hash,
         "seed": cfg.seed,
         "checks": [r.to_json_dict() for r in reports],
         "all_pass": all_pass,
     }
-    h = config_hash(cfg)
-    path = writer.write_text(f"verify_{h}.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    for r in reports:
-        print(f"{'PASS' if r.passed else 'FAIL'} {r.check} (worst_margin={r.worst_margin:.6g})")
-    print(f"wrote {path}")
+    writer.write_text("verify_{h}.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0 if all_pass else 1
 
 
@@ -458,24 +443,26 @@ def _env(name: str) -> str | None:
     return os.environ.get(ENV_PREFIX + name)
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="padicqft",
+    description="Ultrametric lattice field theory: integrals, Green functions, "
+    "lattice matrices, Wick calculus, Schwinger estimates, verification",
+)
+_PARSER.add_argument("subcommand", choices=sorted(_RUNNERS))
+_PARSER.add_argument("--config", type=Path, default=None, help="INI config path")
+_PARSER.add_argument("--seed", default=None, help="override run.seed")
+_PARSER.add_argument("--out", default=None, help="override output directory")
+_PARSER.add_argument("--tol", default=None, help="override run.tol")
+_PARSER.add_argument("--trace", action="store_true", help="emit per-sample traces (mc only)")
+_strictness = _PARSER.add_mutually_exclusive_group()
+_strictness.add_argument("--strict", dest="strict", action="store_true", default=None,
+                         help="reject unknown config keys (default)")
+_strictness.add_argument("--lenient", dest="strict", action="store_false",
+                         help="warn on unknown config keys instead of failing")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="padicqft",
-        description="Ultrametric lattice field theory: integrals, Green functions, "
-        "lattice matrices, Wick calculus, Schwinger estimates, verification",
-    )
-    parser.add_argument("subcommand", choices=sorted(_RUNNERS))
-    parser.add_argument("--config", type=Path, default=None, help="INI config path")
-    parser.add_argument("--seed", default=None, help="override run.seed")
-    parser.add_argument("--out", default=None, help="override output directory")
-    parser.add_argument("--tol", default=None, help="override run.tol")
-    parser.add_argument("--trace", action="store_true", help="emit per-sample traces (mc only)")
-    strictness = parser.add_mutually_exclusive_group()
-    strictness.add_argument("--strict", dest="strict", action="store_true", default=None,
-                            help="reject unknown config keys (default)")
-    strictness.add_argument("--lenient", dest="strict", action="store_false",
-                            help="warn on unknown config keys instead of failing")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     config_path = args.config
     if config_path is None and _env("CONFIG"):
@@ -502,7 +489,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    writer = _ArtifactWriter(Path(cfg.out))
+    writer = _ArtifactWriter(Path(cfg.out), config_hash(cfg))
     runner = _RUNNERS[args.subcommand]
     try:
         if args.subcommand == "schwinger":

@@ -236,7 +236,8 @@ def _row_chunks(eta: int):
 
 
 def _tree_inverse(N: PrecisionMatrix) -> np.ndarray:
-    """Inverse of D' I + sum_a beta_a 1_a 1_a^T by Sherman-Morrison, leaf to root.
+    """Inverse of D' I + sum_a beta_a 1_a 1_a^T by Sherman-Morrison, leaf to root,
+    indexed by sorted position.
 
     Once every node below depth c is folded in, the matrix is block diagonal
     over the depth-c nodes.  With u = M 1 and s = sum of u over node a, folding
@@ -280,28 +281,25 @@ def _tree_inverse(N: PrecisionMatrix) -> np.ndarray:
                         block += np.multiply.outer(left[rows], v)
                     u[lo:hi] /= float(den)
             sums = node_sums
-    return tree.to_cells(m)
+    return m
 
 
 def _inverse_residual(m: np.ndarray, N: PrecisionMatrix) -> np.float64:
     """max |M N - I| over all entries, with N in its tree form D' I + sum_a beta_a 1_a 1_a^T.
 
-    So (M N)_ij = D' M_ij + sum over the tree nodes a above j of beta_a (M 1_a)_i.  Row
-    chunk by row chunk, in sorted-cell order: the node sums M 1_a bottom-up, each
-    level from the level below; the beta sums along each root-to-node path top-down;
-    then gathered to the columns.  A chunk is held transposed, cells down the rows,
-    so a node sum adds contiguous rows.  Chunk maxima fold by ``np.maximum``, so a
-    NaN in any entry of M makes the residual NaN.
+    So (M N)_ij = D' M_ij + sum over the tree nodes a above j of beta_a (M 1_a)_i, with M
+    indexed by sorted position, as ``_tree_inverse`` makes it.  Row chunk by row chunk:
+    the node sums M 1_a bottom-up, each level from the level below; the beta sums along
+    each root-to-node path top-down; then gathered to the columns.  A chunk is held
+    transposed, cells down the rows, so a node sum adds contiguous rows.  Chunk maxima
+    fold by ``np.maximum``, so a NaN in any entry of M makes the residual NaN.
     """
     tree = N.tree
     eta, leaf = len(tree.order), tree.leaf
     beta, d_prime = _class_couplings(N)
     residual = np.float64(0.0)
     for rows in _row_chunks(eta):
-        if tree.in_order:
-            x = np.ascontiguousarray(m[rows].T)
-        else:  # gathered straight into the transposed chunk, with no copy between
-            x = m.T[np.ix_(tree.order, tree.order[rows])]
+        x = np.ascontiguousarray(m[rows].T)
         sums = [x]  # sums[k]: (M 1_a) over the depth leaf - k nodes a
         for c in range(leaf - 1, -1, -1):
             sums.append(np.add.reduceat(sums[-1], tree.firsts[c][:-1], axis=0))
@@ -325,7 +323,8 @@ def covariance_matrix(N: PrecisionMatrix, residual_tol: float = 1e-10) -> Covari
     (``_inverse_residual``), with no dense product; and by the matrix determinant
     lemma, node by node, that matrix is positive definite when D' > 0 and every
     den > 0 (if and only if, when every beta <= 0, as in this model).  Each check
-    runs row chunk by row chunk, so no eta x eta array but M is made.
+    runs row chunk by row chunk, so no eta x eta array but M is made.  M is checked
+    in sorted-cell order, then permuted once, in place, into cell order.
     """
     eta = N.lattice.eta
     for rows in _row_chunks(eta):
@@ -344,7 +343,7 @@ def covariance_matrix(N: PrecisionMatrix, residual_tol: float = 1e-10) -> Covari
     residual = float(_inverse_residual(m, N))
     if not (residual <= residual_tol * eta):  # a NaN residual fails too
         raise ValueError(f"inverse residual {residual:.3e} exceeds {residual_tol:.1e} * eta")
-    return CovarianceMatrix(lattice=N.lattice, entries=m, precision=N)
+    return CovarianceMatrix(lattice=N.lattice, entries=N.tree.to_cells(m), precision=N)
 
 
 def sign_structure_check(N: PrecisionMatrix) -> CheckReport:

@@ -158,11 +158,8 @@ def _mc_draw(M, P, source, variances, seed, n_samples):
     eta = M.lattice.eta
     factor = _cholesky(M.entries, "covariance matrix")
     g, mono = _poly_table(P, source.g, _as_variances(variances, eta), eta)
-    rows = MC_PRODUCT_BLOCK // eta**2
-    if rows:  # a whole number of product blocks per sample block
-        block = rows * max(1, EVAL_BLOCK_VALUES // (rows * eta))
-    else:
-        block = rows = max(1, EVAL_BLOCK_VALUES // eta)
+    rows = MC_PRODUCT_BLOCK // eta**2 or max(1, EVAL_BLOCK_VALUES // eta)
+    block = rows * max(1, EVAL_BLOCK_VALUES // (rows * eta))  # whole product blocks
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     z = np.empty((min(block, n_samples), eta))
     t = np.empty((n_samples, eta))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -300,18 +300,14 @@ def wick_l2_decay(
         raise ValueError(f"g must have one value per cell ({lattice.eta}), got {g.shape}")
     l, amb = lattice.cell_level, lattice.region.ambient_level
     q = params.q_float
-    greens: dict = {}
-    increments: dict = {}
 
+    @cache
     def green(kappa, d) -> float:
-        if (kappa, d) not in greens:
-            greens[kappa, d] = green_regularized(params, kappa, d, tol)
-        return greens[kappa, d]
+        return green_regularized(params, kappa, d, tol)
 
+    @cache
     def increment(kappa2, d) -> float:
-        if (kappa2, d) not in increments:
-            increments[kappa2, d] = green_regularized_increment(params, kappa1, kappa2, d)
-        return increments[kappa2, d]
+        return green_regularized_increment(params, kappa1, kappa2, d)
 
     def power_diff(kappa2, k, d) -> float:
         e1, e2 = green(kappa1, d), green(kappa2, d)

@@ -1,5 +1,7 @@
 """Config parsing, canonical round-trip, subcommand artifacts, determinism."""
 
+import configparser
+import gc
 import json
 import math
 import os
@@ -421,6 +423,75 @@ class TestCsvEmitter:
     def test_infinite_values(self):
         assert [_fmt(float("inf")), _fmt(float("-inf")), _fmt(np.float64(-np.inf))] == [
             "inf", "-inf", "-inf"]
+
+
+DEFAULT = SRC.parent / "configs" / "default.ini"
+DEFAULT_HASH = "5494ef9dc9"
+MC_TEXT = DEFAULT.read_text().replace("method = quadrature", "method = mc")
+MC_HASH = "2f9d5e250d"
+
+
+class TestStdout:
+    """Each file written prints one `wrote <path>` line, in write order."""
+
+    @pytest.mark.parametrize("subcommand, names", [
+        ("integrals", ["integrals_{h}.csv"]),
+        ("green", ["green_{h}.csv"]),
+        ("lattice", ["lattice_{h}_N.csv", "lattice_{h}_M.csv"]),
+        ("wick", ["wick_coeffs_{h}.csv", "wick_decay_k2_{h}.csv", "wick_decay_k3_{h}.csv",
+                  "wick_decay_k4_{h}.csv"]),
+        ("schwinger", ["schwinger_{h}.csv"]),
+    ])
+    def test_default_config(self, tmp_path, capsys, subcommand, names):
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", str(DEFAULT), "--out", str(out)]) == 0
+        paths = [out / name.format(h=DEFAULT_HASH) for name in names]
+        assert capsys.readouterr().out == "".join(f"wrote {p}\n" for p in paths)
+        assert sorted(out.iterdir()) == sorted(paths)
+
+    def test_schwinger_mc_trace(self, tmp_path, capsys):
+        path = tmp_path / "cfg.ini"
+        path.write_text(MC_TEXT)
+        assert config_hash(parse_config(MC_TEXT)) == MC_HASH
+        out = tmp_path / "o"
+        assert main(["schwinger", "--config", str(path), "--out", str(out), "--trace"]) == 0
+        paths = [out / f"schwinger_{MC_HASH}.csv", out / f"trace_{MC_HASH}.csv"]
+        assert capsys.readouterr().out == "".join(f"wrote {p}\n" for p in paths)
+        assert sorted(out.iterdir()) == sorted(paths)
+
+    def test_verify_checks_then_wrote(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["verify", "--config", str(DEFAULT), "--out", str(out)]) == 0
+        path = out / f"verify_{DEFAULT_HASH}.json"
+        report = json.loads(path.read_text())
+        assert report["config_hash"] == DEFAULT_HASH
+        lines = [f"PASS {c['check']} (worst_margin={c['worst_margin']:.6g})"
+                 for c in report["checks"]]
+        assert capsys.readouterr().out == "".join(f"{line}\n" for line in lines + [f"wrote {path}"])
+        assert list(out.iterdir()) == [path]
+
+
+def _cyclic_garbage(call) -> int:
+    """Objects left in reference cycles by one call, counted with the collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestReferenceCycles:
+    @pytest.mark.parametrize("subcommand", ["integrals", "green", "lattice", "wick", "schwinger"])
+    def test_main_leaves_no_more_than_the_config_parser(self, tmp_path, capsys, subcommand):
+        # what is left is the per-call configparser's; the CLI parser is built once
+        text = DEFAULT.read_text()
+        args = [subcommand, "--config", str(DEFAULT), "--out", str(tmp_path / "o")]
+        assert main(args) == 0  # warm: first-call imports and caches
+        parser_only = _cyclic_garbage(
+            lambda: configparser.ConfigParser(interpolation=None).read_string(text))
+        assert _cyclic_garbage(lambda: main(args)) <= parser_only
 
 
 class TestConsoleEntryPoint:
