@@ -396,6 +396,7 @@ def run_schwinger(cfg: RunConfig, writer: _ArtifactWriter, trace: bool = False) 
         est = sampler.schwinger_quadrature(m, poly, src, var, cfg.quadrature_order)
         z = replace(est, value=est.partition)
     else:
+        # every cell, not only those the estimates read: --trace writes every column
         draw = sampler._mc_draw(m, poly, src, var, cfg.seed, cfg.n_samples)
         est, z = sampler._mc_schwinger(draw, src), sampler._mc_partition(draw)
     header = ["statistic", "value", "std_error", "ess", "n_samples", "method"]

@@ -35,7 +35,8 @@ class NotPositiveDefiniteError(ValueError):
     """Raised when a matrix fails its positive-definiteness test at a 1-based pivot.
 
     The pivot is a cell index: the cell whose leaf term or whose tree node's
-    denominator is nonpositive, or the column where a Cholesky factorization stops.
+    denominator is nonpositive, or the cell of the column where a Cholesky
+    factorization stops.
     """
 
     def __init__(self, matrix_name: str, pivot: int):

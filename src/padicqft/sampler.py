@@ -14,7 +14,11 @@ as a chain of one-dimensional convolutions from the cells up to the root
 (the hierarchical-model structure), and checked by doubling the grid
 resolution.  A moment is an index tuple over linear forms of the field.
 Every Monte Carlo estimate comes from one draw, ``_mc_draw``, whose weights
-are shifted by the largest log weight, so they cannot overflow.
+are shifted by the largest log weight, so they cannot overflow.  The weight
+reads the field only on supp g and a moment only on the cells its forms or
+indices name, so a draw covers just those cells, from their marginal Gaussian:
+supp g for Z, supp g and supp h for a Schwinger function, and every cell a
+Griffiths moment indexes.
 """
 
 from __future__ import annotations
@@ -136,45 +140,68 @@ def _cholesky(matrix: np.ndarray, name: str) -> np.ndarray:
     return factor
 
 
-def _mc_draw(M, P, source, variances, seed, n_samples):
-    """An exact Gaussian draw t = z L^T, its log weights -:P:(g), the weights
-    shifted by their maximum (so none overflows), and that maximum.
+def _mc_draw(M, P, source, variances, seed, n_samples, cells=None):
+    """An exact Gaussian draw t = z L^T on the cells S an estimate reads, its log
+    weights -:P:(g), the weights shifted by their maximum (so none overflows), that
+    maximum, and S: t's column j is the j-th cell of S.
 
-    L is the lower Cholesky factor of M, taken per draw: its O(eta^3 / 3) cost is
-    at most about that of the n_samples * eta^2 product, as n_samples >= MIN_MC_SAMPLES.
+    S is supp g and ``cells`` (the cells the estimate reads besides g; None for
+    every cell), k cells in increasing order, so t is drawn from the marginal
+    N(0, M_SS) with k normals per sample.  L is the leading k x k block of the
+    Cholesky factor of M with S first, then the rest, which is the factor of M_SS.
+    Factoring the whole of M keeps the positive-definiteness gate of every cell; a
+    failure names the cell where the permuted factorization stops.  With every cell
+    drawn the order is the identity, and L is the factor of M.  The factor is taken
+    per draw: its O(eta^3 / 3) cost is at most about that of an n_samples * eta^2
+    product, as n_samples >= MIN_MC_SAMPLES, but may exceed the n_samples * k^2
+    product of a draw on fewer cells.
     The draw is one pass over sample blocks of about EVAL_BLOCK_VALUES values: each
-    fills one reused block of normals z, forms its rows of t and evaluates their
-    -:P:(g) while they are in cache, so the draw holds t and one block, never a whole
-    z.  The normals do not depend on the blocks, being one stream in row order.  The
-    product runs in row blocks of at most MC_PRODUCT_BLOCK multiply-adds, starting at
-    the same rows whatever the sample block, so t's bytes do not depend on it either;
-    OpenBLAS runs each on the calling thread, and the draw costs one core.  Above 512
-    cells one row exceeds MC_PRODUCT_BLOCK, and the product is formed once per sample
-    block instead of as one-row products, which OpenBLAS threads anyway.
+    fills one reused block of normals z, k per sample, forms its rows of t and
+    evaluates their -:P:(g) while they are in cache, so the draw holds t and one
+    block, never a whole z.  The normals do not depend on the blocks, being one
+    stream in row order.  The product runs in row blocks of at most MC_PRODUCT_BLOCK
+    multiply-adds, starting at the same rows whatever the sample block, so t's bytes
+    do not depend on it either; OpenBLAS runs each on the calling thread, and the
+    draw costs one core.  Above 512 drawn cells one row exceeds MC_PRODUCT_BLOCK, and
+    the product is formed once per sample block instead of as one-row products,
+    which OpenBLAS threads anyway.
     """
     P.require_semibounded()
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError(f"n_samples must be at least {MIN_MC_SAMPLES}")
     eta = M.lattice.eta
-    factor = _cholesky(M.entries, "covariance matrix")
-    g, mono = _poly_table(P, source.g, _as_variances(variances, eta), eta)
-    rows = MC_PRODUCT_BLOCK // eta**2 or max(1, EVAL_BLOCK_VALUES // eta)
-    block = rows * max(1, EVAL_BLOCK_VALUES // (rows * eta))  # whole product blocks
+    if cells is None:
+        drawn = np.arange(eta)
+    else:
+        drawn = np.array(sorted(set(np.flatnonzero(source.g).tolist()).union(cells)), dtype=int)
+        if len(drawn) and not (0 <= drawn[0] and drawn[-1] < eta):
+            raise ValueError(f"a cell the estimate reads is outside 0..{eta - 1}")
+    order = np.concatenate([drawn, np.setdiff1d(np.arange(eta), drawn)])
+    try:
+        factor = _cholesky(M.entries[np.ix_(order, order)], "covariance matrix")
+    except NotPositiveDefiniteError as err:
+        raise NotPositiveDefiniteError("covariance matrix", int(order[err.pivot - 1]) + 1) from None
+    k = len(drawn)
+    lower = factor[:k, :k]
+    g, mono = _poly_table(P, source.g[drawn], _as_variances(variances, eta)[drawn], k)
+    width = max(k, 1)  # a draw of no cells still fills its weights block by block
+    rows = MC_PRODUCT_BLOCK // width**2 or max(1, EVAL_BLOCK_VALUES // width)
+    block = rows * max(1, EVAL_BLOCK_VALUES // (rows * width))  # whole product blocks
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    z = np.empty((min(block, n_samples), eta))
-    t = np.empty((n_samples, eta))
+    z = np.empty((min(block, n_samples), k))
+    t = np.empty((n_samples, k))
     minus_v = np.empty(n_samples)
     for lo in range(0, n_samples, block):
         z_b = z[: n_samples - lo]
         t_b, v_b = t[lo : lo + len(z_b)], minus_v[lo : lo + len(z_b)]
         rng.standard_normal(out=z_b)
         for r in range(0, len(z_b), rows):
-            np.matmul(z_b[r : r + rows], factor.T, out=t_b[r : r + rows])
+            np.matmul(z_b[r : r + rows], lower.T, out=t_b[r : r + rows])
         _poly_rows(mono, g, t_b, v_b)
         np.negative(v_b, out=v_b)
     top = float(minus_v.max())
     w = minus_v - top
-    return t, minus_v, np.exp(w, out=w), top
+    return t, minus_v, np.exp(w, out=w), top, drawn
 
 
 def effective_sample_size(weights: np.ndarray) -> float:
@@ -186,17 +213,20 @@ def effective_sample_size(weights: np.ndarray) -> float:
 def _mc_moments(draw, forms, moments):
     """Self-normalized moments of a ``_mc_draw``, their batch-means errors, and the ESS.
 
-    A moment indexes the forms t @ h (h in ``forms``), or t's cells if ``forms`` is None.
-    A moment's product is taken left to right, so a moment that starts as the one
-    before it reuses the products of that prefix; only the current chain is kept."""
-    t, _, w, _ = draw
+    A moment indexes the forms phi(h) (h in ``forms``), or cells if ``forms`` is None;
+    the draw must cover every cell they read.  A moment's product is taken left to
+    right, so a moment that starts as the one before it reuses the products of that
+    prefix; only the current chain is kept."""
+    t, _, w, _, drawn = draw
     wsum = w.sum()
     w_sums = _batch_sums(w)
     # not `t @ h`: a long gemv wakes OpenBLAS's helper thread, which then spins
     if forms is None:
         columns = np.ascontiguousarray(t.T)  # a strided column takes twice as long to read
+        column_of = {cell: j for j, cell in enumerate(drawn.tolist())}
+        moments = [tuple(column_of[i] for i in moment) for moment in moments]
     else:
-        columns = [np.einsum("ij,j->i", t, h) for h in forms]
+        columns = [np.einsum("ij,j->i", t, h[drawn]) for h in forms]
     vals, ses = [], []
     chain, last = [], ()  # chain[k]: the product of the columns last[0..k]
     for moment in moments:
@@ -229,7 +259,7 @@ def _mc_schwinger(draw, source: SourceSpec) -> SchwingerEstimate:
 
 def _mc_partition(draw) -> SchwingerEstimate:
     """The Z estimate of ``partition_function_mc`` from a ``_mc_draw``."""
-    _, _, w, top = draw
+    _, _, w, top, _ = draw
     mean = float(w.mean())
     log_z = math.log(mean) + top
     if top > _LOG_FLOAT_MAX or log_z < _LOG_FLOAT_MIN:  # a NaN draw gives a low-ESS estimate
@@ -258,9 +288,11 @@ def schwinger_mc(
 
     The empty product (r = 0) returns exactly 1 by normalization.  Standard
     errors come from 30 batch means; an effective sample size below 10 sets
-    the low_ess flag rather than failing silently.
+    the low_ess flag rather than failing silently.  The draw covers supp g and
+    supp h only.
     """
-    return _mc_schwinger(_mc_draw(M, P, source, variances, seed, n_samples), source)
+    read = {i for h in source.h_list for i in np.flatnonzero(h).tolist()}
+    return _mc_schwinger(_mc_draw(M, P, source, variances, seed, n_samples, read), source)
 
 
 def partition_function_mc(
@@ -273,9 +305,9 @@ def partition_function_mc(
 ) -> SchwingerEstimate:
     """Estimate of Z = <exp(-:P:(g))> under the lattice Gaussian, from max-shifted weights.
 
-    Raises OverflowError, giving log Z, when Z or its largest weight leaves the normal
-    float range."""
-    return _mc_partition(_mc_draw(M, P, source, variances, seed, n_samples))
+    The draw covers supp g only.  Raises OverflowError, giving log Z, when Z or its
+    largest weight leaves the normal float range."""
+    return _mc_partition(_mc_draw(M, P, source, variances, seed, n_samples, ()))
 
 
 def _weigh(values: np.ndarray, log_factor: np.ndarray):
@@ -480,7 +512,8 @@ def griffiths_check(
         vals, _, _ = _quadrature_converged(M, P, source, variances, None, needed, order)
         ses = np.zeros(len(needed))
     elif method == "mc":
-        draw = _mc_draw(M, P, source, variances, seed, n_samples)
+        read = {i for m in needed for i in m}
+        draw = _mc_draw(M, P, source, variances, seed, n_samples, read)
         vals, ses, _ = _mc_moments(draw, None, needed)
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -633,7 +666,8 @@ def partition_stability(
     v = _as_variances(variances, eta)
     base_seed = np.random.SeedSequence(seed)
     seeds = base_seed.spawn(len(rho_list) + 1)
-    _, minus_v1, w1, top1 = _mc_draw(M, P, source, v, int(seeds[0].generate_state(1)[0]), n_samples)
+    seed1 = int(seeds[0].generate_state(1)[0])
+    _, minus_v1, w1, top1, _ = _mc_draw(M, P, source, v, seed1, n_samples, ())  # on supp g
 
     estimates = []
     slacks = []

@@ -242,7 +242,7 @@ def _poly_table(P: WickPolynomial, g, variance_per_cell, eta: int):
 
 def _poly_rows(mono: np.ndarray, g: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
     """:P:(g) of each row of a samples-by-cells array into ``out``, from ``_poly_table``."""
-    step = max(1, EVAL_BLOCK_VALUES // rows.shape[1])
+    step = max(1, EVAL_BLOCK_VALUES // max(1, rows.shape[1]))
     for lo in range(0, len(rows), step):  # a cache-sized block at a time
         block = rows[lo : lo + step]
         per_cell = np.zeros_like(block)

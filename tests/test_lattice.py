@@ -373,13 +373,15 @@ class TestSpdGate:
 # 729 cells each, so _ROW_CHUNK // 729 = 89 rows per chunk and 9 chunks; the second
 # lists its balls out of lexicographic order, so its sorted-order chunks are not its cell rows
 CHUNKED_REGIONS = ("amb=1;k=0;balls=0,1,2", "amb=1;k=0;balls=2,0,1")
+# balls out of order at unequal distances: its sorted and cell orders give different N
+SHUFFLED_REGION = "amb=2;k=0;balls=12,00,01"
 
 
 @pytest.fixture(scope="module")
 def chunked():
-    """(N, M) per region of CHUNKED_REGIONS."""
+    """(N, M) per region of CHUNKED_REGIONS and SHUFFLED_REGION."""
     out = {}
-    for text in CHUNKED_REGIONS:
+    for text in CHUNKED_REGIONS + (SHUFFLED_REGION,):
         n = precision_matrix(refine(parse_region(text, 3), -5), params())
         out[text] = n, covariance_matrix(n).entries
     return out
@@ -425,7 +427,7 @@ class TestTreeResidual:
                 assert abs(got - want) <= 2 * _rounding(trial, n), (n.lattice.region, got, want)
         assert qs == {3, 5}
 
-    @pytest.mark.parametrize("text", CHUNKED_REGIONS)
+    @pytest.mark.parametrize("text", CHUNKED_REGIONS + (SHUFFLED_REGION,))
     @pytest.mark.parametrize("symmetric", [True, False])
     @pytest.mark.parametrize("where", ["last row", "last diagonal", "first row, far column",
                                        "inside a chunk"])
@@ -438,9 +440,11 @@ class TestTreeResidual:
         shifted[i, j] += 1e-6
         if symmetric and i != j:
             shifted[j, i] += 1e-6
-        residual = float(padicqft.lattice._inverse_residual(shifted, n))
+        o = n.tree.order  # the residual reads M by sorted position
+        by_position = shifted[np.ix_(o, o)]
+        residual = float(padicqft.lattice._inverse_residual(by_position, n))
         assert abs(residual - _dense_residual(shifted, n)) <= 2 * _rounding(shifted, n)
-        monkeypatch.setattr(padicqft.lattice, "_tree_inverse", lambda N: shifted)
+        monkeypatch.setattr(padicqft.lattice, "_tree_inverse", lambda N: by_position)
         with pytest.raises(ValueError, match="inverse residual"):
             covariance_matrix(n)
 

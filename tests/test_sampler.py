@@ -140,9 +140,38 @@ class TestSampleField:
                     assert n > 2 * block and n % block, eta
                 z = np.random.default_rng(np.random.SeedSequence(9).spawn(1)[0]).standard_normal((n, eta))
                 want = z @ factor.T
-                t, minus_v, _, _ = _mc_draw(m, ferro, src, var, 9, n)
+                t, minus_v, _, _, _ = _mc_draw(m, ferro, src, var, 9, n)
                 assert np.max(np.abs(t - want)) <= rel * np.max(np.abs(want)), (eta, n)
                 assert np.array_equal(minus_v, -wick_poly_eval(ferro, t, src.g, np.full(eta, var)))
+
+    def test_marginal_draw_is_seeded_normals_times_the_leading_block(self):
+        # a draw on cells S is k normals per sample times the leading k x k block of the
+        # factor of M with S first, in increasing order, then the rest: the factor of M_SS
+        ferro = WickPolynomial((0.0, -0.5, 0.0, 0.0, 1.0))
+        for nu, l, rel in [(3, 0, 0.0), (1, -3, 1e-14), (2, -3, 1e-14)]:
+            m = chain_cov(nu, l)
+            eta = m.lattice.eta
+            g = np.zeros(eta)
+            g[eta // 2 + 1 :: 3] = 0.2
+            read = {0}
+            drawn = np.array(sorted(set(np.flatnonzero(g).tolist()) | read))
+            k = len(drawn)
+            assert 1 < k < eta and not np.array_equal(drawn, np.arange(k)), eta
+            rows = MC_PRODUCT_BLOCK // k**2
+            block = rows * max(1, EVAL_BLOCK_VALUES // (rows * k))  # a sample block's rows
+            order = np.concatenate([drawn, np.setdiff1d(np.arange(eta), drawn)])
+            lower = _cholesky(m.entries[np.ix_(order, order)], "covariance matrix")[:k, :k]
+            marginal = m.entries[np.ix_(drawn, drawn)]
+            assert np.max(np.abs(lower @ lower.T - marginal)) <= 1e-14 * np.max(np.abs(marginal))
+            src = SourceSpec(g=g)
+            var = free_cell_variance(params(), l)
+            for n in (1000, 2 * block + 1001):  # within one row block; across sample blocks
+                z = np.random.default_rng(np.random.SeedSequence(9).spawn(1)[0]).standard_normal((n, k))
+                want = z @ lower.T
+                t, minus_v, _, _, cells = _mc_draw(m, ferro, src, var, 9, n, read)
+                assert np.array_equal(cells, drawn)
+                assert np.max(np.abs(t - want)) <= rel * np.max(np.abs(want)), (eta, n)
+                assert np.array_equal(minus_v, -wick_poly_eval(ferro, t, g[drawn], np.full(k, var)))
 
     def test_normals_do_not_depend_on_the_blocks(self):
         # the draw fills one reused buffer a block at a time, and relies on numpy's stream
@@ -198,6 +227,81 @@ class TestSampleField:
             draw(bad, 1, 1000)
         assert err.value.pivot == 2
 
+    def test_indefinite_outside_the_drawn_cells_rejected(self, cov3):
+        # cells 1 and 2 make M indefinite; a draw on cell 2 alone factors M in the order
+        # 2, 0, 1, which stops at its third pivot, and names that pivot's cell
+        bad = replace(cov3, entries=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]]))
+        e2 = np.eye(3)[2]
+        calls = [
+            lambda: partition_function_mc(bad, X4, SourceSpec(g=0.1 * e2), 1, 1000, var0()),
+            lambda: schwinger_mc(bad, X4, SourceSpec(g=np.zeros(3), h_list=(e2,)), 1, 1000, var0()),
+        ]
+        for call in calls:
+            with pytest.raises(NotPositiveDefiniteError, match="covariance matrix") as err:
+                call()
+            assert err.value.pivot == 2
+
+    def test_cells_outside_the_lattice_rejected(self, cov3):
+        src = SourceSpec(g=np.zeros(3))
+        for cells in ([3], [-1, 0]):
+            with pytest.raises(ValueError, match="outside 0..2"):
+                _mc_draw(cov3, X4, src, var0(), 1, 1000, cells)
+
+
+class CountingRng:
+    """A generator that counts the normals drawn from it."""
+
+    def __init__(self, rng):
+        self.rng, self.normals = rng, 0
+
+    def standard_normal(self, *args, **kwargs):
+        out = self.rng.standard_normal(*args, **kwargs)
+        self.normals += np.size(out)
+        return out
+
+
+@pytest.fixture
+def counted_normals(monkeypatch):
+    """The CountingRng of each generator a draw makes while the fixture is active."""
+    made = []
+    default_rng = np.random.default_rng
+
+    def counting(*args):
+        made.append(CountingRng(default_rng(*args)))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    return made
+
+
+class TestMarginalDraw:
+    """A draw covers only supp g and the cells its estimate reads."""
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (0, 26)])
+    def test_free_pair_moment_draws_two_cells(self, counted_normals, i, j):
+        m = chain_cov(1, -3)
+        n = 100_000
+        src = SourceSpec(g=np.zeros(27), h_list=(np.eye(27)[i], np.eye(27)[j]))
+        est = schwinger_mc(m, X4, src, 1000 + i + j, n, free_cell_variance(params(), -3))
+        assert abs(est.value - m.entries[i, j]) <= 4 * est.std_error
+        assert [rng.normals for rng in counted_normals] == [2 * n]
+
+    def test_griffiths_default_moments_draw_every_cell(self, counted_normals, cov3):
+        src = SourceSpec(g=np.array([0.2, 0.0, 0.0]))
+        assert griffiths_check(cov3, X4, src, "mc", var0(), seed=1, n_samples=2000).passed
+        assert [rng.normals for rng in counted_normals] == [3 * 2000]
+
+    def test_empty_support_draws_no_normals(self, counted_normals, cov3):
+        src = SourceSpec(g=np.zeros(3))
+        t, minus_v, w, top, cells = _mc_draw(cov3, X4, src, var0(), 1, 1000, ())
+        assert t.shape == (1000, 0) and len(cells) == 0
+        assert np.all(minus_v == 0.0) and top == 0.0 and np.all(w == 1.0)
+        z = partition_function_mc(cov3, X4, src, 2, 1000, var0())
+        assert (z.value, z.std_error, z.ess) == (1.0, 0.0, 1000.0)
+        assert schwinger_mc(cov3, X4, src, 3, 1000, var0()).value == 1.0
+        assert [rng.normals for rng in counted_normals] == [0, 0, 0]
+
+
 
 def replace_params_identity():
     # mass-only model: unit precision, unit covariance
@@ -229,7 +333,7 @@ class TestInteractionWeight:
 
     def test_free_weight_is_one(self, cov2):
         src = SourceSpec(g=np.zeros(2), h_list=())
-        _, minus_v, w, top = _mc_draw(cov2, X4, src, var0(), 1, 1000)
+        _, minus_v, w, top, _ = _mc_draw(cov2, X4, src, var0(), 1, 1000)
         assert np.all(minus_v == 0.0) and top == 0.0
         assert np.all(w == 1.0)
 
@@ -243,7 +347,7 @@ class TestInteractionWeight:
     def test_bounded_by_lower_bound(self, cov2):
         src = SourceSpec(g=np.full(2, 0.7), h_list=())
         cap = -wick_poly_lower_bound(X4, float(src.g.sum()), var0())
-        _, minus_v, w, top = _mc_draw(cov2, X4, src, var0(), 3, 1000)
+        _, minus_v, w, top, _ = _mc_draw(cov2, X4, src, var0(), 3, 1000)
         assert np.all(minus_v <= cap)
         assert top == minus_v.max() and np.all((0.0 < w) & (w <= 1.0))
 
@@ -343,7 +447,7 @@ class TestVectorReductions:
         moments = [(0,), (1,), (0, 1)]
 
         def moments_of(t):
-            return padicqft.sampler._mc_moments((t, None, w, None), forms, moments)
+            return padicqft.sampler._mc_moments((t, None, w, None, np.arange(3)), forms, moments)
 
         columns = [[math.fsum(x * h for x, h in zip(row, form)) for row in t.tolist()]
                    for form in forms]
@@ -379,7 +483,7 @@ class TestVectorReductions:
         return _mc_draw(m, ferro, src, free_cell_variance(params(), -3), 41, 20_000)
 
     def test_shared_prefixes_match_one_product_per_moment(self, draw27):
-        t, _, w, _ = draw27
+        t, _, w, _, _ = draw27
         firsts, seconds = default_moment_sets(27)
         griffiths = sorted({tuple(sorted(m)) for m in firsts}
                            | {tuple(sorted(a + b)) for a, b in seconds}
@@ -398,7 +502,7 @@ class TestVectorReductions:
 
     def test_moments_keep_one_chain_of_products(self, draw27):
         # a cache of every product would hold one sample-length vector per moment prefix
-        t, _, w, _ = draw27
+        t, _, w, _, _ = draw27
         moments = [(i, i, j, j) for i in range(27) for j in range(i, 27)]
         tracemalloc.start()
         try:
