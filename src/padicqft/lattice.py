@@ -6,15 +6,16 @@ the coupling between two cells is a single-shell value of the jump kernel
 (the kernel is constant on an ultrametric ball), and the diagonal is the
 mass term plus a geometric-series complement integral.  Both depend on a pair
 only through its distance class (the cells' common-prefix length, amb - l on
-the diagonal), which is read once per lattice from the ball tree of the sorted
-cells; the precision entries and the free-covariance bound are read from one
-table per class.  The same structure writes N = D' I + sum over tree nodes a of
-beta_depth(a) 1_a 1_a^T, so the covariance is inverted by one leaf-to-root
-Sherman-Morrison pass, the classical inverse of an ultrametric matrix (Martinez,
-Michon and San Martin, SIAM J. Matrix Anal. Appl. 15, 1994), and the inverse is
-checked by forming M N - I from that same tree form, node sums of M instead of a
-dense product.  Its entrywise nonnegativity, domination by the free covariance,
-and growth under region extension are the checkable facts.
+the diagonal), which is read once per lattice from the ball tree of the cells
+in their digit order; the precision entries and the free-covariance bound are
+read from one table per class.  The same structure writes N = D' I + sum over
+tree nodes a of beta_depth(a) 1_a 1_a^T, so the covariance is inverted by one
+leaf-to-root Sherman-Morrison pass, the classical inverse of an ultrametric
+matrix (Martinez, Michon and San Martin, SIAM J. Matrix Anal. Appl. 15, 1994),
+and the inverse is checked by forming M N - I from that same tree form, node
+sums of M instead of a dense product.  Its entrywise nonnegativity, domination
+by the free covariance, and growth under region extension are the checkable
+facts.
 """
 
 from __future__ import annotations
@@ -76,48 +77,23 @@ class CovarianceMatrix:
 
 @dataclass(frozen=True)
 class _BallTree:
-    """The lattice cells in lexicographic digit order, read as a q-ary ball tree.
+    """The lattice cells, in their lexicographic digit order, read as a q-ary ball tree.
 
-    ``order`` lists the cell indices in that order and ``lcp[k]`` is the
-    common-prefix length of the k-th and (k+1)-th sorted cells.  The cells under
-    a depth-c tree node are a maximal run of sorted cells joined by lcp >= c, and
-    the distance class of a pair is the depth of the deepest node holding both.
+    ``lcp[k]`` is the common-prefix length of cells k and k+1.  The cells under a
+    depth-c tree node are a maximal run of cells joined by lcp >= c, and the
+    distance class of a pair is the depth of the deepest node holding both.
     ``pairs[c]`` is one cell pair of class c, or None where no pair has that class.
     The node table, per depth c = 0..leaf (depth leaf: the cells): ``bounds[c]``
-    holds the sorted positions where the depth-c nodes start, then eta; for c < leaf,
+    holds the cells where the depth-c nodes start, then eta; for c < leaf,
     ``firsts[c]`` holds each depth-c node's first child among the depth-(c+1)
     nodes, then the count of depth-(c+1) nodes.
     """
 
-    order: np.ndarray
-    in_order: bool  # the cells are already sorted
     lcp: np.ndarray
     leaf: int  # amb - l, the class of the diagonal
     pairs: tuple
     bounds: tuple
     firsts: tuple
-
-    def to_cells(self, ranked: np.ndarray) -> np.ndarray:
-        """A matrix indexed by sorted position, permuted in place into cell order.
-
-        Rows follow the permutation's cycles through a one-row buffer; columns then
-        move row chunk by row chunk, so no second eta x eta array is made.
-        """
-        if self.in_order:
-            return ranked
-        pos = np.argsort(self.order).tolist()  # row i of the result is row pos[i]
-        done = [False] * len(pos)
-        for start in range(len(pos)):
-            if done[start]:
-                continue
-            buffer, i = ranked[start].copy(), start
-            while pos[i] != start:
-                ranked[i] = ranked[pos[i]]
-                done[i], i = True, pos[i]
-            ranked[i], done[i] = buffer, True
-        for rows in _row_chunks(len(pos)):
-            ranked[rows] = ranked[rows][:, pos]
-        return ranked
 
     def classes(self) -> np.ndarray:
         """Pairwise distance classes, one byte per pair for up to 256 classes.
@@ -125,7 +101,7 @@ class _BallTree:
         Each node's block is set to its depth, root first, so deeper nodes overwrite.
         Every other eta x eta array of a lattice is built after this one, so it holds the cap.
         """
-        eta = len(self.order)
+        eta = len(self.lcp) + 1
         if eta > MAX_DENSE_CELLS:
             raise ValueError(f"lattice has {eta} cells (> {MAX_DENSE_CELLS})")
         out = np.zeros((eta, eta), dtype=self.lcp.dtype)
@@ -135,30 +111,35 @@ class _BallTree:
                 if hi - lo > 1:
                     out[lo:hi, lo:hi] = depth
         out.flat[:: eta + 1] = self.leaf
-        return self.to_cells(out)
+        return out
 
 
 def _ball_tree(lattice: LatticeSpec) -> _BallTree:
-    """Lexsort the digit rows once, take each adjacent pair's common prefix, cut the nodes."""
+    """Take each adjacent cell pair's common prefix once and cut the nodes.
+
+    The cells must be in lexicographic digit order, as ``refine`` lists them;
+    a hand-built lattice that is not raises ValueError.
+    """
     eta, leaf = lattice.eta, lattice.region.ambient_level - lattice.cell_level
     digits = np.fromiter(
         itertools.chain.from_iterable(c.digits for c in lattice.cells), dtype=np.int64, count=eta * leaf
     ).reshape(eta, leaf)
     if not leaf:  # one cell, the whole ambient ball
         digits = np.zeros((eta, 1), dtype=np.int64)
-    order = np.lexsort(digits.T[::-1])
-    ranked = digits[order]
-    lcp = np.argmax(ranked[1:] != ranked[:-1], axis=1).astype(np.min_scalar_type(leaf))
+    step = digits[1:] - digits[:-1]
+    lcp = np.argmax(step != 0, axis=1)
+    if np.any(step[np.arange(eta - 1), lcp] < 0):  # the first digit that differs falls
+        raise ValueError("lattice cells are not in lexicographic digit order")
+    lcp = lcp.astype(np.min_scalar_type(leaf))
     pairs = [None] * leaf
     for k, c in enumerate(lcp.tolist()):
         if pairs[c] is None:
-            pairs[c] = (int(order[k]), int(order[k + 1]))
+            pairs[c] = (k, k + 1)
     cut = np.ones((leaf + 1, eta + 1), dtype=bool)  # cut[c, k]: a depth-c node starts at k
     cut[:, 1:-1] = lcp < np.arange(leaf + 1)[:, None]
     bounds = [row.nonzero()[0] for row in cut]
     firsts = [bounds[c + 1].searchsorted(bounds[c]) for c in range(leaf)]
-    in_order = bool(np.all(order[1:] > order[:-1]))
-    return _BallTree(order, in_order, lcp, leaf, tuple(pairs), tuple(bounds), tuple(firsts))
+    return _BallTree(lcp, leaf, tuple(pairs), tuple(bounds), tuple(firsts))
 
 
 def precision_diagonal(params: FieldParams, l: int, diagonal_mass_term: bool = True) -> float:
@@ -237,8 +218,7 @@ def _row_chunks(eta: int):
 
 
 def _tree_inverse(N: PrecisionMatrix) -> np.ndarray:
-    """Inverse of D' I + sum_a beta_a 1_a 1_a^T by Sherman-Morrison, leaf to root,
-    indexed by sorted position.
+    """Inverse of D' I + sum_a beta_a 1_a 1_a^T by Sherman-Morrison, leaf to root.
 
     Once every node below depth c is folded in, the matrix is block diagonal
     over the depth-c nodes.  With u = M 1 and s = sum of u over node a, folding
@@ -252,8 +232,7 @@ def _tree_inverse(N: PrecisionMatrix) -> np.ndarray:
     or NotPositiveDefiniteError names the first failing cell (the gate argued in
     ``covariance_matrix``).
     """
-    tree = N.tree
-    eta = len(tree.order)
+    tree, eta = N.tree, N.lattice.eta
     w_last = ([0.0] + _class_entries(N))[-1]
     bad = np.flatnonzero(~(np.diagonal(N.entries) > w_last))
     if bad.size:
@@ -272,7 +251,7 @@ def _tree_inverse(N: PrecisionMatrix) -> np.ndarray:
                 s = sum(sums[firsts[k] : firsts[k + 1]], decimal.Decimal(0))
                 den = 1 + b * s
                 if not (den > 0):
-                    raise NotPositiveDefiniteError("precision matrix", int(tree.order[lo]) + 1)
+                    raise NotPositiveDefiniteError("precision matrix", lo + 1)
                 node_sums.append(s / den)
                 if b:
                     v = math.sqrt(float(abs(b) / den)) * u[lo:hi]
@@ -288,15 +267,13 @@ def _tree_inverse(N: PrecisionMatrix) -> np.ndarray:
 def _inverse_residual(m: np.ndarray, N: PrecisionMatrix) -> np.float64:
     """max |M N - I| over all entries, with N in its tree form D' I + sum_a beta_a 1_a 1_a^T.
 
-    So (M N)_ij = D' M_ij + sum over the tree nodes a above j of beta_a (M 1_a)_i, with M
-    indexed by sorted position, as ``_tree_inverse`` makes it.  Row chunk by row chunk:
-    the node sums M 1_a bottom-up, each level from the level below; the beta sums along
-    each root-to-node path top-down; then gathered to the columns.  A chunk is held
+    So (M N)_ij = D' M_ij + sum over the tree nodes a above j of beta_a (M 1_a)_i.  Row
+    chunk by row chunk: the node sums M 1_a bottom-up, each level from the level below;
+    the beta sums along each root-to-node path top-down; then gathered to the columns.  A chunk is held
     transposed, cells down the rows, so a node sum adds contiguous rows.  Chunk maxima
     fold by ``np.maximum``, so a NaN in any entry of M makes the residual NaN.
     """
-    tree = N.tree
-    eta, leaf = len(tree.order), tree.leaf
+    tree, eta, leaf = N.tree, N.lattice.eta, N.tree.leaf
     beta, d_prime = _class_couplings(N)
     residual = np.float64(0.0)
     for rows in _row_chunks(eta):
@@ -324,8 +301,7 @@ def covariance_matrix(N: PrecisionMatrix, residual_tol: float = 1e-10) -> Covari
     (``_inverse_residual``), with no dense product; and by the matrix determinant
     lemma, node by node, that matrix is positive definite when D' > 0 and every
     den > 0 (if and only if, when every beta <= 0, as in this model).  Each check
-    runs row chunk by row chunk, so no eta x eta array but M is made.  M is checked
-    in sorted-cell order, then permuted once, in place, into cell order.
+    runs row chunk by row chunk, so no eta x eta array but M is made.
     """
     eta = N.lattice.eta
     for rows in _row_chunks(eta):
@@ -344,7 +320,7 @@ def covariance_matrix(N: PrecisionMatrix, residual_tol: float = 1e-10) -> Covari
     residual = float(_inverse_residual(m, N))
     if not (residual <= residual_tol * eta):  # a NaN residual fails too
         raise ValueError(f"inverse residual {residual:.3e} exceeds {residual_tol:.1e} * eta")
-    return CovarianceMatrix(lattice=N.lattice, entries=N.tree.to_cells(m), precision=N)
+    return CovarianceMatrix(lattice=N.lattice, entries=m, precision=N)
 
 
 def sign_structure_check(N: PrecisionMatrix) -> CheckReport:

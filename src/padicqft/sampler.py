@@ -346,20 +346,18 @@ def _tree_pass(M, P, source, variances, forms, moments, order):
 
     t^T N t = D' sum t_i^2 + sum over tree nodes a of beta_depth(a) (sum of t under a)^2
     (``_class_couplings``).  A leaf is exp(-D' t^2 / 2 - g_i :P:(t)) t^a_i; a node
-    convolves its children, read from the tree's node table in order of lowest
-    cell index, and multiplies by exp(-beta s^2 / 2).  Each array is kept at
-    max |.| = 1 with its log scale alongside.  Spacing 4 / (order sqrt D'), over
-    +-12 sd of the widest cell.  Every array ``np.convolve`` reads has its entries
+    convolves its children, read from the tree's node table in cell order, and
+    multiplies by exp(-beta s^2 / 2).  Each array is kept at max |.| = 1 with its
+    log scale alongside.  Spacing 4 / (order sqrt D'), over +-12 sd of the widest
+    cell.  Every array ``np.convolve`` reads has its entries
     below 2**-511 of its peak zeroed (``_weigh``, and ``_flush`` on a product of
     three or more children), so no product in it is subnormal, which is many times
     slower; no array is trimmed, since a shorter one changes the summation order.
     """
     N = M.precision
     eta, tree = M.lattice.eta, N.tree
-    cells = tree.order.tolist()  # cell indices by sorted position
     bounds = [b.tolist() for b in tree.bounds]
     firsts = [f.tolist() for f in tree.firsts]
-    lowest = [np.minimum.reduceat(tree.order, b[:-1]).tolist() for b in tree.bounds]
     beta, d_prime = _class_couplings(N)
     step = 4.0 / (order * math.sqrt(d_prime))
     half = math.ceil(QUADRATURE_WINDOW * math.sqrt(float(np.max(np.diag(M.entries)))) / step)
@@ -374,15 +372,14 @@ def _tree_pass(M, P, source, variances, forms, moments, order):
     def subtree(depth, k, powers):
         """(array, log scale) of the k-th node at ``depth``, memoized."""
         lo, hi = bounds[depth][k], bounds[depth][k + 1]
-        key = (depth, k, tuple(powers[i] for i in cells[lo:hi]))
+        key = (depth, k, powers[lo:hi])
         if key in memo:
             return memo[key]
         if depth == tree.leaf:
-            memo[key] = _weigh(x ** powers[cells[lo]], log_leaf[cells[lo]])
+            memo[key] = _weigh(x ** powers[lo], log_leaf[lo])
             return memo[key]
         arr, scale = np.ones(1), 0.0
-        children = range(firsts[depth][k], firsts[depth][k + 1])
-        for n, child in enumerate(sorted(children, key=lowest[depth + 1].__getitem__)):
+        for n, child in enumerate(range(firsts[depth][k], firsts[depth][k + 1])):
             c_arr, c_scale = subtree(depth + 1, child, powers)
             if n > 1:  # a product of two or more children, not yet weighed
                 arr = _flush(arr)

@@ -92,6 +92,8 @@ class Region:
 
     All balls sit at ``ball_level`` (radius q^ball_level); distinctness of
     addresses makes them pairwise disjoint with center separation > q^ball_level.
+    A region is a set: ``balls`` is stored in lexicographic digit order, whatever
+    order it is given in, so equality and ``serialize`` ignore the listing.
     """
 
     q: int
@@ -100,7 +102,7 @@ class Region:
     balls: tuple[BallAddress, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "balls", tuple(self.balls))
+        object.__setattr__(self, "balls", tuple(sorted(self.balls, key=lambda b: b.digits)))
         if self.q < 2:
             raise ValueError("q must be at least 2")
         if not self.balls:
@@ -162,9 +164,10 @@ def parse_region(text: str, q: int) -> Region:
 class LatticeSpec:
     """A region refined into its level-l cells, with a stable cell indexing.
 
-    The cells enumerate, ball by ball in region order and in lexicographic
-    digit order within each ball, all q^(k-l) descendants at ``cell_level``;
-    the tuple position is the cell index.
+    The cells are the q^(k-l) descendants at ``cell_level`` of every region
+    ball, in lexicographic digit order (the ball-tree order every lattice
+    algorithm reads); the tuple position is the cell index.  ``refine`` builds
+    them so; the lattice matrices reject a hand-built spec in any other order.
     """
 
     region: Region
@@ -206,9 +209,11 @@ class LatticeSpec:
 def refine(region: Region, l: int, max_cells: int = MAX_DENSE_CELLS) -> LatticeSpec:
     """Split every region ball into its q^(k-l) level-l descendants.
 
-    Children are enumerated in lexicographic digit order, so cell indices are
-    stable across runs and across region extensions (a subregion's cells
-    appear in the same relative order inside any superregion's refinement).
+    The region's balls are in lexicographic digit order and each ball's
+    children are enumerated so too, so the cells are in lexicographic digit
+    order: cell indices are stable across runs and listing orders, and a
+    subregion's cells appear in the same relative order inside any
+    superregion's refinement.
     """
     k = region.ball_level
     if l > k:

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import padicqft.cli
 import padicqft.model
 from padicqft.cli import (
     ConfigError,
@@ -125,6 +126,26 @@ class TestParseConfig:
         default = parse_config(Path("configs/default.ini").read_text())
         assert config_hash(default) == config_hash(parse_config("")) == "5494ef9dc9"
 
+    @pytest.mark.parametrize("text, message", [
+        ("[region]\nambient_level = 1\nk = 2\n",
+         "[region] k: ball level k must not exceed ambient_level"),
+        ("[lattice]\nl = 1\n", "[lattice] l: refinement level must satisfy l <= k"),
+        ("[polynomial]\ncoefficients = 0,0,0,1\n",
+         "[polynomial] coefficients: interaction degree must be even"),
+        ("[polynomial]\ncoefficients = 1\nlambda = 0.5\n",
+         "[polynomial] lambda: a linear term needs degree >= 2"),
+        ("p = 3\n", "malformed config: File contains no section headers."),
+    ])
+    def test_cross_key_rules_and_malformed_text(self, text, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.errors[0].startswith(message), err.value.errors
+
+    def test_readme_example_is_the_default_config(self):
+        readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Config format", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+        assert config_hash(parse_config(block)) == "5494ef9dc9"
+
     def test_region_digit_validation(self):
         with pytest.raises(ConfigError) as err:
             parse_config("[region]\nballs = 0,5\n")
@@ -223,6 +244,34 @@ class TestSubcommands:
         rc = main(["green", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_unreadable_config_path(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["green", "--config", str(tmp_path / "missing.ini"), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: cannot read config: ")
+        assert not out.exists()
+
+    def test_config_from_environment(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[run]\nseed = 7\n")
+        main(["integrals", "--config", str(cfg), "--out", str(tmp_path / "a")])
+        monkeypatch.setenv("PADICQFT_CONFIG", str(cfg))
+        main(["integrals", "--out", str(tmp_path / "b")])
+        monkeypatch.delenv("PADICQFT_CONFIG")
+        main(["integrals", "--out", str(tmp_path / "c")])
+        a, b, c = (next((tmp_path / d).glob("*.csv")).name for d in "abc")
+        assert a == b != c
+
+    def test_low_ess_warning(self, tmp_path, capsys):
+        # one cell at g = 250: a handful of draws carry the weight (ESS 9.19 of 1000)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[region]\nballs = 0\n[source]\ng = 250\nh = e0;e0\n"
+                       "[run]\nmethod = mc\nn_samples = 1000\n")
+        rc = main(["schwinger", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "warning: effective sample size below 10; estimates are low quality"
+
     def test_failure_removes_partial_outputs(self, tmp_path):
         # eta = 9 exceeds the quadrature cap -> schwinger fails after wick
         cfg = tmp_path / "cfg.ini"
@@ -291,6 +340,32 @@ class TestSubcommands:
         assert "error: invalid configuration" in err
         assert message in err
         assert not out.exists()
+
+
+class TestCellCap:
+    """A refinement past the dense cell cap is a config error, found before any cell data."""
+
+    @pytest.mark.parametrize("subcommand", ["integrals", "green", "lattice", "wick",
+                                            "schwinger", "verify"])
+    @pytest.mark.parametrize("l, cells", [(-9, "59049"), (-40, "36472996377170786403"),
+                                          (-10**9, "3 * 3^1000000000")])
+    def test_rejected_at_config_time(self, tmp_path, capsys, monkeypatch, subcommand, l, cells):
+        built = []
+        monkeypatch.setattr(padicqft.cli, "_parse_cell_values", lambda *a: built.append(a))
+        path = tmp_path / "cfg.ini"
+        path.write_text(f"[lattice]\nl = {l}\n")
+        out = tmp_path / "o"
+        rc = main([subcommand, "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == ("error: invalid configuration:\n"
+                       f"  [lattice] l: refinement would create {cells} cells (> 4096)\n")
+        assert not built and not out.exists()
+
+    def test_largest_refinements_either_side(self):
+        assert parse_config("[lattice]\nl = -6\n").lattice().eta == 2187
+        with pytest.raises(ConfigError, match=r"create 4374 cells \(> 4096\)"):
+            parse_config("[region]\nballs = 0,1\n[lattice]\nl = -7\n")
 
 
 class TestSchwingerMonteCarlo:

@@ -23,7 +23,7 @@ from padicqft.lattice import (
 )
 from padicqft.model import FieldParams, free_cell_variance, free_covariance_entry
 from padicqft.sampler import _cholesky
-from padicqft.ultrametric import BallAddress, Region, parse_region, refine
+from padicqft.ultrametric import BallAddress, LatticeSpec, Region, parse_region, refine
 from padicqft.verify import params_for, random_nested_pair, random_region_with_level
 from padicqft.wick import wick_l2_distance
 
@@ -146,17 +146,28 @@ class TestPrecisionMatrix:
         assert len(calls) == 1
 
     def test_classes_match_pairwise_on_unsorted_regions(self):
+        # a region listing its balls out of order gives the sorted listing's cells and bits
         rand = random.Random(10)
         lattices = [refine(parse_region(text, 3), l) for text, l in FIXED_REGIONS]
         whole = Region(q=3, ambient_level=1, ball_level=1, balls=(BallAddress(1, 1, ()),))
         lattices += [refine(whole, 1), refine(chain_region(1), 0)]  # one cell, leaf 0 and 1
+        unsorted = sum(_out_of_order(_listing(text)) for text, _ in FIXED_REGIONS)
         for i in range(16):
             region, l = random_region_with_level(rand, (3, 5)[i % 2], max_eta=40)
-            lattices.append(refine(_shuffled(region, rand), l))
-        unsorted = 0
+            listing = _listed(region, rand)
+            unsorted += _out_of_order(listing)
+            lat = refine(replace(region, balls=listing), l)
+            sorted_lat = refine(region, l)
+            assert lat.cells == sorted_lat.cells
+            p = params_for(region.q, Fraction(2))
+            n, n_sorted = precision_matrix(lat, p), precision_matrix(sorted_lat, p)
+            assert np.array_equal(n.entries.view(np.uint64), n_sorted.entries.view(np.uint64))
+            assert np.array_equal(n.classes, n_sorted.classes)
+            m, m_sorted = covariance_matrix(n).entries, covariance_matrix(n_sorted).entries
+            assert np.array_equal(m.view(np.uint64), m_sorted.view(np.uint64))
+            lattices.append(lat)
         for lat in lattices:
             n = precision_matrix(lat, params_for(lat.q, Fraction(2)))
-            unsorted += not n.tree.in_order
             amb = lat.region.ambient_level
             for a in range(lat.eta):
                 assert n.classes[a, a] == amb - lat.cell_level
@@ -168,8 +179,8 @@ class TestPrecisionMatrix:
 
 
 def _assert_node_table(tree, lat):
-    """bounds and firsts against their definitions, from the sorted cells' digits."""
-    digits = [lat.cells[i].digits for i in tree.order]
+    """bounds and firsts against their definitions, from the cells' digits in cell order."""
+    digits = [c.digits for c in lat.cells]
     assert digits == sorted(digits)
     assert len(tree.bounds) == tree.leaf + 1 and len(tree.firsts) == tree.leaf
     for c in range(tree.leaf + 1):
@@ -245,10 +256,27 @@ class TestCovarianceMatrix:
             covariance_matrix(n)
 
 
-def _shuffled(region, rand):
+def _listed(region, rand):
+    """The region's balls in a random listing order."""
     balls = list(region.balls)
     rand.shuffle(balls)
-    return replace(region, balls=tuple(balls))
+    return tuple(balls)
+
+
+def _shuffled(region, rand):
+    """The region built from a random listing of its balls."""
+    return replace(region, balls=_listed(region, rand))
+
+
+def _listing(text):
+    """The digit tuples of a region text's balls, in the order the text lists them."""
+    return [tuple(int(c) for c in token) for token in text.split("balls=")[1].split(",")]
+
+
+def _out_of_order(listing) -> bool:
+    """True when a ball listing (addresses or digit tuples) is not in digit order."""
+    digits = [getattr(b, "digits", b) for b in listing]
+    return digits != sorted(digits)
 
 
 # the first three skip distance classes (1 and 2; 2; 0); the second and the last list
@@ -262,20 +290,22 @@ FIXED_REGIONS = (
 
 
 def _tree_inverse_cases():
-    """The 200 acceptance-suite lattices, their ball-shuffled twins and the fixed regions."""
+    """The 200 acceptance-suite lattices, their twins from shuffled ball listings and the
+    fixed regions, each with the ball listing its region was built from."""
     import test_acceptance
 
     rand = random.Random(71)
     for p, lattice, n, m in test_acceptance.matrix_suite():
-        yield p, n, m
+        yield p, n, m, lattice.region.balls
         if lattice.region.nu > 1:
-            twin = refine(_shuffled(lattice.region, rand), lattice.cell_level)
+            listing = _listed(lattice.region, rand)
+            twin = refine(replace(lattice.region, balls=listing), lattice.cell_level)
             n_twin = precision_matrix(twin, p)
-            yield p, n_twin, covariance_matrix(n_twin)
+            yield p, n_twin, covariance_matrix(n_twin), listing
     for i, (text, l) in enumerate(FIXED_REGIONS):
         p = params_for(3, (Fraction(1), Fraction(2))[i % 2])
         n = precision_matrix(refine(parse_region(text, 3), l), p)
-        yield p, n, covariance_matrix(n)
+        yield p, n, covariance_matrix(n), _listing(text)
 
 
 class TestTreeInverse:
@@ -294,11 +324,11 @@ class TestTreeInverse:
 
     def test_matches_dense_inverse(self):
         seen = {"unsorted": 0, "empty class": 0}
-        for p, n, m in _tree_inverse_cases():
+        for p, n, m, listing in _tree_inverse_cases():
             want = oracles.dense_inverse(n.entries)
             assert np.all(np.abs(m.entries - want) <= 1e-12 * np.abs(want))
             assert np.array_equal(m.entries, m.entries.T)
-            seen["unsorted"] += not n.tree.in_order
+            seen["unsorted"] += _out_of_order(listing)
             seen["empty class"] += None in n.tree.pairs
         assert min(seen.values()) >= 4, seen
 
@@ -371,9 +401,9 @@ class TestSpdGate:
 
 
 # 729 cells each, so _ROW_CHUNK // 729 = 89 rows per chunk and 9 chunks; the second
-# lists its balls out of lexicographic order, so its sorted-order chunks are not its cell rows
+# lists the same balls out of lexicographic order, so it is the same lattice
 CHUNKED_REGIONS = ("amb=1;k=0;balls=0,1,2", "amb=1;k=0;balls=2,0,1")
-# balls out of order at unequal distances: its sorted and cell orders give different N
+# balls listed out of order at unequal distances
 SHUFFLED_REGION = "amb=2;k=0;balls=12,00,01"
 
 
@@ -419,10 +449,9 @@ class TestTreeResidual:
         for n in _residual_cases():
             qs.add(n.lattice.region.q)
             m = covariance_matrix(n).entries
-            o = n.tree.order  # the residual reads M by sorted position
             noise = rand.standard_normal(m.shape) * 1e-6
             for trial in (m, m + noise + noise.T, m + noise):  # exact, symmetric, one-sided
-                got = float(padicqft.lattice._inverse_residual(trial[np.ix_(o, o)], n))
+                got = float(padicqft.lattice._inverse_residual(trial, n))
                 want = _dense_residual(trial, n)
                 assert abs(got - want) <= 2 * _rounding(trial, n), (n.lattice.region, got, want)
         assert qs == {3, 5}
@@ -440,11 +469,9 @@ class TestTreeResidual:
         shifted[i, j] += 1e-6
         if symmetric and i != j:
             shifted[j, i] += 1e-6
-        o = n.tree.order  # the residual reads M by sorted position
-        by_position = shifted[np.ix_(o, o)]
-        residual = float(padicqft.lattice._inverse_residual(by_position, n))
+        residual = float(padicqft.lattice._inverse_residual(shifted, n))
         assert abs(residual - _dense_residual(shifted, n)) <= 2 * _rounding(shifted, n)
-        monkeypatch.setattr(padicqft.lattice, "_tree_inverse", lambda N: by_position)
+        monkeypatch.setattr(padicqft.lattice, "_tree_inverse", lambda N: shifted)
         with pytest.raises(ValueError, match="inverse residual"):
             covariance_matrix(n)
 
@@ -472,38 +499,51 @@ class TestTreeResidual:
 
 
 class TestOutOfOrderLattice:
-    """A lattice listing its balls out of order gets M permuted into cell order in place."""
+    """A region listing its balls out of order is the sorted region: same cells, same bits."""
 
     def test_holds_m_once(self, chunked):
         n, m = chunked[CHUNKED_REGIONS[1]]
-        assert not n.tree.in_order
+        assert n.lattice.region.serialize() == CHUNKED_REGIONS[0]
         tracemalloc.start()
         try:
             covariance_matrix(n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert m.nbytes < peak < 1.6 * m.nbytes
+        assert m.nbytes < peak < 1.5 * m.nbytes
 
     @staticmethod
-    def _assert_sorted_twin_permuted(n0, m0, n1, m1):
-        index = {cell.digits: i for i, cell in enumerate(n0.lattice.cells)}
-        perm = np.array([index[cell.digits] for cell in n1.lattice.cells])
-        assert not np.array_equal(perm, np.arange(len(perm)))
-        assert np.array_equal(m1.view(np.uint64), m0[np.ix_(perm, perm)].view(np.uint64))
-        assert np.array_equal(n1.classes, n0.classes[np.ix_(perm, perm)])
+    def _assert_same_lattice(n0, m0, n1, m1):
+        assert n1.lattice.cells == n0.lattice.cells
+        assert np.array_equal(n1.entries.view(np.uint64), n0.entries.view(np.uint64))
+        assert np.array_equal(n1.classes, n0.classes)
+        assert np.array_equal(m1.view(np.uint64), m0.view(np.uint64))
 
-    def test_equals_the_sorted_lattice_permuted(self, chunked):
+    def test_equals_the_sorted_lattice(self, chunked):
         (n0, m0), (n1, m1) = (chunked[text] for text in CHUNKED_REGIONS)
-        self._assert_sorted_twin_permuted(n0, m0, n1, m1)
+        self._assert_same_lattice(n0, m0, n1, m1)
 
-    def test_irregular_region_equals_its_sorted_twin_permuted(self):
+    def test_irregular_region_equals_its_sorted_twin(self):
         # the full ball above is invariant under its block shift; this region is not
         pair = []
         for text in ("amb=2;k=0;balls=00,12,20,21", "amb=2;k=0;balls=21,00,12,20"):
             n = precision_matrix(refine(parse_region(text, 3), -2), params())
             pair += [n, covariance_matrix(n).entries]
-        self._assert_sorted_twin_permuted(*pair)
+        self._assert_same_lattice(*pair)
+
+    @pytest.mark.parametrize("reorder", ["reversed", "one adjacent swap"])
+    def test_hand_built_out_of_order_lattice_rejected(self, reorder):
+        lat = refine(parse_region("amb=2;k=0;balls=00,12,20,21", 3), -1)
+        cells = list(lat.cells)
+        if reorder == "reversed":
+            cells.reverse()
+        else:
+            cells[3], cells[4] = cells[4], cells[3]  # inside one ball: the last digit falls
+        bad = LatticeSpec(lat.region, lat.cell_level, cells)
+        with pytest.raises(ValueError, match="not in lexicographic digit order"):
+            precision_matrix(bad, params())
+        with pytest.raises(ValueError, match="not in lexicographic digit order"):
+            wick_l2_distance(params(), 2, 1, 2, bad, np.ones(bad.eta))
 
 
 class TestChunkedDomination:
@@ -589,6 +629,14 @@ class TestSignsAndDomination:
         lat = refine(chain_region(3), 0)
         report = sign_structure_check(precision_matrix(lat, params()))
         assert report.passed
+
+    def test_nonpositive_diagonal_fails_sign_structure(self):
+        n = precision_matrix(refine(chain_region(3), 0), params())
+        bad = np.array(n.entries)
+        bad[1, 1] = 0.0
+        report = sign_structure_check(replace(n, entries=bad))
+        assert not report.passed and report.worst_margin == 0.0
+        assert report.violations == ("nonpositive diagonal entry 0.0",)
 
     def test_domination_hand_margins(self):
         # free-covariance slack of the fully-refined ball: about 6.5e-4

@@ -13,6 +13,7 @@ import pytest
 
 from padicqft.model import (
     FieldParams,
+    _is_odd_prime,
     c_kappa_sq,
     character_shell_integral,
     free_cell_variance,
@@ -63,6 +64,13 @@ class TestFieldParams:
             params(gamma=-1.0)
         with pytest.raises(ValueError):
             params(omega=0.5)
+
+    def test_odd_prime_test_divides(self):
+        # the odd composites reach the trial-division loop, the odd primes pass it
+        assert not any(_is_odd_prime(p) for p in (9, 15, 21, 25, 49, 2, 1, 0, -3))
+        assert all(_is_odd_prime(p) for p in (3, 5, 7, 11, 13, 47, 53))
+        with pytest.raises(ValueError, match="odd prime, got 25"):
+            params(p=25)
 
     def test_derived(self):
         p = FieldParams(p=5, n=2, alpha=Fraction(3), m_sq=2.0)

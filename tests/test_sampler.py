@@ -20,6 +20,8 @@ from padicqft.sampler import (
     MC_BATCHES,
     MC_PRODUCT_BLOCK,
     QuadratureError,
+    RegionComparison,
+    SchwingerEstimate,
     SourceSpec,
     effective_sample_size,
     _batch_se,
@@ -944,6 +946,11 @@ class TestGriffiths:
         assert not report.passed
         assert np.isnan(report.worst_margin)
 
+    def test_unknown_method_rejected(self, cov2):
+        src = SourceSpec(g=np.full(2, 0.1), h_list=())
+        with pytest.raises(ValueError, match="unknown method 'exact'"):
+            griffiths_check(cov2, X4, src, "exact", var0())
+
     def test_mc_matches_quadrature_verdict(self, cov3):
         poly = WickPolynomial((0.0, -0.5, 0.0, 0.0, 1.0))
         src = SourceSpec(g=np.full(3, 0.2), h_list=())
@@ -991,6 +998,21 @@ class TestMonotonicity:
             monotonicity_experiment(
                 chain_region(2), chain_region(3), 0, params(), X4, src, "quadrature"
             )
+
+    def test_unknown_method_rejected(self):
+        src = SourceSpec(g=np.full(2, 0.1), h_list=(np.eye(2)[0],))
+        with pytest.raises(ValueError, match="unknown method 'exact'"):
+            monotonicity_experiment(chain_region(2), chain_region(3), 0, params(), X4, src, "exact")
+
+    def test_failing_comparison_reports_the_values(self):
+        small = SchwingerEstimate(0.25, 0.01, 1000, "mc")
+        big = SchwingerEstimate(0.2, 0.01, 1000, "mc")
+        cmp = RegionComparison(small, big, margin=-0.05, allowance=0.03, passed=False)
+        report = cmp.report()
+        assert report.check == "schwinger_monotonicity" and not report.passed
+        assert report.worst_margin == pytest.approx(-0.02, abs=1e-15)
+        assert report.violations == ("S_small = 0.25 exceeds S_big = 0.2",)
+        assert cmp.report("named").check == "named"
 
     def test_mc_route(self):
         src = SourceSpec(g=np.full(2, 0.1), h_list=(np.eye(2)[0], np.eye(2)[1]))

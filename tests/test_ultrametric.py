@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,8 @@ from padicqft.ultrametric import (
     parse_region,
     refine,
 )
+
+from padicqft.verify import random_nested_pair
 
 from oracles import FieldModel
 
@@ -147,6 +150,16 @@ class TestRegion:
         assert small.is_subregion_of(big)
         assert not big.is_subregion_of(small)
 
+    def test_listing_order_is_ignored(self):
+        # a region is a set of balls: equality, hashing and the text form ignore the listing
+        balls = [ball(2, 0, d) for d in ((2, 1), (0, 0), (1, 2), (2, 0))]
+        regions = [Region(q=3, ambient_level=2, ball_level=0, balls=tuple(p))
+                   for p in itertools.permutations(balls)]
+        assert len(set(regions)) == 1 and all(r == regions[0] for r in regions)
+        assert {r.serialize() for r in regions} == {"amb=2;k=0;balls=00,12,20,21"}
+        assert all(r.balls == tuple(sorted(balls, key=lambda b: b.digits)) for r in regions)
+        assert parse_region("amb=2;k=0;balls=21,00,12,20", 3) == regions[0]
+
 
 class TestRefine:
     def test_trivial_refinement(self):
@@ -231,6 +244,24 @@ class TestRefine:
         with pytest.raises(ValueError):
             refine(region, -7)
         assert refine(region, -7, max_cells=10**5).eta == 3**8
+
+    def test_subregion_cells_keep_their_order_in_any_listing(self):
+        # with both regions built from shuffled listings, the subregion's cells sit in the
+        # superregion's refinement in the same relative order
+        rand = random.Random(23)
+        shuffled = 0
+        for i in range(40):
+            small, big, l = random_nested_pair(rand, (3, 5)[i % 2], max_eta=80)
+            listings = []
+            for region in (small, big):
+                listing = list(region.balls)
+                rand.shuffle(listing)
+                shuffled += listing != list(region.balls)
+                listings.append(replace(region, balls=tuple(listing)))
+            lat_small, lat_big = (refine(r, l) for r in listings)
+            positions = [lat_big.index_of(c) for c in lat_small.cells]
+            assert positions == sorted(positions), (small, big, l)
+        assert shuffled >= 20
 
     def test_restriction_stability(self):
         big = Region(q=3, ambient_level=1, ball_level=0,
