@@ -80,6 +80,12 @@ def _positive(v) -> bool:
     return v > 0
 
 
+def _sorted_balls(text: str) -> str:
+    """A ball listing in one order: its tokens stripped and sorted, which for the
+    same-length base-36 digit strings of one ball level is digit order."""
+    return ",".join(sorted(token.strip() for token in text.split(",")))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """The effective configuration; each field declares its own INI key.
@@ -87,7 +93,8 @@ class RunConfig:
     Field order is the canonical order of sections and keys.
     """
 
-    p: int = _key("field", "p", "3", int, _is_odd_prime, "p must be an odd prime")
+    p: int = _key("field", "p", "3", int, lambda v: v < model.PRIME_TEST_BOUND and _is_odd_prime(v),
+                  f"p must be an odd prime below {model.PRIME_TEST_BOUND}")
     n: int = _key("field", "n", "1", int, lambda v: v in (1, 2, 3, 4), "n must be in 1..4")
     alpha: Fraction = _key("field", "alpha", "1", Fraction)
     m_sq: float = _key("field", "m_sq", "1.0", float, _positive, "m_sq must be positive")
@@ -99,7 +106,7 @@ class RunConfig:
         text=lambda v: "auto" if v is None else str(v))
     ambient_level: int = _key("region", "ambient_level", "1", int)
     k: int = _key("region", "k", "0", int)
-    balls: str = _key("region", "balls", "0,1,2")
+    balls: str = _key("region", "balls", "0,1,2", _sorted_balls)
     l: int = _key("lattice", "l", "0", int)
     coefficients: tuple[float, ...] = _key(
         "polynomial", "coefficients", "0,0,0,0,1",

@@ -23,14 +23,33 @@ from .ultrametric import SAME
 DEFAULT_TOL = 1e-12
 
 
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981  # the least strong pseudoprime to them all
+
+
 def _is_odd_prime(p: int) -> bool:
+    """Miller-Rabin to every base in PRIME_BASES, which is exact below
+    PRIME_TEST_BOUND (Sorenson and Webster, Math. Comp. 86 (2017)); a larger p
+    raises ValueError."""
+    if p >= PRIME_TEST_BOUND:
+        raise ValueError(f"p = {p} is not below {PRIME_TEST_BOUND}, the prime test's bound")
     if p < 3 or p % 2 == 0:
         return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    if p in PRIME_BASES:
+        return True
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in PRIME_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .lattice import (
     CovarianceMatrix,
@@ -48,7 +47,7 @@ MIN_MC_SAMPLES = 1_000
 MC_BATCHES = 30
 # OpenBLAS (interface/gemm.c) keeps a dgemm with m n k <= SMP_THRESHOLD_MIN *
 # GEMM_MULTITHREAD_THRESHOLD on the calling thread: 65536 * 4 in its default build,
-# as in the scipy-openblas 0.3.31 measured in BENCH_15.json; a BLAS built otherwise
+# as in numpy's bundled OpenBLAS 0.3.31, measured in BENCH_15.json; a BLAS built otherwise
 # may thread these blocks again, or leave them smaller than it needs.
 MC_PRODUCT_BLOCK = 2**18
 LOW_ESS_THRESHOLD = 10.0
@@ -134,10 +133,26 @@ def _batch_se(num: np.ndarray, den_sums: np.ndarray | None = None) -> float:
 
 
 def _cholesky(matrix: np.ndarray, name: str) -> np.ndarray:
-    factor, info = scipy.linalg.lapack.dpotrf(np.asarray_chkfinite(matrix), lower=1, clean=1)
-    if info:
-        raise NotPositiveDefiniteError(name, info)
-    return factor
+    """The lower Cholesky factor.  numpy does not report where a factorization
+    fails, so a failure bisects for the smallest leading block that does not factor."""
+    matrix = np.asarray_chkfinite(matrix)
+    try:
+        return np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        factors, fails = 0, len(matrix)  # leading block sizes that do and do not factor
+    while fails - factors > 1:
+        mid = (factors + fails) // 2
+        try:
+            np.linalg.cholesky(matrix[:mid, :mid])
+            factors = mid
+        except np.linalg.LinAlgError:
+            fails = mid
+    raise NotPositiveDefiniteError(name, fails)
+
+
+def _check_cells(cells, eta: int) -> None:
+    if any(not 0 <= i < eta for i in cells):
+        raise ValueError(f"a cell the estimate reads is outside 0..{eta - 1}")
 
 
 def _mc_draw(M, P, source, variances, seed, n_samples, cells=None):
@@ -173,9 +188,8 @@ def _mc_draw(M, P, source, variances, seed, n_samples, cells=None):
     if cells is None:
         drawn = np.arange(eta)
     else:
+        _check_cells(cells, eta)
         drawn = np.array(sorted(set(np.flatnonzero(source.g).tolist()).union(cells)), dtype=int)
-        if len(drawn) and not (0 <= drawn[0] and drawn[-1] < eta):
-            raise ValueError(f"a cell the estimate reads is outside 0..{eta - 1}")
     order = np.concatenate([drawn, np.setdiff1d(np.arange(eta), drawn)])
     try:
         factor = _cholesky(M.entries[np.ix_(order, order)], "covariance matrix")
@@ -504,12 +518,13 @@ def griffiths_check(
                     | {tuple(sorted(a + b)) for a, b in pairs}
                     | {tuple(sorted(m)) for pair in pairs for m in pair})
     pos = {m: i for i, m in enumerate(needed)}
+    read = {i for m in needed for i in m}
+    _check_cells(read, eta)  # quadrature would wrap -1 to the last cell
 
     if method == "quadrature":
         vals, _, _ = _quadrature_converged(M, P, source, variances, None, needed, order)
         ses = np.zeros(len(needed))
     elif method == "mc":
-        read = {i for m in needed for i in m}
         draw = _mc_draw(M, P, source, variances, seed, n_samples, read)
         vals, ses, _ = _mc_moments(draw, None, needed)
     else:

@@ -39,15 +39,19 @@ m_sq = 1.0
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(args, cwd=None, module="padicqft.cli"):
+def child_env():
     # the child imports the package from this checkout, installed or not
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_cli(args, cwd=None, module="padicqft.cli"):
     return subprocess.run(
         [sys.executable, "-m", module, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=child_env(),
     )
 
 
@@ -145,6 +149,30 @@ class TestParseConfig:
         readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
         block = readme.split("## Config format", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
         assert config_hash(parse_config(block)) == "5494ef9dc9"
+
+    def test_ball_listing_order_is_not_hashed(self, tmp_path):
+        names = []
+        for listing in ("2,0,1", "0, 1,2"):
+            cfg = parse_config(f"[region]\nballs = {listing}\n")
+            assert cfg.balls == "0,1,2" and config_hash(cfg) == "5494ef9dc9"
+            assert canonical_text(cfg) == canonical_text(parse_config(""))
+            path = tmp_path / f"{listing}.ini"
+            path.write_text(f"[region]\nballs = {listing}\n")
+            out = tmp_path / f"out {listing}"
+            assert main(["lattice", "--config", str(path), "--out", str(out)]) == 0
+            names.append(sorted(f.name for f in out.iterdir()))
+        assert names[0] == names[1]
+
+    @pytest.mark.parametrize("p", [3317044064679887385961981, 2**89 - 1])
+    def test_prime_past_the_prime_tests_bound_rejected(self, tmp_path, capsys, p):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[field]\np = {p}\n")
+        assert err.value.errors == [
+            "[field] p: p must be an odd prime below 3317044064679887385961981"]
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[field]\np = {p}\n")
+        assert main(["green", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "[field] p: p must be an odd prime below" in capsys.readouterr().err
 
     def test_region_digit_validation(self):
         with pytest.raises(ConfigError) as err:
@@ -569,6 +597,26 @@ class TestReferenceCycles:
         assert _cyclic_garbage(lambda: main(args)) <= parser_only
 
 
+# runs every subcommand in one interpreter, then prints the scipy modules it holds
+# and the number of OpenBLAS libraries it maps
+EVERY_SUBCOMMAND = """
+import sys
+from pathlib import Path
+import padicqft.cli
+config, out = Path(sys.argv[1]), Path(sys.argv[2])
+text, mc = config.read_text(), out / "mc.ini"
+assert "method = quadrature" in text
+mc.write_text(text.replace("method = quadrature", "method = mc"))
+for sub in ("integrals", "green", "lattice", "wick", "schwinger", "verify"):
+    assert padicqft.cli.main([sub, "--config", str(config), "--out", str(out / "a")]) == 0
+assert padicqft.cli.main(["schwinger", "--trace", "--config", str(mc), "--out", str(out / "b")]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+maps = Path("/proc/self/maps")
+lines = maps.read_text().splitlines() if maps.exists() else []
+print(len({line.split()[-1] for line in lines if "openblas" in line.lower()}))
+"""
+
+
 class TestConsoleEntryPoint:
     def test_module_invocation(self, tmp_path):
         result = run_cli(["green", "--out", str(tmp_path / "o")])
@@ -580,3 +628,15 @@ class TestConsoleEntryPoint:
         assert result.returncode == 0, result.stderr
         assert result.stdout.startswith("wrote ")
         assert len(list((tmp_path / "o").glob("integrals_5494ef9dc9.csv"))) == 1
+
+    def test_every_subcommand_runs_on_numpy_alone(self, tmp_path):
+        result = subprocess.run(
+            [sys.executable, "-c", EVERY_SUBCOMMAND, str(SRC.parent / "configs" / "default.ini"),
+             str(tmp_path)],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        *lines, modules, blas = result.stdout.strip().splitlines()
+        assert sum(line.startswith("wrote ") for line in lines) == 12
+        assert modules == "[]"
+        assert int(blas) <= 1  # numpy's OpenBLAS, or none where no map is listed

@@ -7,11 +7,13 @@ and is re-checked here against the library's truncation strategy.
 
 import dataclasses
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
 from padicqft.model import (
+    PRIME_TEST_BOUND,
     FieldParams,
     _is_odd_prime,
     c_kappa_sq,
@@ -66,11 +68,36 @@ class TestFieldParams:
             params(omega=0.5)
 
     def test_odd_prime_test_divides(self):
-        # the odd composites reach the trial-division loop, the odd primes pass it
+        # the odd composites reach the Miller-Rabin loop, the odd primes pass it
         assert not any(_is_odd_prime(p) for p in (9, 15, 21, 25, 49, 2, 1, 0, -3))
         assert all(_is_odd_prime(p) for p in (3, 5, 7, 11, 13, 47, 53))
         with pytest.raises(ValueError, match="odd prime, got 25"):
             params(p=25)
+
+    def test_odd_prime_test_agrees_with_a_sieve(self):
+        n = 200_000
+        prime = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+        for f in range(2, math.isqrt(n) + 1):  # strike every multiple of each prime <= sqrt n
+            if prime[f]:
+                prime[f * f :: f] = bytes(len(range(f * f, n, f)))
+        assert [p for p in range(n) if _is_odd_prime(p)] == [p for p in range(3, n, 2) if prime[p]]
+
+    def test_odd_prime_test_rejects_pseudoprimes(self):
+        carmichael = (561, 1105, 41041)
+        # strong pseudoprimes to the prime bases up to 2, 7, 23 and 37
+        strong = (2047, 3215031751, 3825123056546413051, 318665857834031151167461)
+        assert not any(_is_odd_prime(p) for p in carmichael + strong)
+
+    def test_odd_prime_test_is_fast_below_its_bound_and_refuses_above(self):
+        start = time.perf_counter()
+        assert params(p=10**18 + 3).p == 10**18 + 3
+        assert time.perf_counter() - start < 0.1
+        assert _is_odd_prime(PRIME_TEST_BOUND - 168)  # the largest prime below the bound
+        for p in (PRIME_TEST_BOUND, 2**89 - 1):  # the bound itself, then a Mersenne prime
+            with pytest.raises(ValueError, match="the prime test's bound"):
+                _is_odd_prime(p)
+            with pytest.raises(ValueError, match="the prime test's bound"):
+                params(p=p)
 
     def test_derived(self):
         p = FieldParams(p=5, n=2, alpha=Fraction(3), m_sq=2.0)

@@ -250,6 +250,32 @@ class TestSampleField:
                 _mc_draw(cov3, X4, src, var0(), 1, 1000, cells)
 
 
+class TestCholesky:
+    """The draw's factor, and the pivot a failed factorization names."""
+
+    @staticmethod
+    def spd(n):
+        b = np.random.default_rng(n).integers(-1, 2, (n, n)).astype(float)
+        return b @ b.T + np.eye(n)  # integer entries, so the oracle's rationals stay small
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 13, 27, 40])
+    def test_pivot_is_the_first_nonpositive_leading_minor(self, n):
+        a = self.spd(n)
+        factor = _cholesky(a, "m")
+        assert np.array_equal(factor, np.tril(factor))
+        assert np.allclose(factor @ factor.T, a, rtol=0, atol=1e-12 * n)
+        for k in range(1, n + 1) if n <= 27 else (1, 2, 3, 20, 21, 38, 39, 40):
+            # lower entry k-1 past its Schur complement: pivot k falls to about -1,
+            # and the leading minors before it are untouched
+            i, bad = k - 1, a.copy()
+            schur = a[i, i] - a[i, :i] @ np.linalg.solve(a[:i, :i], a[:i, i]) if i else a[0, 0]
+            bad[i, i] -= round(schur) + 1
+            assert oracles.first_nonpositive_pivot(bad) == k
+            with pytest.raises(NotPositiveDefiniteError, match=rf"^m is not .* \(pivot {k}\)$") as err:
+                _cholesky(bad, "m")
+            assert err.value.pivot == k, (n, k)
+
+
 class CountingRng:
     """A generator that counts the normals drawn from it."""
 
@@ -950,6 +976,15 @@ class TestGriffiths:
         src = SourceSpec(g=np.full(2, 0.1), h_list=())
         with pytest.raises(ValueError, match="unknown method 'exact'"):
             griffiths_check(cov2, X4, src, "exact", var0())
+
+    @pytest.mark.parametrize("method", ["quadrature", "mc"])
+    @pytest.mark.parametrize("cell", [-1, 2])
+    def test_moment_index_outside_the_lattice_rejected(self, cov2, method, cell):
+        src = SourceSpec(g=np.full(2, 0.1), h_list=())
+        for indices in ({"multi_indices": [(cell,)], "pairs": []},
+                        {"multi_indices": [], "pairs": [((0,), (cell,))]}):
+            with pytest.raises(ValueError, match="outside 0..1"):
+                griffiths_check(cov2, X4, src, method, var0(), n_samples=1000, **indices)
 
     def test_mc_matches_quadrature_verdict(self, cov3):
         poly = WickPolynomial((0.0, -0.5, 0.0, 0.0, 1.0))
