@@ -7,15 +7,17 @@ the coupling between two cells is a single-shell value of the jump kernel
 mass term plus a geometric-series complement integral.  Both depend on a pair
 only through its distance class (the cells' common-prefix length, amb - l on
 the diagonal), which is read once per lattice from the ball tree of the cells
-in their digit order; the precision entries and the free-covariance bound are
-read from one table per class.  The same structure writes N = D' I + sum over
-tree nodes a of beta_depth(a) 1_a 1_a^T, so the covariance is inverted by one
-leaf-to-root Sherman-Morrison pass, the classical inverse of an ultrametric
-matrix (Martinez, Michon and San Martin, SIAM J. Matrix Anal. Appl. 15, 1994),
-and the inverse is checked by forming M N - I from that same tree form, node
-sums of M instead of a dense product.  Its entrywise nonnegativity, domination
-by the free covariance, and growth under region extension are the checkable
-facts.
+in their digit order; the precision entries (filled in by blocks) and the
+free-covariance bound come from one table per class.  The same structure writes
+N = D' I + sum over tree nodes a of beta_depth(a) 1_a 1_a^T, so the covariance
+is inverted by one leaf-to-root Sherman-Morrison pass, the classical inverse of
+an ultrametric matrix (Martinez, Michon and San Martin, SIAM J. Matrix Anal.
+Appl. 15, 1994), and the inverse is checked by forming M N - I from that same
+tree form, node sums of M instead of a dense product.  Below the region balls
+(depth top = amb - k) the nodes of a depth are alike, so each pass keeps one
+scalar per depth there, and a lattice matrix is one value per ball pair and per
+(ball, depth) block.  Its entrywise nonnegativity, domination by the free
+covariance, and growth under region extension are the checkable facts.
 """
 
 from __future__ import annotations
@@ -86,32 +88,41 @@ class _BallTree:
     The node table, per depth c = 0..leaf (depth leaf: the cells): ``bounds[c]``
     holds the cells where the depth-c nodes start, then eta; for c < leaf,
     ``firsts[c]`` holds each depth-c node's first child among the depth-(c+1)
-    nodes, then the count of depth-(c+1) nodes.
+    nodes, then the count of depth-(c+1) nodes.  The depth-top nodes are the region
+    balls; below them a depth's nodes are runs of ``bounds[c][1]`` cells alike.
     """
 
     lcp: np.ndarray
     leaf: int  # amb - l, the class of the diagonal
+    top: int  # amb - k, the depth of the region balls
     pairs: tuple
     bounds: tuple
     firsts: tuple
+    ball_classes: np.ndarray  # nu x nu: the classes of the region balls' pairs, top on the diagonal
 
-    def classes(self) -> np.ndarray:
-        """Pairwise distance classes, one byte per pair for up to 256 classes.
+    def fill(self, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+        """The eta x eta array that is ``outer[a, b]`` on the cell pairs of region balls
+        a and b, but ``inner[a, c - top - 1]`` (row 0 for every ball, if it has one row)
+        on the pairs of ball a whose deepest common node is at depth c > top.
 
-        Each node's block is set to its depth, root first, so deeper nodes overwrite.
-        Every other eta x eta array of a lattice is built after this one, so it holds the cap.
+        Each depth overwrites its diagonal blocks in place, through a 4-d view; every
+        other eta x eta array of a lattice is built after its first fill, so it holds the cap.
         """
-        eta = len(self.lcp) + 1
+        eta, nu = len(self.lcp) + 1, len(outer)
         if eta > MAX_DENSE_CELLS:
             raise ValueError(f"lattice has {eta} cells (> {MAX_DENSE_CELLS})")
-        out = np.zeros((eta, eta), dtype=self.lcp.dtype)
-        for depth in range(1, self.leaf):
-            bounds = self.bounds[depth].tolist()
-            for lo, hi in zip(bounds, bounds[1:]):
-                if hi - lo > 1:
-                    out[lo:hi, lo:hi] = depth
-        out.flat[:: eta + 1] = self.leaf
+        out = np.empty((eta, eta), dtype=outer.dtype)
+        out.reshape(nu, eta // nu, nu, eta // nu)[...] = outer[:, None, :, None]
+        for c in range(self.top + 1, self.leaf + 1):
+            n = eta // int(self.bounds[c][1])  # the depth-c nodes, each a diagonal block
+            at, value = np.arange(n), inner[:, c - self.top - 1].repeat(n // len(inner))
+            out.reshape(n, eta // n, n, eta // n)[at, :, at] = value[:, None, None]
         return out
+
+    def classes(self) -> np.ndarray:
+        """Pairwise distance classes, one byte per pair for up to 256 classes."""
+        below = np.arange(self.top + 1, self.leaf + 1, dtype=self.lcp.dtype)
+        return self.fill(self.ball_classes, below[None])
 
 
 def _ball_tree(lattice: LatticeSpec) -> _BallTree:
@@ -120,7 +131,8 @@ def _ball_tree(lattice: LatticeSpec) -> _BallTree:
     The cells must be in lexicographic digit order, as ``refine`` lists them;
     a hand-built lattice that is not raises ValueError.
     """
-    eta, leaf = lattice.eta, lattice.region.ambient_level - lattice.cell_level
+    amb, eta = lattice.region.ambient_level, lattice.eta
+    leaf, top = amb - lattice.cell_level, amb - lattice.region.ball_level
     digits = np.fromiter(
         itertools.chain.from_iterable(c.digits for c in lattice.cells), dtype=np.int64, count=eta * leaf
     ).reshape(eta, leaf)
@@ -139,7 +151,12 @@ def _ball_tree(lattice: LatticeSpec) -> _BallTree:
     cut[:, 1:-1] = lcp < np.arange(leaf + 1)[:, None]
     bounds = [row.nonzero()[0] for row in cut]
     firsts = [bounds[c + 1].searchsorted(bounds[c]) for c in range(leaf)]
-    return _BallTree(lcp, leaf, tuple(pairs), tuple(bounds), tuple(firsts))
+    nu = lattice.region.nu
+    step = lcp[eta // nu - 1 :: eta // nu]  # the classes of adjacent balls
+    ball_classes = np.full((nu, nu), top, dtype=lcp.dtype)
+    for a in range(nu - 1):  # in digit order, a pair's class is the least step between them
+        ball_classes[a, a + 1 :] = ball_classes[a + 1 :, a] = np.minimum.accumulate(step[a:])
+    return _BallTree(lcp, leaf, top, tuple(pairs), tuple(bounds), tuple(firsts), ball_classes)
 
 
 def precision_diagonal(params: FieldParams, l: int, diagonal_mass_term: bool = True) -> float:
@@ -180,7 +197,8 @@ def precision_matrix(
     classes = tree.classes()
     table = [precision_offdiagonal(params, l, amb - c) for c in range(amb - l)]
     table = np.array(table + [precision_diagonal(params, l, diagonal_mass_term)])
-    return PrecisionMatrix(lattice=lattice, entries=table[classes], classes=classes, tree=tree)
+    entries = tree.fill(table[tree.ball_classes], table[None, tree.top + 1 :])
+    return PrecisionMatrix(lattice=lattice, entries=entries, classes=classes, tree=tree)
 
 
 def _class_entries(N: PrecisionMatrix) -> list:
@@ -207,7 +225,7 @@ def _class_couplings(N: PrecisionMatrix, num=float) -> tuple[list, float]:
     return [b - a for a, b in zip(off, off[1:])], num(N.entries[0, 0]) - off[-1]
 
 
-_ROW_CHUNK = 1 << 16  # entries per row chunk of a rank-one update or a check
+_ROW_CHUNK = 1 << 16  # entries per row chunk of a check
 _NODE_DIGITS = 40  # precision of the per-node scalars, far beyond their cancellation
 
 
@@ -228,11 +246,18 @@ def _tree_inverse(N: PrecisionMatrix) -> np.ndarray:
     a float recursion compounds that loss from level to level.  The update is
     written as +-v v^T, so M stays exactly symmetric.
 
+    Below top, the region balls' depth, the nodes of a depth are alike, so s (still
+    summed child by child), den and u are one value per depth; above it u is one
+    value per ball.  So M holds one value per ball pair and per (ball, depth of a
+    pair's deepest node), each the float fold of the same +-v v terms in the same
+    deepest-first order as a per-node pass adding every update to a dense M: the
+    same bits, filled in by ``_BallTree.fill``.
+
     Every cell's leaf term N_ii - w(amb-l-1) and every den must be positive,
-    or NotPositiveDefiniteError names the first failing cell (the gate argued in
-    ``covariance_matrix``).
+    or NotPositiveDefiniteError names the first failing cell, in the per-node
+    pass's order (the gate argued in ``covariance_matrix``).
     """
-    tree, eta = N.tree, N.lattice.eta
+    tree, eta, top, leaf = N.tree, N.lattice.eta, N.tree.top, N.tree.leaf
     w_last = ([0.0] + _class_entries(N))[-1]
     bad = np.flatnonzero(~(np.diagonal(N.entries) > w_last))
     if bad.size:
@@ -240,11 +265,22 @@ def _tree_inverse(N: PrecisionMatrix) -> np.ndarray:
     with decimal.localcontext() as ctx:
         ctx.prec = _NODE_DIGITS
         beta, d_prime = _class_couplings(N, decimal.Decimal)
-        sums = [1 / d_prime] * eta  # s / den of the nodes one level down
-        m = np.zeros((eta, eta))
-        m.flat[:: eta + 1] = float(1 / d_prime)
-        u = np.full(eta, float(1 / d_prime))
-        for depth in range(tree.leaf - 1, -1, -1):
+        sum_den, u = 1 / d_prime, float(1 / d_prime)  # a node's s / den, one level down
+        inner = np.append(np.zeros(leaf - top), u)  # per depth top..leaf of a pair's deepest node
+        for depth in range(leaf - 1, top - 1, -1):
+            b, s = beta[depth], sum([sum_den] * N.lattice.q, decimal.Decimal(0))
+            den = 1 + b * s
+            if not (den > 0):
+                raise NotPositiveDefiniteError("precision matrix", 1)
+            sum_den = s / den
+            if b:
+                v = math.sqrt(float(abs(b) / den)) * u
+                inner[depth - top :] += (v if b < 0 else -v) * v  # the pairs this node holds
+                u /= float(den)
+        nu = N.lattice.region.nu
+        per_ball, sums, u = eta // nu, [sum_den] * nu, np.full(nu, u)
+        outer, inner = np.zeros((nu, nu)), np.tile(inner, (nu, 1))
+        for depth in range(top - 1, -1, -1):
             b, node_sums = beta[depth], []
             bounds, firsts = tree.bounds[depth].tolist(), tree.firsts[depth].tolist()
             for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
@@ -254,14 +290,15 @@ def _tree_inverse(N: PrecisionMatrix) -> np.ndarray:
                     raise NotPositiveDefiniteError("precision matrix", lo + 1)
                 node_sums.append(s / den)
                 if b:
-                    v = math.sqrt(float(abs(b) / den)) * u[lo:hi]
+                    balls = slice(lo // per_ball, hi // per_ball)
+                    v = math.sqrt(float(abs(b) / den)) * u[balls]
                     left = v if b < 0 else -v
-                    for rows in _row_chunks(hi - lo):
-                        block = m[lo + rows.start : lo + rows.stop, lo:hi]
-                        block += np.multiply.outer(left[rows], v)
-                    u[lo:hi] /= float(den)
+                    outer[balls, balls] += np.multiply.outer(left, v)
+                    inner[balls] += (left * v)[:, None]
+                    u[balls] /= float(den)
             sums = node_sums
-    return m
+    np.fill_diagonal(outer, inner[:, 0])
+    return tree.fill(outer, inner[:, 1:])
 
 
 def _inverse_residual(m: np.ndarray, N: PrecisionMatrix) -> np.float64:
@@ -269,22 +306,29 @@ def _inverse_residual(m: np.ndarray, N: PrecisionMatrix) -> np.float64:
 
     So (M N)_ij = D' M_ij + sum over the tree nodes a above j of beta_a (M 1_a)_i.  Row
     chunk by row chunk: the node sums M 1_a bottom-up, each level from the level below;
-    the beta sums along each root-to-node path top-down; then gathered to the columns.  A chunk is held
-    transposed, cells down the rows, so a node sum adds contiguous rows.  Chunk maxima
-    fold by ``np.maximum``, so a NaN in any entry of M makes the residual NaN.
+    the beta sums along each root-to-node path top-down; then spread to the columns.  A
+    chunk is held transposed, cells down the rows, so a node sum adds contiguous rows.
+    Below top the q children of a node are side by side, so a level is summed by a
+    q-wide reshape and spread back by a strided add; ``reduceat`` and ``repeat`` run
+    only above top, on the nu region balls.  Chunk maxima fold by ``np.maximum``, so a
+    NaN in any entry of M makes the residual NaN.
     """
-    tree, eta, leaf = N.tree, N.lattice.eta, N.tree.leaf
+    tree, eta, top, leaf = N.tree, N.lattice.eta, N.tree.top, N.tree.leaf
     beta, d_prime = _class_couplings(N)
     residual = np.float64(0.0)
     for rows in _row_chunks(eta):
         x = np.ascontiguousarray(m[rows].T)
         sums = [x]  # sums[k]: (M 1_a) over the depth leaf - k nodes a
-        for c in range(leaf - 1, -1, -1):
+        for c in range(leaf - 1, top - 1, -1):
+            sums.append(sums[-1].reshape(len(tree.bounds[c]) - 1, N.lattice.q, -1).sum(axis=1))
+        for c in range(top - 1, -1, -1):
             sums.append(np.add.reduceat(sums[-1], tree.firsts[c][:-1], axis=0))
-        out = np.zeros((1, x.shape[1]))  # above the root; a one-cell tree (leaf 0) reads it as is
-        for c in range(leaf):  # the depth-c path sums, repeated down to each depth-(c+1) child
+        out = np.zeros((1, x.shape[1]))  # the path sums above the root
+        for c in range(top):  # the depth-c path sums, repeated down to each depth-(c+1) child
             out = np.repeat(out + beta[c] * sums[leaf - c], np.diff(tree.firsts[c]), axis=0)
-        out += d_prime * x
+        for c in range(top, leaf + 1):  # from top, spread down by strided adds; D' at the cells
+            out, above = (beta[c] if c < leaf else d_prime) * sums[leaf - c], out
+            out.reshape(len(above), -1, out.shape[1])[...] += above[:, None]
         out[rows].flat[:: x.shape[1] + 1] -= 1.0  # the chunk's diagonal
         residual = np.maximum(residual, np.abs(out, out=out).max())
     return residual
@@ -300,8 +344,9 @@ def covariance_matrix(N: PrecisionMatrix, residual_tol: float = 1e-10) -> Covari
     D' I + sum_a beta_a 1_a 1_a^T, so M N is formed from that tree form
     (``_inverse_residual``), with no dense product; and by the matrix determinant
     lemma, node by node, that matrix is positive definite when D' > 0 and every
-    den > 0 (if and only if, when every beta <= 0, as in this model).  Each check
-    runs row chunk by row chunk, so no eta x eta array but M is made.
+    den > 0 (if and only if, when every beta <= 0, as in this model).  M is filled
+    in by blocks split at the region balls (``_tree_inverse``: the per-node pass's
+    bits), and each check runs by row chunks, so no eta x eta array but M is made.
     """
     eta = N.lattice.eta
     for rows in _row_chunks(eta):

@@ -164,10 +164,10 @@ def parse_region(text: str, q: int) -> Region:
 class LatticeSpec:
     """A region refined into its level-l cells, with a stable cell indexing.
 
-    The cells are the q^(k-l) descendants at ``cell_level`` of every region
-    ball, in lexicographic digit order (the ball-tree order every lattice
-    algorithm reads); the tuple position is the cell index.  ``refine`` builds
-    them so; the lattice matrices reject a hand-built spec in any other order.
+    The cells are all q^(k-l) level-``cell_level`` descendants of every region
+    ball (a cell at another level or with a digit of q or more is rejected), in
+    the lexicographic digit order every lattice algorithm reads (the lattice
+    matrices reject a spec in any other); the tuple position is the cell index.
     """
 
     region: Region
@@ -187,6 +187,10 @@ class LatticeSpec:
         for c in self.cells:
             if c.ambient_level != amb or c.level > k or c.digits[: amb - k] not in balls:
                 raise ValueError(f"cell {c.digits} lies outside the region")
+            if c.level != self.cell_level:
+                raise ValueError(f"cell {c.digits} is not a level-{self.cell_level} cell of the region")
+        if max(set().union(*self._index), default=0) >= self.region.q:
+            raise ValueError(f"a cell has a digit of q = {self.region.q} or more")
 
     @property
     def eta(self) -> int:

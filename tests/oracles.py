@@ -8,11 +8,11 @@ library code paths it is used to check.
 from __future__ import annotations
 
 import cmath
+import decimal
 import math
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 SAME = float("-inf")
 
@@ -292,6 +292,8 @@ def per_term_green_increment(params, kappa1: int, kappa2: int, d) -> float:
 
 def dense_inverse(entries) -> np.ndarray:
     """Cholesky solve against the identity, symmetrized."""
+    import scipy.linalg  # here, so importing this module does not load scipy
+
     a = np.asarray(entries, dtype=float)
     m = scipy.linalg.cho_solve((scipy.linalg.cholesky(a, lower=True), True), np.eye(len(a)))
     return (m + m.T) / 2.0
@@ -312,6 +314,50 @@ def exact_inverse(entries) -> list:
                 factor = rows[r][col]
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
     return [row[n:] for row in rows]
+
+
+def per_node_tree_inverse(N):
+    """The ball-tree Sherman-Morrison inverse of a precision matrix, one node at a time.
+
+    The reference for ``lattice._tree_inverse``: it reads the same inputs (N's
+    diagonal, one entry per distance class and the node table ``N.tree``), keeps
+    one 40-digit ``s`` and ``den`` per node and adds each node's rank-one update
+    +-v v^T entry by entry, leaf to root.  Returns (None, M), or (pivot, None)
+    with the 1-based cell of the first nonpositive leaf term or den.
+    """
+    tree, eta = N.tree, len(N.entries)
+    off, w = [], 0.0
+    for pair in tree.pairs:  # w(c); a class with no pairs repeats w(c - 1)
+        w = w if pair is None else float(N.entries[pair])
+        off.append(w)
+    bad = np.flatnonzero(~(np.diagonal(N.entries) > ([0.0] + off)[-1]))
+    if bad.size:
+        return int(bad[0]) + 1, None
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        dec = [decimal.Decimal(0)] + [decimal.Decimal(v) for v in off]
+        beta = [b - a for a, b in zip(dec, dec[1:])]
+        d_prime = decimal.Decimal(float(N.entries[0, 0])) - dec[-1]
+        sums = [1 / d_prime] * eta
+        m = np.zeros((eta, eta))
+        m.flat[:: eta + 1] = float(1 / d_prime)
+        u = np.full(eta, float(1 / d_prime))
+        for depth in range(tree.leaf - 1, -1, -1):
+            b, node_sums = beta[depth], []
+            bounds, firsts = tree.bounds[depth].tolist(), tree.firsts[depth].tolist()
+            for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                s = sum(sums[firsts[k] : firsts[k + 1]], decimal.Decimal(0))
+                den = 1 + b * s
+                if not (den > 0):
+                    return lo + 1, None
+                node_sums.append(s / den)
+                if b:
+                    v = math.sqrt(float(abs(b) / den)) * u[lo:hi]
+                    left = v if b < 0 else -v
+                    m[lo:hi, lo:hi] += np.multiply.outer(left, v)
+                    u[lo:hi] /= float(den)
+            sums = node_sums
+    return None, m
 
 
 def first_nonpositive_pivot(entries):

@@ -332,6 +332,42 @@ class TestTreeInverse:
             seen["empty class"] += None in n.tree.pairs
         assert min(seen.values()) >= 4, seen
 
+    def test_equals_the_per_node_pass(self, chunked):
+        # the block fill against the per-node pass, bit for bit: the acceptance lattices,
+        # their shuffled twins and FIXED_REGIONS, a q = 9 set, then 729 cells on a
+        # regular region (CHUNKED_REGIONS) and an irregular one (SHUFFLED_REGION)
+        cases = [(n, m.entries) for _, n, m, _ in _tree_inverse_cases()]
+        rand = random.Random(24)
+        bhs = (Fraction(1), Fraction(2), Fraction(3, 2), Fraction(5, 3))
+        for i in range(16):
+            region, l = random_region_with_level(rand, 9, max_eta=400, max_nu=8)
+            n = precision_matrix(refine(region, l), params_for(9, bhs[i % 4]))
+            cases.append((n, covariance_matrix(n).entries))
+        cases += [chunked[text] for text in (CHUNKED_REGIONS[0], SHUFFLED_REGION)]
+        both = 0  # lattices with balls above top and two depths below it
+        for n, m in cases:
+            pivot, want = oracles.per_node_tree_inverse(n)
+            assert pivot is None
+            assert np.array_equal(m.view(np.uint64), want.view(np.uint64))
+            both += n.tree.top > 0 and n.tree.leaf - n.tree.top >= 2
+        assert len(cases) > 300 and both >= 50, (len(cases), both)
+
+    @pytest.mark.parametrize("cls, factor, pivot", [(3, 1.5, 1), (1, 10.0, 19)])
+    def test_failing_den_names_the_per_node_pivot(self, cls, factor, pivot):
+        # one class entry of a tree-form N scaled so that a den fails: at depth 3, below
+        # the region balls (top = 2; every node there fails at once, so the first cell),
+        # and at depth 1, above them, where node 2 of balls 20 and 21 fails first
+        n = precision_matrix(refine(parse_region(FIXED_REGIONS[3][0], 3), -2), params())
+        assert (n.tree.top, n.tree.leaf) == (2, 4)
+        table = [n.entries[pair] for pair in n.tree.pairs] + [n.entries[0, 0]]
+        table[cls] *= factor
+        bad = replace(n, entries=np.array(table)[n.classes])
+        assert np.all(np.diagonal(bad.entries) > table[-2])  # every leaf term passes
+        assert oracles.per_node_tree_inverse(bad)[0] == pivot
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            covariance_matrix(bad)
+        assert err.value.pivot == pivot
+
     def test_nonpositive_denominator_is_typed(self):
         # the tree reads its coupling from N[0, 1]; the den test fires before the class check
         n = precision_matrix(refine(chain_region(2), 0), params())
@@ -427,9 +463,14 @@ def _rounding(m, n):
 
 
 def _residual_cases():
-    """FIXED_REGIONS, then seeded random lattices for q = 3 and 5, half with shuffled balls."""
-    for i, (text, l) in enumerate(FIXED_REGIONS):
-        yield precision_matrix(refine(parse_region(text, 3), l), params_for(3, Fraction(1 + i % 2)))
+    """FIXED_REGIONS; l = k (the cells are the balls), amb = k (one ball, top = 0) and
+    q = 9; then seeded random lattices for q = 3 and 5, half with shuffled balls."""
+    edges = [(text, 3, l) for text, l in FIXED_REGIONS]
+    edges += [("amb=2;k=0;balls=00,12,20,21", 3, 0), ("amb=2;k=0;balls=21", 3, 0),
+              ("amb=1;k=1;balls=", 3, -3), ("amb=2;k=2;balls=", 5, -2),
+              ("amb=2;k=0;balls=08,53,54", 9, -1), ("amb=1;k=0;balls=3", 9, -2)]
+    for i, (text, q, l) in enumerate(edges):
+        yield precision_matrix(refine(parse_region(text, q), l), params_for(q, Fraction(1 + i % 2)))
     rand = random.Random(12)
     bhs = (Fraction(1), Fraction(2), Fraction(3, 2))
     for i in range(24):
@@ -454,7 +495,7 @@ class TestTreeResidual:
                 got = float(padicqft.lattice._inverse_residual(trial, n))
                 want = _dense_residual(trial, n)
                 assert abs(got - want) <= 2 * _rounding(trial, n), (n.lattice.region, got, want)
-        assert qs == {3, 5}
+        assert qs == {3, 5, 9}
 
     @pytest.mark.parametrize("text", CHUNKED_REGIONS + (SHUFFLED_REGION,))
     @pytest.mark.parametrize("symmetric", [True, False])

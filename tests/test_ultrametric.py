@@ -220,24 +220,44 @@ class TestRefine:
 
     def test_cells_outside_the_region_rejected(self):
         # a spec's cell list with one cell swapped for another address is accepted
-        # exactly when that address lies in a region ball by is_descendant_of
+        # exactly when that address lies in a region ball by is_descendant_of and
+        # is a cell of the spec's level; one inside at another level is rejected too
         region = Region(q=3, ambient_level=2, ball_level=1, balls=(ball(2, 1, (0,)), ball(2, 1, (2,))))
         cells = refine(region, 0).cells
         swaps = [ball(amb, lev, d) for amb in (2, 3) for lev in range(-1, amb + 1)
                  for d in itertools.product(range(3), repeat=amb - lev)]
-        rejected = 0
+        rejected, misleveled = 0, 0
         for c in swaps:
             if c.digits in {d.digits for d in cells[1:]}:  # the distinctness check's case
                 continue
             inside = any(c.is_descendant_of(b) for b in region.balls)
             swapped = (c,) + cells[1:]
-            if inside:
+            if inside and c.level == 0:
                 assert LatticeSpec(region, 0, swapped).cells == swapped
+            elif inside:
+                with pytest.raises(ValueError, match="is not a level-0 cell of the region"):
+                    LatticeSpec(region, 0, swapped)
+                misleveled += 1
             else:
                 with pytest.raises(ValueError, match="lies outside the region"):
                     LatticeSpec(region, 0, swapped)
                 rejected += 1
-        assert 0 < rejected < len(swaps)
+        assert 0 < rejected < len(swaps) and misleveled > 0
+
+    def test_cells_at_another_level_rejected(self):
+        # a level -2 cell among level -1 ones: its digits would truncate the ball tree's
+        # digit stream to the lattice with cell (0, 2), and N would be that lattice's
+        region = Region(q=3, ambient_level=1, ball_level=0, balls=(ball(1, 0, (0,)),))
+        cells = (ball(1, -1, (0, 0)), ball(1, -1, (0, 1)), ball(1, -2, (0, 2, 0)))
+        with pytest.raises(ValueError, match=r"cell \(0, 2, 0\) is not a level--1 cell"):
+            LatticeSpec(region, -1, cells)
+
+    def test_cell_digit_of_q_or_more_rejected(self):
+        # nine distinct level -2 cells under ball 0, sorted, but node (0, 0) has four children
+        region = Region(q=3, ambient_level=1, ball_level=0, balls=(ball(1, 0, (0,)),))
+        digits = [(0, 0, 3)] + [d for d in itertools.product((0,), range(3), range(3))][:-1]
+        with pytest.raises(ValueError, match="a cell has a digit of q = 3 or more"):
+            LatticeSpec(region, -2, [ball(1, -2, d) for d in sorted(digits)])
 
     def test_cell_guard(self):
         region = Region(q=3, ambient_level=1, ball_level=1, balls=(ball(1, 1, ()),))
