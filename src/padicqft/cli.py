@@ -27,7 +27,7 @@ import numpy as np
 from . import lattice as lat
 from . import model, sampler, verify, wick
 from .model import FieldParams, _is_odd_prime
-from .ultrametric import MAX_DENSE_CELLS, SAME, Region, parse_region, refine
+from .ultrametric import MAX_DENSE_CELLS, SAME, Region, _cell_count, parse_region, refine
 
 ENV_PREFIX = "PADICQFT_"
 
@@ -246,12 +246,9 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
         region = cfg.region()  # the digit strings must fit q, k and ambient_level
     except ValueError as exc:
         raise ConfigError([_KEYS["balls"].problem(str(exc))]) from exc
-    levels = cfg.k - cfg.l  # the level-l refinement has nu * q^levels cells
-    eta = region.nu * region.q ** min(levels, 64)  # exact to 64 levels; q >= 3 passes the cap at 8
-    if eta > MAX_DENSE_CELLS:  # before any per-cell array is built
-        cells = eta if levels <= 64 else f"{region.nu} * {region.q}^{levels}"
-        raise ConfigError([_KEYS["l"].problem(
-            f"refinement would create {cells} cells (> {MAX_DENSE_CELLS})")])
+    eta = _cell_count(region, cfg.l, MAX_DENSE_CELLS)
+    if isinstance(eta, str):  # before any per-cell array is built
+        raise ConfigError([_KEYS["l"].problem(eta)])
     for name, resolve in (("g_spec", cfg.resolve_g), ("h_spec", cfg.resolve_h)):
         try:
             resolve(eta)

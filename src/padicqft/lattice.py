@@ -7,8 +7,9 @@ the coupling between two cells is a single-shell value of the jump kernel
 mass term plus a geometric-series complement integral.  Both depend on a pair
 only through its distance class (the cells' common-prefix length, amb - l on
 the diagonal), which is read once per lattice from the ball tree of the cells
-in their digit order; the precision entries (filled in by blocks) and the
-free-covariance bound come from one table per class.  The same structure writes
+in their digit order; the precision entries, the rows the class check expects
+and the free-covariance bound are each one table per class, spread over the
+cell pairs by the ball tree's block fill.  The same structure writes
 N = D' I + sum over tree nodes a of beta_depth(a) 1_a 1_a^T, so the covariance
 is inverted by one leaf-to-root Sherman-Morrison pass, the classical inverse of
 an ultrametric matrix (Martinez, Michon and San Martin, SIAM J. Matrix Anal.
@@ -51,18 +52,16 @@ class NotPositiveDefiniteError(ValueError):
 class PrecisionMatrix:
     """Matrix of the restricted operator plus mass in the cell-indicator basis.
 
-    ``classes[i, j]`` is the pair's distance class amb - d(i,j), amb - l on the
-    diagonal; ``tree`` is the ball tree the classes were read from.
+    ``tree`` is the ball tree of the cells, which holds each pair's distance class
+    amb - d(i,j), amb - l on the diagonal.
     """
 
     lattice: LatticeSpec
     entries: np.ndarray
-    classes: np.ndarray
     tree: _BallTree = field(repr=False, compare=False)
 
     def __post_init__(self):
         self.entries.setflags(write=False)
-        self.classes.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -100,29 +99,37 @@ class _BallTree:
     firsts: tuple
     ball_classes: np.ndarray  # nu x nu: the classes of the region balls' pairs, top on the diagonal
 
-    def fill(self, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-        """The eta x eta array that is ``outer[a, b]`` on the cell pairs of region balls
-        a and b, but ``inner[a, c - top - 1]`` (row 0 for every ball, if it has one row)
-        on the pairs of ball a whose deepest common node is at depth c > top.
+    def fill(self, outer: np.ndarray, inner: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """Rows ``rows`` of the eta x eta array that is ``outer[a, b]`` on the cell pairs of
+        region balls a and b, but ``inner[a, c - top - 1]`` (row 0 for every ball, if it has
+        one row) on the pairs of ball a whose deepest common node is at depth c > top.
 
-        Each depth overwrites its diagonal blocks in place, through a 4-d view; every
-        other eta x eta array of a lattice is built after its first fill, so it holds the cap.
+        Each depth then overwrites, in each row, the columns of the row's depth-c node: the
+        nodes below top are runs of ``size`` cells alike, so cell i's is the i // size-th.
+        Every eta x eta array of a lattice is made after a fill, so the fill holds the cap.
         """
         eta, nu = len(self.lcp) + 1, len(outer)
         if eta > MAX_DENSE_CELLS:
             raise ValueError(f"lattice has {eta} cells (> {MAX_DENSE_CELLS})")
-        out = np.empty((eta, eta), dtype=outer.dtype)
-        out.reshape(nu, eta // nu, nu, eta // nu)[...] = outer[:, None, :, None]
+        lo, hi, _ = rows.indices(eta)
+        cells, per_ball = np.arange(lo, hi), eta // nu
+        out = outer[cells // per_ball].repeat(per_ball, axis=1)
+        inner, at = inner[cells // per_ball % len(inner)], cells - lo  # per row
         for c in range(self.top + 1, self.leaf + 1):
-            n = eta // int(self.bounds[c][1])  # the depth-c nodes, each a diagonal block
-            at, value = np.arange(n), inner[:, c - self.top - 1].repeat(n // len(inner))
-            out.reshape(n, eta // n, n, eta // n)[at, :, at] = value[:, None, None]
+            size = int(self.bounds[c][1])  # cells per depth-c node
+            blocks = out.reshape(hi - lo, eta // size, size)
+            blocks[at, cells // size] = inner[:, c - self.top - 1, None]
         return out
+
+    def by_class(self, table: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """Rows ``rows`` of the eta x eta array that is ``table[c]`` on every pair of distance
+        class c; the class of a pair of region balls is ``ball_classes``, of a pair inside a
+        ball the depth of its deepest node."""
+        return self.fill(table[self.ball_classes], table[None, self.top + 1 :], rows)
 
     def classes(self) -> np.ndarray:
         """Pairwise distance classes, one byte per pair for up to 256 classes."""
-        below = np.arange(self.top + 1, self.leaf + 1, dtype=self.lcp.dtype)
-        return self.fill(self.ball_classes, below[None])
+        return self.by_class(np.arange(self.leaf + 1, dtype=self.lcp.dtype))
 
 
 def _ball_tree(lattice: LatticeSpec) -> _BallTree:
@@ -152,14 +159,13 @@ def _ball_tree(lattice: LatticeSpec) -> _BallTree:
     bounds = [row.nonzero()[0] for row in cut]
     firsts = [bounds[c + 1].searchsorted(bounds[c]) for c in range(leaf)]
     nu = lattice.region.nu
-    step = lcp[eta // nu - 1 :: eta // nu]  # the classes of adjacent balls
-    ball_classes = np.full((nu, nu), top, dtype=lcp.dtype)
-    for a in range(nu - 1):  # in digit order, a pair's class is the least step between them
-        ball_classes[a, a + 1 :] = ball_classes[a + 1 :, a] = np.minimum.accumulate(step[a:])
+    node = [b.searchsorted(np.arange(0, eta, eta // nu), "right") for b in bounds[1 : top + 1]]
+    # each ball's node per depth 1..top; two balls' class counts the depths where they share one
+    ball_classes = sum((n[:, None] == n for n in node), np.zeros((nu, nu), dtype=lcp.dtype))
     return _BallTree(lcp, leaf, top, tuple(pairs), tuple(bounds), tuple(firsts), ball_classes)
 
 
-def precision_diagonal(params: FieldParams, l: int, diagonal_mass_term: bool = True) -> float:
+def precision_diagonal(params: FieldParams, l: int) -> float:
     """Diagonal entry: m^2 plus the complement integral of the jump kernel.
 
     The integral of |y|^(-beta_hat-1) |Omega| over |y| > q^l is the geometric
@@ -169,7 +175,7 @@ def precision_diagonal(params: FieldParams, l: int, diagonal_mass_term: bool = T
     complement = (
         -params.omega_const * params.shell_factor * q ** (-bh * (l + 1)) / (1.0 - q**-bh)
     )
-    return (params.m_sq if diagonal_mass_term else 0.0) + complement
+    return params.m_sq + complement
 
 
 def precision_offdiagonal(params: FieldParams, l: int, d: int) -> float:
@@ -182,9 +188,7 @@ def precision_offdiagonal(params: FieldParams, l: int, d: int) -> float:
     return params.omega_const * q**l * q ** (-d * (params.beta_hat_float + 1.0))
 
 
-def precision_matrix(
-    lattice: LatticeSpec, params: FieldParams, diagonal_mass_term: bool = True
-) -> PrecisionMatrix:
+def precision_matrix(lattice: LatticeSpec, params: FieldParams) -> PrecisionMatrix:
     """Assemble the dense precision matrix from the closed-form entries.
 
     Every entry depends only on (distance class, l, params) through one fixed
@@ -194,11 +198,9 @@ def precision_matrix(
     """
     l, amb = lattice.cell_level, lattice.region.ambient_level
     tree = _ball_tree(lattice)
-    classes = tree.classes()
     table = [precision_offdiagonal(params, l, amb - c) for c in range(amb - l)]
-    table = np.array(table + [precision_diagonal(params, l, diagonal_mass_term)])
-    entries = tree.fill(table[tree.ball_classes], table[None, tree.top + 1 :])
-    return PrecisionMatrix(lattice=lattice, entries=entries, classes=classes, tree=tree)
+    table = np.array(table + [precision_diagonal(params, l)])
+    return PrecisionMatrix(lattice=lattice, entries=tree.by_class(table), tree=tree)
 
 
 def _class_entries(N: PrecisionMatrix) -> list:
@@ -246,9 +248,11 @@ def _tree_inverse(N: PrecisionMatrix) -> np.ndarray:
     a float recursion compounds that loss from level to level.  The update is
     written as +-v v^T, so M stays exactly symmetric.
 
-    Below top, the region balls' depth, the nodes of a depth are alike, so s (still
-    summed child by child), den and u are one value per depth; above it u is one
-    value per ball.  So M holds one value per ball pair and per (ball, depth of a
+    One walk from the leaves to the root folds each depth's nodes in.  Below top, the
+    region balls' depth, the nodes of a depth are alike: one node, of q children alike,
+    stands for its whole depth, so s (still summed child by child) and den are one value
+    per depth, and all balls fold as one group.  Above top each node folds alone, with u
+    one value per ball.  So M holds one value per ball pair and per (ball, depth of a
     pair's deepest node), each the float fold of the same +-v v terms in the same
     deepest-first order as a per-node pass adding every update to a dense M: the
     same bits, filled in by ``_BallTree.fill``.
@@ -262,27 +266,21 @@ def _tree_inverse(N: PrecisionMatrix) -> np.ndarray:
     bad = np.flatnonzero(~(np.diagonal(N.entries) > w_last))
     if bad.size:
         raise NotPositiveDefiniteError("precision matrix", int(bad[0]) + 1)
+    nu, q = N.lattice.region.nu, N.lattice.q
+    per_ball, outer = eta // nu, np.zeros((nu, nu))
+    inner = np.zeros((nu, leaf - top + 1))  # per ball and depth top..leaf of a pair's deepest node
     with decimal.localcontext() as ctx:
         ctx.prec = _NODE_DIGITS
         beta, d_prime = _class_couplings(N, decimal.Decimal)
-        sum_den, u = 1 / d_prime, float(1 / d_prime)  # a node's s / den, one level down
-        inner = np.append(np.zeros(leaf - top), u)  # per depth top..leaf of a pair's deepest node
-        for depth in range(leaf - 1, top - 1, -1):
-            b, s = beta[depth], sum([sum_den] * N.lattice.q, decimal.Decimal(0))
-            den = 1 + b * s
-            if not (den > 0):
-                raise NotPositiveDefiniteError("precision matrix", 1)
-            sum_den = s / den
-            if b:
-                v = math.sqrt(float(abs(b) / den)) * u
-                inner[depth - top :] += (v if b < 0 else -v) * v  # the pairs this node holds
-                u /= float(den)
-        nu = N.lattice.region.nu
-        per_ball, sums, u = eta // nu, [sum_den] * nu, np.full(nu, u)
-        outer, inner = np.zeros((nu, nu)), np.tile(inner, (nu, 1))
-        for depth in range(top - 1, -1, -1):
+        sums = [1 / d_prime]  # s / den per node one depth down; below top, one for the depth
+        inner[:, -1] = u = np.full(nu, float(1 / d_prime))  # u: M 1 on a cell of each ball
+        for depth in range(leaf - 1, -1, -1):
             b, node_sums = beta[depth], []
-            bounds, firsts = tree.bounds[depth].tolist(), tree.firsts[depth].tolist()
+            if depth >= top:  # one node, of q children alike, stands for the depth
+                bounds, firsts, sums = [0, eta], [0, q], sums * q
+            else:
+                bounds, firsts = tree.bounds[depth].tolist(), tree.firsts[depth].tolist()
+                sums = sums * nu if depth == top - 1 else sums  # the region balls, alike
             for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
                 s = sum(sums[firsts[k] : firsts[k + 1]], decimal.Decimal(0))
                 den = 1 + b * s
@@ -293,8 +291,9 @@ def _tree_inverse(N: PrecisionMatrix) -> np.ndarray:
                     balls = slice(lo // per_ball, hi // per_ball)
                     v = math.sqrt(float(abs(b) / den)) * u[balls]
                     left = v if b < 0 else -v
-                    outer[balls, balls] += np.multiply.outer(left, v)
-                    inner[balls] += (left * v)[:, None]
+                    if depth < top:
+                        outer[balls, balls] += np.multiply.outer(left, v)
+                    inner[balls, max(depth - top, 0) :] += (left * v)[:, None]  # the pairs it holds
                     u[balls] /= float(den)
             sums = node_sums
     np.fill_diagonal(outer, inner[:, 0])
@@ -354,13 +353,13 @@ def covariance_matrix(N: PrecisionMatrix, residual_tol: float = 1e-10) -> Covari
     m = _tree_inverse(N)
     table = np.array(_class_entries(N) + [N.entries[0, 0]])
     for rows in _row_chunks(eta):
-        differs = table[N.classes[rows]] != N.entries[rows]
+        differs = N.tree.by_class(table, rows) != N.entries[rows]
         if differs.any():
             i, j = np.unravel_index(int(np.argmax(differs)), differs.shape)
             i += rows.start
             raise ValueError(
                 f"precision entry N[{i},{j}]={float(N.entries[i, j])!r} differs from its "
-                f"distance class's entry {float(table[N.classes[i, j]])!r}"
+                f"distance class's entry {float(N.tree.by_class(table, slice(i, i + 1))[0, j])!r}"
             )
     residual = float(_inverse_residual(m, N))
     if not (residual <= residual_tol * eta):  # a NaN residual fails too
@@ -401,17 +400,11 @@ def _shared_indices(pi: Region, pi_prime: Region, l: int) -> tuple:
     return lat, lat_prime, idx
 
 
-def restriction_check(
-    pi: Region,
-    pi_prime: Region,
-    l: int,
-    params: FieldParams,
-    diagonal_mass_term: bool = True,
-) -> bool:
+def restriction_check(pi: Region, pi_prime: Region, l: int, params: FieldParams) -> bool:
     """Shared cells of nested regions must carry bit-identical precision entries."""
     lat, lat_prime, idx = _shared_indices(pi, pi_prime, l)
-    n_small = precision_matrix(lat, params, diagonal_mass_term)
-    n_big = precision_matrix(lat_prime, params, diagonal_mass_term)
+    n_small = precision_matrix(lat, params)
+    n_big = precision_matrix(lat_prime, params)
     block = np.asarray(n_big.entries)[np.ix_(idx, idx)]
     return bool(np.array_equal(np.asarray(n_small.entries), block))
 
@@ -423,10 +416,10 @@ def domination_check(
     l, amb = M.lattice.cell_level, M.lattice.region.ambient_level
     table = [free_covariance_entry(params, l, amb - c) for c in range(amb - l)]
     table = np.array(table + [free_cell_variance(params, l)])
-    classes, eta = M.precision.classes, M.lattice.eta
+    tree, eta = M.precision.tree, M.lattice.eta
     worst, where = math.inf, None  # the first smallest margin in row-major order, or first NaN
     for rows in _row_chunks(eta):
-        margins = table[classes[rows]]
+        margins = tree.by_class(table, rows)
         margins -= M.entries[rows]
         k = int(np.argmin(margins))  # the first NaN margin, if there is one
         if worse(margins.flat[k], worst):
@@ -436,7 +429,7 @@ def domination_check(
         i, j = where
         violations.append(
             f"M[{i},{j}]={float(M.entries[i, j])!r} exceeds free covariance "
-            f"{float(table[classes[i, j]])!r}"
+            f"{float(tree.by_class(table, slice(i, i + 1))[0, j])!r}"
         )
     return CheckReport("covariance_domination", not violations, worst, tuple(violations))
 

@@ -177,8 +177,7 @@ class LatticeSpec:
     def __post_init__(self):
         object.__setattr__(self, "cells", tuple(self.cells))
         object.__setattr__(self, "_index", {c.digits: i for i, c in enumerate(self.cells)})
-        per_ball = self.region.q ** (self.region.ball_level - self.cell_level)
-        if len(self.cells) != self.region.nu * per_ball:
+        if _cell_count(self.region, self.cell_level, len(self.cells)) != len(self.cells):
             raise ValueError("cell count does not match nu * q^(k-l)")
         if len(self._index) != len(self.cells):
             raise ValueError("cells must be distinct")
@@ -210,6 +209,19 @@ class LatticeSpec:
         return distance(self.cells[i], self.cells[j])
 
 
+def _cell_count(region: Region, l: int, cap: int) -> int | str:
+    """nu * q^(k-l), the cell count of the level-l refinement, if it is at most cap; past
+    cap, the refusal "refinement would create <count> cells (> cap)", with the count written
+    out to 64 levels and as nu * q^levels beyond.  No power past q^(bits of cap) is formed
+    (it passes cap already), so a deep l costs no big integer."""
+    levels = region.ball_level - l
+    count = region.nu * region.q ** min(levels, cap.bit_length())  # past cap iff the count is
+    if count <= cap:
+        return count
+    cells = region.nu * region.q**levels if levels <= 64 else f"{region.nu} * {region.q}^{levels}"
+    return f"refinement would create {cells} cells (> {cap})"
+
+
 def refine(region: Region, l: int, max_cells: int = MAX_DENSE_CELLS) -> LatticeSpec:
     """Split every region ball into its q^(k-l) level-l descendants.
 
@@ -222,13 +234,9 @@ def refine(region: Region, l: int, max_cells: int = MAX_DENSE_CELLS) -> LatticeS
     k = region.ball_level
     if l > k:
         raise ValueError(f"refinement level {l} exceeds ball level {k}")
-    per_ball = region.q ** (k - l)
-    total = region.nu * per_ball
-    if total > max_cells:
-        raise ValueError(
-            f"refinement would create {total} cells (> {max_cells}); "
-            "pass a larger max_cells to override"
-        )
+    count = _cell_count(region, l, max_cells)
+    if isinstance(count, str):
+        raise ValueError(f"{count}; pass a larger max_cells to override")
     cells = []
     for ball in region.balls:
         for suffix in itertools.product(range(region.q), repeat=k - l):

@@ -1,5 +1,6 @@
 """Precision/covariance matrices: signs, SPD, restriction, domination, growth."""
 
+import itertools
 import random
 import tracemalloc
 from dataclasses import replace
@@ -71,13 +72,6 @@ class TestPrecisionMatrix:
         assert n.entries.shape == (1, 1)
         assert n.entries[0, 0] > 0
 
-    def test_literal_diagonal_without_mass(self):
-        lat = refine(chain_region(2), 0)
-        with_mass = precision_matrix(lat, params(), diagonal_mass_term=True)
-        without = precision_matrix(lat, params(), diagonal_mass_term=False)
-        assert with_mass.entries[0, 0] - without.entries[0, 0] == pytest.approx(1.0, rel=1e-14)
-        assert with_mass.entries[0, 1] == without.entries[0, 1]
-
     def test_size_guard(self):
         region = Region(q=3, ambient_level=1, ball_level=1, balls=(BallAddress(1, 1, ()),))
         lat = refine(region, -8, max_cells=10**5)
@@ -118,17 +112,16 @@ class TestPrecisionMatrix:
         for region, l, p in cases:
             lat = refine(region, l)
             n = precision_matrix(lat, p)
-            amb = region.ambient_level
-            assert n.classes.dtype == np.min_scalar_type(amb - l)
-            assert not n.classes.flags.writeable
+            amb, classes = region.ambient_level, n.tree.classes()
+            assert classes.dtype == np.min_scalar_type(amb - l)
             for a in range(lat.eta):
                 assert n.entries[a, a] == precision_diagonal(p, l)
-                assert n.classes[a, a] == amb - l
+                assert classes[a, a] == amb - l
                 for b in range(lat.eta):
                     if a != b:
                         d = lat.cell_distance(a, b)
                         assert n.entries[a, b] == precision_offdiagonal(p, l, d)
-                        assert n.classes[a, b] == amb - d
+                        assert classes[a, b] == amb - d
 
     def test_ball_tree_built_once_per_lattice(self, monkeypatch):
         calls = []
@@ -162,18 +155,18 @@ class TestPrecisionMatrix:
             p = params_for(region.q, Fraction(2))
             n, n_sorted = precision_matrix(lat, p), precision_matrix(sorted_lat, p)
             assert np.array_equal(n.entries.view(np.uint64), n_sorted.entries.view(np.uint64))
-            assert np.array_equal(n.classes, n_sorted.classes)
+            assert np.array_equal(n.tree.classes(), n_sorted.tree.classes())
             m, m_sorted = covariance_matrix(n).entries, covariance_matrix(n_sorted).entries
             assert np.array_equal(m.view(np.uint64), m_sorted.view(np.uint64))
             lattices.append(lat)
         for lat in lattices:
             n = precision_matrix(lat, params_for(lat.q, Fraction(2)))
-            amb = lat.region.ambient_level
+            amb, classes = lat.region.ambient_level, n.tree.classes()
             for a in range(lat.eta):
-                assert n.classes[a, a] == amb - lat.cell_level
+                assert classes[a, a] == amb - lat.cell_level
                 for b in range(lat.eta):
                     if a != b:
-                        assert n.classes[a, b] == amb - lat.cell_distance(a, b)
+                        assert classes[a, b] == amb - lat.cell_distance(a, b)
             _assert_node_table(n.tree, lat)
         assert unsorted >= 4
 
@@ -361,7 +354,7 @@ class TestTreeInverse:
         assert (n.tree.top, n.tree.leaf) == (2, 4)
         table = [n.entries[pair] for pair in n.tree.pairs] + [n.entries[0, 0]]
         table[cls] *= factor
-        bad = replace(n, entries=np.array(table)[n.classes])
+        bad = replace(n, entries=np.array(table)[n.tree.classes()])
         assert np.all(np.diagonal(bad.entries) > table[-2])  # every leaf term passes
         assert oracles.per_node_tree_inverse(bad)[0] == pivot
         with pytest.raises(NotPositiveDefiniteError) as err:
@@ -380,7 +373,7 @@ class TestTreeInverse:
 def _tree_form(n, diagonal):
     """N rebuilt from one pair per distance class, with the diagonal set to ``diagonal``."""
     table = [0.0 if pair is None else n.entries[pair] for pair in n.tree.pairs]
-    return replace(n, entries=np.array(table + [diagonal])[n.classes])
+    return replace(n, entries=np.array(table + [diagonal])[n.tree.classes()])
 
 
 class TestSpdGate:
@@ -557,7 +550,7 @@ class TestOutOfOrderLattice:
     def _assert_same_lattice(n0, m0, n1, m1):
         assert n1.lattice.cells == n0.lattice.cells
         assert np.array_equal(n1.entries.view(np.uint64), n0.entries.view(np.uint64))
-        assert np.array_equal(n1.classes, n0.classes)
+        assert np.array_equal(n1.tree.classes(), n0.tree.classes())
         assert np.array_equal(m1.view(np.uint64), m0.view(np.uint64))
 
     def test_equals_the_sorted_lattice(self, chunked):
@@ -587,6 +580,54 @@ class TestOutOfOrderLattice:
             wick_l2_distance(params(), 2, 1, 2, bad, np.ones(bad.eta))
 
 
+class TestByClass:
+    """``_BallTree.by_class``: any rows of the block fill, one value per distance class."""
+
+    @staticmethod
+    def _assert_rows(n, steps):
+        lat, tree = n.lattice, n.tree
+        digits = np.array([c.digits for c in lat.cells], dtype=np.int64).reshape(lat.eta, -1)
+        # the cells' common-prefix length: amb - d(i, j), and amb - l on the diagonal
+        want = np.logical_and.accumulate(digits[:, None] == digits[None], axis=2).sum(axis=2)
+        if lat.eta <= 64:
+            amb = lat.region.ambient_level
+            for i, j in itertools.product(range(lat.eta), repeat=2):
+                assert want[i, j] == amb - (lat.cell_level if i == j else lat.cell_distance(i, j))
+        assert np.array_equal(tree.classes(), want)
+        table = np.random.default_rng(lat.eta).standard_normal(tree.leaf + 1)
+        whole = tree.by_class(table)
+        assert np.array_equal(whole, table[want])
+        for step in steps:
+            for lo in range(0, lat.eta, step):
+                rows = slice(lo, min(lo + step, lat.eta))
+                assert np.array_equal(tree.by_class(table, rows), whole[rows]), (lat.region, rows)
+
+    def test_rows_equal_the_whole_fill(self, chunked):
+        # the acceptance lattices, their shuffled twins and FIXED_REGIONS, a q = 9 set, then
+        # 729 cells in row chunks that cut the nodes below the region balls
+        cases = [n for _, n, _, _ in _tree_inverse_cases()]
+        rand = random.Random(24)
+        for i in range(16):
+            region, l = random_region_with_level(rand, 9, max_eta=400, max_nu=8)
+            cases.append(precision_matrix(refine(region, l), params_for(9, Fraction(2))))
+        for n in cases:
+            self._assert_rows(n, steps=(1, 4, 7))
+        for text in CHUNKED_REGIONS + (SHUFFLED_REGION,):
+            self._assert_rows(chunked[text][0], steps=(padicqft.lattice._ROW_CHUNK // 729, 5, 250))
+        assert {n.lattice.q for n in cases} == {3, 5, 9}
+
+    def test_precision_holds_one_square_float_array(self):
+        # N's entries are the only eta x eta array made: no class array beside them
+        lat = refine(parse_region(CHUNKED_REGIONS[0], 3), -5)
+        tracemalloc.start()
+        try:
+            n = precision_matrix(lat, params())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n.entries.nbytes <= peak < n.entries.nbytes + lat.eta**2 // 2
+
+
 class TestChunkedDomination:
     """domination_check reads its margins row chunk by row chunk, as one dense argmin would."""
 
@@ -595,7 +636,7 @@ class TestChunkedDomination:
         """The worst margin and the violation text, from one eta x eta margin array."""
         l, amb = n.lattice.cell_level, n.lattice.region.ambient_level
         table = [free_covariance_entry(params(), l, amb - c) for c in range(amb - l)]
-        bound = np.array(table + [free_cell_variance(params(), l)])[n.classes]
+        bound = np.array(table + [free_cell_variance(params(), l)])[n.tree.classes()]
         margins = bound - entries
         i, j = divmod(int(np.argmin(margins)), len(entries))
         text = (f"M[{i},{j}]={float(entries[i, j])!r} exceeds free covariance "

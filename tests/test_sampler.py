@@ -692,20 +692,6 @@ class TestSchwingerQuadrature:
             assert est.value == pytest.approx(cov3.entries[i, j], rel=1e-14)
             assert est.partition == pytest.approx(1.0, rel=1e-14)
 
-    def test_reads_only_the_ball_tree(self):
-        # with every pair's class overwritten by the leaf class, the recursion
-        # still walks the tree of an unsorted region and gives the same bits
-        p = params_for(3, Fraction(2))
-        lat = refine(parse_region("amb=2;k=0;balls=21,00,12", 3), 0)
-        m = covariance_matrix(precision_matrix(lat, p))
-        n = m.precision
-        blind = replace(m, precision=replace(n, classes=np.full_like(n.classes, n.tree.leaf)))
-        src = SourceSpec(g=np.array([0.05, 0.1, 0.2]), h_list=(np.eye(3)[0], np.array([0.5, 1.0, 0.0])))
-        var = free_cell_variance(p, 0)
-        want = schwinger_quadrature(m, X4, src, var)
-        got = schwinger_quadrature(blind, X4, src, var)
-        assert (got.value, got.partition) == (want.value, want.partition)
-
     def test_tree_pass_leaves_no_reference_cycle(self, cov3):
         # the pass's arrays are freed when it returns, not at a later garbage
         # collection, so repeated passes do not ratchet up the heap

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -264,6 +265,22 @@ class TestRefine:
         with pytest.raises(ValueError):
             refine(region, -7)
         assert refine(region, -7, max_cells=10**5).eta == 3**8
+
+    def test_deep_refinement_rejected_in_bounded_time(self):
+        # q^(k-l) is never formed exactly: at l = -10^7 that took seconds, and at
+        # l = -10^5 the cap message could not even format the integer
+        region = parse_region("amb=1;k=0;balls=0,1,2", 3)
+        for l in (-10**5, -10**9):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=rf"^refinement would create 3 \* 3\^{-l} cells "
+                                                 r"\(> 4096\); pass a larger max_cells"):
+                refine(region, l)
+            with pytest.raises(ValueError, match="cell count does not match"):
+                LatticeSpec(region, l, ())
+            assert time.perf_counter() - start < 0.1
+        with pytest.raises(ValueError, match=r"^refinement would create 6561 cells \(> 4096\)"):
+            refine(region, -7)  # written out up to 64 levels
+        assert refine(region, -7, max_cells=6561).eta == 6561
 
     def test_subregion_cells_keep_their_order_in_any_listing(self):
         # with both regions built from shuffled listings, the subregion's cells sit in the
