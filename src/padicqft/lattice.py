@@ -13,12 +13,15 @@ cell pairs by the ball tree's block fill.  The same structure writes
 N = D' I + sum over tree nodes a of beta_depth(a) 1_a 1_a^T, so the covariance
 is inverted by one leaf-to-root Sherman-Morrison pass, the classical inverse of
 an ultrametric matrix (Martinez, Michon and San Martin, SIAM J. Matrix Anal.
-Appl. 15, 1994), and the inverse is checked by forming M N - I from that same
-tree form, node sums of M instead of a dense product.  Below the region balls
-(depth top = amb - k) the nodes of a depth are alike, so each pass keeps one
-scalar per depth there, and a lattice matrix is one value per ball pair and per
-(ball, depth) block.  Its entrywise nonnegativity, domination by the free
-covariance, and growth under region extension are the checkable facts.
+Appl. 15, 1994).  Below the region balls (depth top = amb - k) the nodes of a
+depth are alike, so each pass keeps one scalar per depth there, and a lattice
+matrix is one value per ball pair and per (ball, depth) block, a ball-tree fill.
+A fill is invariant under the automorphisms of each ball's subtree, so each of
+its rows is a permutation of its ball's first row: the inverse is checked by
+forming M N - I from N's tree form on one row of M per region ball.  Entrywise
+nonnegativity, domination by the free covariance, and growth under region
+extension are the checkable facts; domination of a matrix the package built is
+read on the same rows.
 """
 
 from __future__ import annotations
@@ -53,12 +56,15 @@ class PrecisionMatrix:
     """Matrix of the restricted operator plus mass in the cell-indicator basis.
 
     ``tree`` is the ball tree of the cells, which holds each pair's distance class
-    amb - d(i,j), amb - l on the diagonal.
+    amb - d(i,j), amb - l on the diagonal.  ``_filled`` is set by ``precision_matrix``
+    alone, whose entries are a ball-tree fill: a matrix built any other way,
+    ``dataclasses.replace`` included, is not marked, and its checks read every entry.
     """
 
     lattice: LatticeSpec
     entries: np.ndarray
     tree: _BallTree = field(repr=False, compare=False)
+    _filled: bool = field(init=False, repr=False, compare=False, default=False)
 
     def __post_init__(self):
         self.entries.setflags(write=False)
@@ -66,11 +72,15 @@ class PrecisionMatrix:
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Inverse of a precision matrix; a Monte Carlo draw takes its own Cholesky factor."""
+    """Inverse of a precision matrix; a Monte Carlo draw takes its own Cholesky factor.
+
+    ``_filled`` is set by ``covariance_matrix`` alone, as ``PrecisionMatrix._filled`` is.
+    """
 
     lattice: LatticeSpec
     entries: np.ndarray
     precision: PrecisionMatrix
+    _filled: bool = field(init=False, repr=False, compare=False, default=False)
 
     def __post_init__(self):
         self.entries.setflags(write=False)
@@ -111,13 +121,12 @@ class _BallTree:
         eta, nu = len(self.lcp) + 1, len(outer)
         if eta > MAX_DENSE_CELLS:
             raise ValueError(f"lattice has {eta} cells (> {MAX_DENSE_CELLS})")
-        lo, hi, _ = rows.indices(eta)
-        cells, per_ball = np.arange(lo, hi), eta // nu
+        cells, per_ball = np.arange(eta)[rows], eta // nu
         out = outer[cells // per_ball].repeat(per_ball, axis=1)
-        inner, at = inner[cells // per_ball % len(inner)], cells - lo  # per row
+        inner, at = inner[cells // per_ball % len(inner)], np.arange(len(cells))  # per row
         for c in range(self.top + 1, self.leaf + 1):
             size = int(self.bounds[c][1])  # cells per depth-c node
-            blocks = out.reshape(hi - lo, eta // size, size)
+            blocks = out.reshape(len(cells), eta // size, size)
             blocks[at, cells // size] = inner[:, c - self.top - 1, None]
         return out
 
@@ -126,6 +135,16 @@ class _BallTree:
         class c; the class of a pair of region balls is ``ball_classes``, of a pair inside a
         ball the depth of its deepest node."""
         return self.fill(table[self.ball_classes], table[None, self.top + 1 :], rows)
+
+    def ball_rows(self) -> slice:
+        """The rows of the region balls' first cells.
+
+        A fill is invariant under the automorphisms of each ball's q-ary subtree, which
+        act transitively on the ball's cells, so every row of a fill, of a sum of fills and
+        of a product of fills is a permutation of the row of its ball's first cell.
+        """
+        eta = len(self.lcp) + 1
+        return slice(0, eta, eta // len(self.ball_classes))
 
     def classes(self) -> np.ndarray:
         """Pairwise distance classes, one byte per pair for up to 256 classes."""
@@ -200,7 +219,9 @@ def precision_matrix(lattice: LatticeSpec, params: FieldParams) -> PrecisionMatr
     tree = _ball_tree(lattice)
     table = [precision_offdiagonal(params, l, amb - c) for c in range(amb - l)]
     table = np.array(table + [precision_diagonal(params, l)])
-    return PrecisionMatrix(lattice=lattice, entries=tree.by_class(table), tree=tree)
+    n = PrecisionMatrix(lattice=lattice, entries=tree.by_class(table), tree=tree)
+    object.__setattr__(n, "_filled", True)
+    return n
 
 
 def _class_entries(N: PrecisionMatrix) -> list:
@@ -237,7 +258,7 @@ def _row_chunks(eta: int):
     return (slice(r, min(r + step, eta)) for r in range(0, eta, step))
 
 
-def _tree_inverse(N: PrecisionMatrix) -> np.ndarray:
+def _tree_inverse(N: PrecisionMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of D' I + sum_a beta_a 1_a 1_a^T by Sherman-Morrison, leaf to root.
 
     Once every node below depth c is folded in, the matrix is block diagonal
@@ -255,7 +276,7 @@ def _tree_inverse(N: PrecisionMatrix) -> np.ndarray:
     one value per ball.  So M holds one value per ball pair and per (ball, depth of a
     pair's deepest node), each the float fold of the same +-v v terms in the same
     deepest-first order as a per-node pass adding every update to a dense M: the
-    same bits, filled in by ``_BallTree.fill``.
+    tables (outer, inner) whose ``_BallTree.fill`` has that pass's bits.
 
     Every cell's leaf term N_ii - w(amb-l-1) and every den must be positive,
     or NotPositiveDefiniteError names the first failing cell, in the per-node
@@ -297,40 +318,39 @@ def _tree_inverse(N: PrecisionMatrix) -> np.ndarray:
                     u[balls] /= float(den)
             sums = node_sums
     np.fill_diagonal(outer, inner[:, 0])
-    return tree.fill(outer, inner[:, 1:])
+    return outer, inner[:, 1:]
 
 
-def _inverse_residual(m: np.ndarray, N: PrecisionMatrix) -> np.float64:
-    """max |M N - I| over all entries, with N in its tree form D' I + sum_a beta_a 1_a 1_a^T.
+def _ball_residual(m: np.ndarray, N: PrecisionMatrix) -> np.float64:
+    """max |M N - I| from one row of M per region ball, with N in its tree form.
 
-    So (M N)_ij = D' M_ij + sum over the tree nodes a above j of beta_a (M 1_a)_i.  Row
-    chunk by row chunk: the node sums M 1_a bottom-up, each level from the level below;
-    the beta sums along each root-to-node path top-down; then spread to the columns.  A
-    chunk is held transposed, cells down the rows, so a node sum adds contiguous rows.
-    Below top the q children of a node are side by side, so a level is summed by a
-    q-wide reshape and spread back by a strided add; ``reduceat`` and ``repeat`` run
-    only above top, on the nu region balls.  Chunk maxima fold by ``np.maximum``, so a
-    NaN in any entry of M makes the residual NaN.
+    M and N are ball-tree fills, so every row of M N - I is a permutation of the row of
+    its ball's first cell (``_BallTree.ball_rows``), and the max over those nu rows is the
+    max over all eta, up to summation order.  With N = D' I + sum_a beta_a
+    1_a 1_a^T, (M N)_ij = D' M_ij + sum over the tree nodes a above j of beta_a (M 1_a)_i:
+    the node sums M 1_a bottom-up, each level from the level below; the beta sums along
+    each root-to-node path top-down; then spread to the columns.  The rows are held
+    transposed, cells down the rows, so a node sum adds contiguous rows.  Below top the
+    q children of a node are side by side, so a level is summed by a q-wide reshape and
+    spread back by a strided add; ``reduceat`` and ``repeat`` run only above top, on the
+    nu region balls.  A NaN anywhere in M is in its ball's row too, so the residual is NaN.
     """
     tree, eta, top, leaf = N.tree, N.lattice.eta, N.tree.top, N.tree.leaf
     beta, d_prime = _class_couplings(N)
-    residual = np.float64(0.0)
-    for rows in _row_chunks(eta):
-        x = np.ascontiguousarray(m[rows].T)
-        sums = [x]  # sums[k]: (M 1_a) over the depth leaf - k nodes a
-        for c in range(leaf - 1, top - 1, -1):
-            sums.append(sums[-1].reshape(len(tree.bounds[c]) - 1, N.lattice.q, -1).sum(axis=1))
-        for c in range(top - 1, -1, -1):
-            sums.append(np.add.reduceat(sums[-1], tree.firsts[c][:-1], axis=0))
-        out = np.zeros((1, x.shape[1]))  # the path sums above the root
-        for c in range(top):  # the depth-c path sums, repeated down to each depth-(c+1) child
-            out = np.repeat(out + beta[c] * sums[leaf - c], np.diff(tree.firsts[c]), axis=0)
-        for c in range(top, leaf + 1):  # from top, spread down by strided adds; D' at the cells
-            out, above = (beta[c] if c < leaf else d_prime) * sums[leaf - c], out
-            out.reshape(len(above), -1, out.shape[1])[...] += above[:, None]
-        out[rows].flat[:: x.shape[1] + 1] -= 1.0  # the chunk's diagonal
-        residual = np.maximum(residual, np.abs(out, out=out).max())
-    return residual
+    x = np.ascontiguousarray(m[tree.ball_rows()].T)
+    sums = [x]  # sums[k]: (M 1_a) over the depth leaf - k nodes a
+    for c in range(leaf - 1, top - 1, -1):
+        sums.append(sums[-1].reshape(len(tree.bounds[c]) - 1, N.lattice.q, -1).sum(axis=1))
+    for c in range(top - 1, -1, -1):
+        sums.append(np.add.reduceat(sums[-1], tree.firsts[c][:-1], axis=0))
+    out = np.zeros((1, x.shape[1]))  # the path sums above the root
+    for c in range(top):  # the depth-c path sums, repeated down to each depth-(c+1) child
+        out = np.repeat(out + beta[c] * sums[leaf - c], np.diff(tree.firsts[c]), axis=0)
+    for c in range(top, leaf + 1):  # from top, spread down by strided adds; D' at the cells
+        out, above = (beta[c] if c < leaf else d_prime) * sums[leaf - c], out
+        out.reshape(len(above), -1, out.shape[1])[...] += above[:, None]
+    out.flat[:: eta + 1] -= 1.0  # the diagonal: (r * eta / nu, r), ball r's first cell
+    return np.abs(out, out=out).max()
 
 
 def covariance_matrix(N: PrecisionMatrix, residual_tol: float = 1e-10) -> CovarianceMatrix:
@@ -340,31 +360,39 @@ def covariance_matrix(N: PrecisionMatrix, residual_tol: float = 1e-10) -> Covari
     and every node denominator den = 1 + beta s must be positive; every entry
     must equal its distance class's entry; and every entry of M N - I must be
     within residual_tol * eta.  The class check makes N exactly
-    D' I + sum_a beta_a 1_a 1_a^T, so M N is formed from that tree form
-    (``_inverse_residual``), with no dense product; and by the matrix determinant
-    lemma, node by node, that matrix is positive definite when D' > 0 and every
-    den > 0 (if and only if, when every beta <= 0, as in this model).  M is filled
-    in by blocks split at the region balls (``_tree_inverse``: the per-node pass's
-    bits), and each check runs by row chunks, so no eta x eta array but M is made.
+    D' I + sum_a beta_a 1_a 1_a^T, so M N is formed from that tree form, with no
+    dense product; and by the matrix determinant lemma, node by node, that matrix
+    is positive definite when D' > 0 and every den > 0 (if and only if, when every
+    beta <= 0, as in this model).  M is filled in once from the tables of
+    ``_tree_inverse`` (the per-node pass's bits), so M and N are both ball-tree fills
+    and the residual is formed on one row of M per region ball (``_ball_residual``).
+    An N that ``precision_matrix`` built is such a fill by construction: it is checked
+    finite on the same rows and its class check is skipped, so M's fill is the only
+    eta x eta pass.  Any other N is checked finite and by class row chunk by row
+    chunk, so no eta x eta array but M is made.
     """
-    eta = N.lattice.eta
-    for rows in _row_chunks(eta):
+    eta, filled = N.lattice.eta, N._filled
+    for rows in [N.tree.ball_rows()] if filled else _row_chunks(eta):
         np.asarray_chkfinite(N.entries[rows])
-    m = _tree_inverse(N)
-    table = np.array(_class_entries(N) + [N.entries[0, 0]])
-    for rows in _row_chunks(eta):
-        differs = N.tree.by_class(table, rows) != N.entries[rows]
-        if differs.any():
-            i, j = np.unravel_index(int(np.argmax(differs)), differs.shape)
-            i += rows.start
-            raise ValueError(
-                f"precision entry N[{i},{j}]={float(N.entries[i, j])!r} differs from its "
-                f"distance class's entry {float(N.tree.by_class(table, slice(i, i + 1))[0, j])!r}"
-            )
-    residual = float(_inverse_residual(m, N))
+    outer, inner = _tree_inverse(N)
+    if not filled:
+        table = np.array(_class_entries(N) + [N.entries[0, 0]])
+        for rows in _row_chunks(eta):
+            differs = N.tree.by_class(table, rows) != N.entries[rows]
+            if differs.any():
+                i, j = np.unravel_index(int(np.argmax(differs)), differs.shape)
+                i += rows.start
+                raise ValueError(
+                    f"precision entry N[{i},{j}]={float(N.entries[i, j])!r} differs from its "
+                    f"distance class's entry {float(N.tree.by_class(table, slice(i, i + 1))[0, j])!r}"
+                )
+    m = N.tree.fill(outer, inner)
+    residual = float(_ball_residual(m, N))
     if not (residual <= residual_tol * eta):  # a NaN residual fails too
         raise ValueError(f"inverse residual {residual:.3e} exceeds {residual_tol:.1e} * eta")
-    return CovarianceMatrix(lattice=N.lattice, entries=m, precision=N)
+    cov = CovarianceMatrix(lattice=N.lattice, entries=m, precision=N)
+    object.__setattr__(cov, "_filled", True)
+    return cov
 
 
 def sign_structure_check(N: PrecisionMatrix) -> CheckReport:
@@ -412,18 +440,25 @@ def restriction_check(pi: Region, pi_prime: Region, l: int, params: FieldParams)
 def domination_check(
     M: CovarianceMatrix, params: FieldParams, tol: float = 1e-9
 ) -> CheckReport:
-    """Lattice covariance entries never exceed the free (whole-space) covariance."""
+    """Lattice covariance entries never exceed the free (whole-space) covariance.
+
+    The bound is a ball-tree fill, and so is an M that ``covariance_matrix`` built: then
+    every row of the margins is a permutation of its ball's first row, and the worst
+    margin first shows, in row-major order, in one of those nu rows (``ball_rows``), so
+    only they are read.  Any other M is read whole, row chunk by row chunk.
+    """
     l, amb = M.lattice.cell_level, M.lattice.region.ambient_level
     table = [free_covariance_entry(params, l, amb - c) for c in range(amb - l)]
     table = np.array(table + [free_cell_variance(params, l)])
     tree, eta = M.precision.tree, M.lattice.eta
     worst, where = math.inf, None  # the first smallest margin in row-major order, or first NaN
-    for rows in _row_chunks(eta):
+    for rows in [tree.ball_rows()] if M._filled else _row_chunks(eta):
         margins = tree.by_class(table, rows)
         margins -= M.entries[rows]
         k = int(np.argmin(margins))  # the first NaN margin, if there is one
         if worse(margins.flat[k], worst):
-            worst, where = float(margins.flat[k]), divmod(rows.start * eta + k, eta)
+            r, j = divmod(k, eta)
+            worst, where = float(margins.flat[k]), (range(eta)[rows][r], j)
     violations = []
     if not (worst >= -tol):
         i, j = where

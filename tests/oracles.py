@@ -360,6 +360,47 @@ def per_node_tree_inverse(N):
     return None, m
 
 
+def inverse_residual(m, N, chunk: int = 1 << 16) -> float:
+    """max |M N - I| over every entry of a dense M, with N in its tree form.
+
+    The dense-form reference for ``lattice._ball_residual``, which forms one row of M N - I
+    per region ball: here every row, for any M.  N = D' I + sum_a beta_a 1_a 1_a^T over the
+    nodes of ``N.tree``, with w(c), beta_c = w(c) - w(c-1) and D' read from one pair per
+    class as in ``per_node_tree_inverse``; (M N)_ij = D' M_ij + sum over the tree nodes a
+    above j of beta_a (M 1_a)_i.  Row chunk by row chunk: the node sums M 1_a bottom-up,
+    each level from the level below; the beta sums along each root-to-node path top-down;
+    then spread to the columns.  Chunk maxima fold by ``np.maximum``, so a NaN anywhere in M
+    makes the residual NaN.
+    """
+    tree, eta, q = N.tree, len(m), N.lattice.q
+    top, leaf = tree.top, tree.leaf
+    off, w = [0.0], 0.0  # w(c - 1), c = 0, ..., leaf
+    for pair in tree.pairs:
+        w = w if pair is None else float(N.entries[pair])
+        off.append(w)
+    beta = [b - a for a, b in zip(off, off[1:])]
+    d_prime = float(N.entries[0, 0]) - off[-1]
+    residual = np.float64(0.0)
+    step = max(1, chunk // eta)
+    for lo in range(0, eta, step):
+        rows = slice(lo, min(lo + step, eta))
+        x = np.ascontiguousarray(m[rows].T)
+        sums = [x]  # sums[k]: (M 1_a) over the depth leaf - k nodes a
+        for c in range(leaf - 1, top - 1, -1):
+            sums.append(sums[-1].reshape(len(tree.bounds[c]) - 1, q, -1).sum(axis=1))
+        for c in range(top - 1, -1, -1):
+            sums.append(np.add.reduceat(sums[-1], tree.firsts[c][:-1], axis=0))
+        out = np.zeros((1, x.shape[1]))  # the path sums above the root
+        for c in range(top):  # the depth-c path sums, repeated down to each depth-(c+1) child
+            out = np.repeat(out + beta[c] * sums[leaf - c], np.diff(tree.firsts[c]), axis=0)
+        for c in range(top, leaf + 1):  # from top, spread down by strided adds; D' at the cells
+            out, above = (beta[c] if c < leaf else d_prime) * sums[leaf - c], out
+            out.reshape(len(above), -1, out.shape[1])[...] += above[:, None]
+        out[rows].flat[:: x.shape[1] + 1] -= 1.0  # the chunk's diagonal
+        residual = np.maximum(residual, np.abs(out, out=out).max())
+    return float(residual)
+
+
 def first_nonpositive_pivot(entries):
     """Gaussian elimination without row exchanges, in rational arithmetic on the float
     entries: the 1-based index of the first pivot <= 0, or None.

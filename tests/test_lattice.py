@@ -244,7 +244,8 @@ class TestCovarianceMatrix:
 
     def test_nan_inverse_fails_the_residual_check(self, monkeypatch):
         n = precision_matrix(refine(chain_region(2), 0), params())
-        monkeypatch.setattr(padicqft.lattice, "_tree_inverse", lambda N: np.full((2, 2), np.nan))
+        nan = tuple(np.full_like(t, np.nan) for t in padicqft.lattice._tree_inverse(n))
+        monkeypatch.setattr(padicqft.lattice, "_tree_inverse", lambda N: nan)
         with pytest.raises(ValueError, match="inverse residual nan"):
             covariance_matrix(n)
 
@@ -446,6 +447,11 @@ def chunked():
     return out
 
 
+# the two 2,187-cell regions of the lattice benchmark: regular, and nine scattered balls
+BENCHMARK_REGIONS = (("amb=1;k=0;balls=0,1,2", -6),
+                     ("amb=3;k=0;balls=001,012,020,102,111,122,200,210,221", -5))
+
+
 def _dense_residual(m, n):
     return float(np.abs(m @ n.entries - np.eye(len(m))).max())
 
@@ -474,10 +480,30 @@ def _residual_cases():
         yield precision_matrix(refine(region, l), params_for(q, bhs[i % 3]))
 
 
+def _block_of(n, i, j):
+    """(0, (a, b)) for ``outer[a, b]`` or (1, (a, k)) for ``inner[a, k]``: the value of
+    ``_tree_inverse``'s tables that the fill writes at cell pair (i, j)."""
+    tree, per_ball = n.tree, n.lattice.eta // n.lattice.region.nu
+    a, b, c = i // per_ball, j // per_ball, int(tree.classes()[i, j])
+    return (0, (a, b)) if a != b or c == tree.top else (1, (a, c - tree.top - 1))
+
+
+def _shifted_tables(n, cells, shift):
+    """The tables of ``_tree_inverse(n)`` with ``shift`` added to the block of each cell pair,
+    once per block."""
+    tables = [np.array(t) for t in padicqft.lattice._tree_inverse(n)]
+    for which, at in {_block_of(n, i, j) for i, j in cells}:
+        tables[which][at] += shift
+    return tuple(tables)
+
+
 class TestTreeResidual:
-    """The residual M N - I formed from N's tree form, against the dense product."""
+    """The residual M N - I formed from N's tree form: on one row per region ball in
+    ``covariance_matrix``, on every row in ``oracles.inverse_residual``; both against the
+    dense product."""
 
     def test_matches_the_dense_product(self):
+        # the oracle on any M: the exact one, and with symmetric and one-sided noise
         rand = np.random.default_rng(5)
         qs = set()
         for n in _residual_cases():
@@ -485,51 +511,82 @@ class TestTreeResidual:
             m = covariance_matrix(n).entries
             noise = rand.standard_normal(m.shape) * 1e-6
             for trial in (m, m + noise + noise.T, m + noise):  # exact, symmetric, one-sided
-                got = float(padicqft.lattice._inverse_residual(trial, n))
+                got = oracles.inverse_residual(trial, n)
                 want = _dense_residual(trial, n)
                 assert abs(got - want) <= 2 * _rounding(trial, n), (n.lattice.region, got, want)
         assert qs == {3, 5, 9}
+
+    @staticmethod
+    def _assert_ball_rows_match(n, m):
+        got = float(padicqft.lattice._ball_residual(m, n))
+        bound = 2 * _rounding(m, n)
+        assert abs(got - oracles.inverse_residual(m, n)) <= bound, n.lattice.region
+        assert abs(got - _dense_residual(m, n)) <= bound, n.lattice.region
+
+    def test_ball_rows_match_every_row(self):
+        # _residual_cases and the 200 acceptance lattices
+        import test_acceptance
+
+        cases = list(_residual_cases()) + [n for _, _, n, _ in test_acceptance.matrix_suite()]
+        for n in cases:
+            self._assert_ball_rows_match(n, covariance_matrix(n).entries)
+        assert len(cases) == 234
+
+    @pytest.mark.parametrize("text, l", BENCHMARK_REGIONS)
+    def test_ball_rows_match_every_row_at_2187_cells(self, text, l):
+        n = precision_matrix(refine(parse_region(text, 3), l), params())
+        assert n.lattice.eta == 2187
+        self._assert_ball_rows_match(n, covariance_matrix(n).entries)
 
     @pytest.mark.parametrize("text", CHUNKED_REGIONS + (SHUFFLED_REGION,))
     @pytest.mark.parametrize("symmetric", [True, False])
     @pytest.mark.parametrize("where", ["last row", "last diagonal", "first row, far column",
                                        "inside a chunk"])
     def test_shifted_entry_fails(self, monkeypatch, chunked, text, symmetric, where):
+        # one entry shifted, against the oracle; then the table value of its block (and of
+        # the mirror block, if symmetric), which covariance_matrix must reject
         n, m = chunked[text]
         eta = len(m)
         i, j = {"last row": (eta - 1, 0), "last diagonal": (eta - 1, eta - 1),
                 "first row, far column": (3, eta - 2), "inside a chunk": (400, 401)}[where]
+        cells = [(i, j), (j, i)] if symmetric else [(i, j)]
         shifted = np.array(m)
-        shifted[i, j] += 1e-6
-        if symmetric and i != j:
-            shifted[j, i] += 1e-6
-        residual = float(padicqft.lattice._inverse_residual(shifted, n))
+        for cell in set(cells):
+            shifted[cell] += 1e-6
+        residual = oracles.inverse_residual(shifted, n)
         assert abs(residual - _dense_residual(shifted, n)) <= 2 * _rounding(shifted, n)
-        monkeypatch.setattr(padicqft.lattice, "_tree_inverse", lambda N: shifted)
+        tables = _shifted_tables(n, cells, 1e-6)
+        filled = n.tree.fill(*tables)
+        assert not np.array_equal(filled, m)
+        residual = float(padicqft.lattice._ball_residual(filled, n))
+        assert abs(residual - _dense_residual(filled, n)) <= 2 * _rounding(filled, n)
+        monkeypatch.setattr(padicqft.lattice, "_tree_inverse", lambda N: tables)
         with pytest.raises(ValueError, match="inverse residual"):
             covariance_matrix(n)
 
     @pytest.mark.parametrize("cell", [(728, 5), (0, 728)])
     def test_single_nan_fails(self, monkeypatch, chunked, cell):
-        # (728, 5) is in the last chunk: a builtin max would drop it there
+        # the table value of the block of a cell in the last ball's rows, or in the first's
         n, m = chunked[CHUNKED_REGIONS[0]]
-        bad = np.array(m)
-        bad[cell] = np.nan
-        monkeypatch.setattr(padicqft.lattice, "_tree_inverse", lambda N: bad)
+        tables = _shifted_tables(n, [cell], np.nan)
+        assert np.isnan(n.tree.fill(*tables)[cell])
+        monkeypatch.setattr(padicqft.lattice, "_tree_inverse", lambda N: tables)
         with pytest.raises(ValueError, match="inverse residual nan"):
             covariance_matrix(n)
 
     def test_no_square_temporary_beside_m(self, monkeypatch, chunked):
-        # small chunks, so the chunk temporaries stay far below one eta x eta array
+        # small chunks, so the chunk temporaries stay far below one eta x eta array; a built
+        # N reads no chunk, a replaced one is checked finite and by class chunk by chunk
         monkeypatch.setattr(padicqft.lattice, "_ROW_CHUNK", 1 << 12)
         n, m = chunked[CHUNKED_REGIONS[0]]
-        tracemalloc.start()
-        try:
-            covariance_matrix(n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert m.nbytes < peak < 1.25 * m.nbytes
+        for matrix in (n, replace(n, entries=n.entries.copy())):
+            tracemalloc.start()
+            try:
+                covariance_matrix(matrix)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert m.nbytes < peak < 1.25 * m.nbytes
 
 
 class TestOutOfOrderLattice:
@@ -616,6 +673,23 @@ class TestByClass:
             self._assert_rows(chunked[text][0], steps=(padicqft.lattice._ROW_CHUNK // 729, 5, 250))
         assert {n.lattice.q for n in cases} == {3, 5, 9}
 
+    def test_every_row_permutes_its_balls_first_row(self, chunked):
+        # distinct random tables, one value per block
+        cases = [n for _, n, _, _ in _tree_inverse_cases()]
+        cases += [chunked[text][0] for text in CHUNKED_REGIONS + (SHUFFLED_REGION,)]
+        rand = np.random.default_rng(26)
+        for n in cases:
+            tree, eta, nu = n.tree, n.lattice.eta, n.lattice.region.nu
+            outer, inner = rand.random((nu, nu)), rand.random((nu, tree.leaf - tree.top))
+            whole = tree.fill(outer, inner)
+            starts = tree.ball_rows()
+            assert list(range(eta)[starts]) == [a * (eta // nu) for a in range(nu)]
+            assert np.array_equal(tree.fill(outer, inner, starts), whole[starts])
+            firsts = np.sort(whole[starts], axis=1)
+            assert np.array_equal(np.sort(whole, axis=1), firsts.repeat(eta // nu, axis=0))
+            assert len(np.unique(whole)) == nu * nu + inner.size  # every block is taken
+        assert {n.lattice.eta // n.lattice.region.nu for n in cases} >= {1, 3, 9, 243}
+
     def test_precision_holds_one_square_float_array(self):
         # N's entries are the only eta x eta array made: no class array beside them
         lat = refine(parse_region(CHUNKED_REGIONS[0], 3), -5)
@@ -629,7 +703,8 @@ class TestByClass:
 
 
 class TestChunkedDomination:
-    """domination_check reads its margins row chunk by row chunk, as one dense argmin would."""
+    """domination_check of an M without tables reads its margins row chunk by row chunk, as
+    one dense argmin would."""
 
     @staticmethod
     def _dense_reference(n, entries):
@@ -673,6 +748,71 @@ class TestChunkedDomination:
         assert not report.passed
         assert report.worst_margin == worst or np.isnan(report.worst_margin) and np.isnan(worst)
         assert report.violations == (text,)
+
+
+def _filled_cases(chunked):
+    """(params, N) of the 200 acceptance lattices, CHUNKED_REGIONS and SHUFFLED_REGION."""
+    import test_acceptance
+
+    cases = [(p, n) for p, _, n, _ in test_acceptance.matrix_suite()]
+    return cases + [(params(), chunked[text][0]) for text in CHUNKED_REGIONS + (SHUFFLED_REGION,)]
+
+
+class TestFilledMatrices:
+    """Checks of a matrix the package built read one row per region ball, and report what
+    the dense path reports on the same entries; a matrix made by ``replace`` is not marked
+    filled and is read whole."""
+
+    def test_domination_equals_the_dense_path(self, chunked):
+        # M at its own parameters passes; M built at half the mass exceeds the free covariance
+        # on the diagonal; M checked at a hundredth of gamma and ten times the mass exceeds it
+        # off the diagonal too, often first on a mirror pair outer[a, b], outer[b, a] of equal
+        # margins, where the report names the row-major first cell, a < b
+        seen = {"passed": 0, "diagonal": 0, "mirror pair": 0}
+        for p, n in _filled_cases(chunked):
+            weak = covariance_matrix(precision_matrix(n.lattice, replace(p, m_sq=p.m_sq / 2)))
+            far = replace(p, m_sq=10 * p.m_sq, gamma_const=p.gamma_const / 100)
+            per_ball = n.lattice.eta // n.lattice.region.nu
+            for m, at in ((covariance_matrix(n), p), (weak, p), (weak, far)):
+                dense = CovarianceMatrix(m.lattice, m.entries, m.precision)
+                assert m._filled and not dense._filled
+                report = domination_check(m, at)
+                assert repr(report) == repr(domination_check(dense, at))
+                if report.passed:
+                    seen["passed"] += 1
+                    continue
+                i, j = map(int, report.violations[0][2:].split("]")[0].split(","))
+                seen["diagonal"] += i == j
+                seen["mirror pair"] += i // per_ball < j // per_ball
+        assert seen["passed"] >= 200 and seen["diagonal"] >= 100 and seen["mirror pair"] >= 15, seen
+
+    def test_replaced_matrices_take_the_dense_path(self, chunked):
+        for p, n in _filled_cases(chunked):
+            m = covariance_matrix(n)
+            n_copy, m_copy = replace(n, entries=n.entries.copy()), replace(m, entries=m.entries.copy())
+            assert n._filled and not n_copy._filled and not m_copy._filled
+            again = covariance_matrix(n_copy).entries
+            assert np.array_equal(again.view(np.uint64), m.entries.view(np.uint64))
+            assert repr(domination_check(m_copy, p)) == repr(domination_check(m, p))
+
+    def test_allocation(self, chunked):
+        # a built N: M's fill is the only eta x eta array; a built M: only its nu ball rows
+        n, m = chunked[CHUNKED_REGIONS[0]]
+        tracemalloc.start()
+        try:
+            cov = covariance_matrix(n)
+            cov_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            report = domination_check(cov, params())
+            dom_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert m.nbytes <= cov_peak < 1.1 * m.nbytes
+        assert dom_peak < 64 * 1024
 
 
 class TestRestriction:
