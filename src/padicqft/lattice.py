@@ -27,7 +27,6 @@ read on the same rows.
 from __future__ import annotations
 
 import decimal
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -90,18 +89,17 @@ class CovarianceMatrix:
 class _BallTree:
     """The lattice cells, in their lexicographic digit order, read as a q-ary ball tree.
 
-    ``lcp[k]`` is the common-prefix length of cells k and k+1.  The cells under a
-    depth-c tree node are a maximal run of cells joined by lcp >= c, and the
-    distance class of a pair is the depth of the deepest node holding both.
-    ``pairs[c]`` is one cell pair of class c, or None where no pair has that class.
-    The node table, per depth c = 0..leaf (depth leaf: the cells): ``bounds[c]``
-    holds the cells where the depth-c nodes start, then eta; for c < leaf,
-    ``firsts[c]`` holds each depth-c node's first child among the depth-(c+1)
-    nodes, then the count of depth-(c+1) nodes.  The depth-top nodes are the region
-    balls; below them a depth's nodes are runs of ``bounds[c][1]`` cells alike.
+    The cells under a depth-c tree node are a run of consecutive cells, and the distance
+    class of a pair is the depth of the deepest node holding both.  ``pairs[c]`` is the
+    first adjacent cell pair of class c, or None where no pair has that class.  The node
+    table, per depth c = 0..leaf (depth leaf: the cells): ``bounds[c]`` holds the cells
+    where the depth-c nodes start, then eta; for c < leaf, ``firsts[c]`` holds each
+    depth-c node's first child among the depth-(c+1) nodes, then the count of
+    depth-(c+1) nodes.  The depth-top nodes are the region balls; below them a depth-c
+    node is a run of q^(leaf - c) cells.
     """
 
-    lcp: np.ndarray
+    eta: int
     leaf: int  # amb - l, the class of the diagonal
     top: int  # amb - k, the depth of the region balls
     pairs: tuple
@@ -118,7 +116,7 @@ class _BallTree:
         nodes below top are runs of ``size`` cells alike, so cell i's is the i // size-th.
         Every eta x eta array of a lattice is made after a fill, so the fill holds the cap.
         """
-        eta, nu = len(self.lcp) + 1, len(outer)
+        eta, nu = self.eta, len(outer)
         if eta > MAX_DENSE_CELLS:
             raise ValueError(f"lattice has {eta} cells (> {MAX_DENSE_CELLS})")
         cells, per_ball = np.arange(eta)[rows], eta // nu
@@ -143,45 +141,36 @@ class _BallTree:
         act transitively on the ball's cells, so every row of a fill, of a sum of fills and
         of a product of fills is a permutation of the row of its ball's first cell.
         """
-        eta = len(self.lcp) + 1
-        return slice(0, eta, eta // len(self.ball_classes))
+        return slice(0, self.eta, self.eta // len(self.ball_classes))
 
     def classes(self) -> np.ndarray:
         """Pairwise distance classes, one byte per pair for up to 256 classes."""
-        return self.by_class(np.arange(self.leaf + 1, dtype=self.lcp.dtype))
+        return self.by_class(np.arange(self.leaf + 1, dtype=self.ball_classes.dtype))
 
 
 def _ball_tree(lattice: LatticeSpec) -> _BallTree:
-    """Take each adjacent cell pair's common prefix once and cut the nodes.
+    """The node tables of the cells, from the region balls' digits and the level alone.
 
-    The cells must be in lexicographic digit order, as ``refine`` lists them;
-    a hand-built lattice that is not raises ValueError.
+    Above top a depth-c node is a run of region balls with the same first c digits, cut
+    where two adjacent balls' common prefix is shorter than c; below top it is q^(leaf - c)
+    cells, and the first pair of class c is cells q^(leaf - c - 1) - 1 and q^(leaf - c - 1).
     """
-    amb, eta = lattice.region.ambient_level, lattice.eta
-    leaf, top = amb - lattice.cell_level, amb - lattice.region.ball_level
-    digits = np.fromiter(
-        itertools.chain.from_iterable(c.digits for c in lattice.cells), dtype=np.int64, count=eta * leaf
-    ).reshape(eta, leaf)
-    if not leaf:  # one cell, the whole ambient ball
-        digits = np.zeros((eta, 1), dtype=np.int64)
-    step = digits[1:] - digits[:-1]
-    lcp = np.argmax(step != 0, axis=1)
-    if np.any(step[np.arange(eta - 1), lcp] < 0):  # the first digit that differs falls
-        raise ValueError("lattice cells are not in lexicographic digit order")
-    lcp = lcp.astype(np.min_scalar_type(leaf))
-    pairs = [None] * leaf
-    for k, c in enumerate(lcp.tolist()):
-        if pairs[c] is None:
-            pairs[c] = (k, k + 1)
-    cut = np.ones((leaf + 1, eta + 1), dtype=bool)  # cut[c, k]: a depth-c node starts at k
-    cut[:, 1:-1] = lcp < np.arange(leaf + 1)[:, None]
-    bounds = [row.nonzero()[0] for row in cut]
+    region, eta = lattice.region, lattice.eta
+    nu, q, per_ball = region.nu, region.q, eta // region.nu
+    leaf, top = region.ambient_level - lattice.cell_level, region.ambient_level - region.ball_level
+    digits = np.array([b.digits for b in region.balls], dtype=np.int64).reshape(nu, top)
+    lcp = np.logical_and.accumulate(digits[1:] == digits[:-1], axis=1).sum(axis=1)
+    pairs = [None] * top + [(q ** (leaf - c - 1) - 1, q ** (leaf - c - 1)) for c in range(top, leaf)]
+    for b, c in enumerate(lcp.tolist(), 1):  # the boundary before ball b
+        pairs[c] = pairs[c] or (b * per_ball - 1, b * per_ball)
+    cuts = [(np.flatnonzero(lcp < c) + 1) * per_ball for c in range(top + 1)]
+    bounds = [np.concatenate(([0], cut, [eta])) for cut in cuts]
+    bounds += [np.arange(0, eta + 1, q ** (leaf - c)) for c in range(top + 1, leaf + 1)]
     firsts = [bounds[c + 1].searchsorted(bounds[c]) for c in range(leaf)]
-    nu = lattice.region.nu
-    node = [b.searchsorted(np.arange(0, eta, eta // nu), "right") for b in bounds[1 : top + 1]]
+    node = [b.searchsorted(np.arange(0, eta, per_ball), "right") for b in bounds[1 : top + 1]]
     # each ball's node per depth 1..top; two balls' class counts the depths where they share one
-    ball_classes = sum((n[:, None] == n for n in node), np.zeros((nu, nu), dtype=lcp.dtype))
-    return _BallTree(lcp, leaf, top, tuple(pairs), tuple(bounds), tuple(firsts), ball_classes)
+    classes = sum((n[:, None] == n for n in node), np.zeros((nu, nu), np.min_scalar_type(leaf)))
+    return _BallTree(eta, leaf, top, tuple(pairs), tuple(bounds), tuple(firsts), classes)
 
 
 def precision_diagonal(params: FieldParams, l: int) -> float:
@@ -422,10 +411,10 @@ def covariance_nonnegative_check(M: CovarianceMatrix, tol: float = 1e-12) -> Che
 def _shared_indices(pi: Region, pi_prime: Region, l: int) -> tuple:
     if not pi.is_subregion_of(pi_prime):
         raise ValueError("regions are not nested: every ball of pi must be a ball of pi_prime")
-    lat = refine(pi, l)
-    lat_prime = refine(pi_prime, l)
-    idx = np.asarray([lat_prime.index_of(c) for c in lat.cells], dtype=np.intp)
-    return lat, lat_prime, idx
+    lat, lat_prime = refine(pi, l), refine(pi_prime, l)
+    big_ball_index = np.array([pi_prime._ball_index[b.digits] for b in pi.balls], dtype=np.intp)
+    per_ball = lat.eta // pi.nu  # a shared ball's cells keep their order in either lattice
+    return lat, lat_prime, (big_ball_index[:, None] * per_ball + np.arange(per_ball)).ravel()
 
 
 def restriction_check(pi: Region, pi_prime: Region, l: int, params: FieldParams) -> bool:

@@ -10,8 +10,8 @@ is ever needed (every downstream quantity depends only on pairwise norms).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 SAME = float("-inf")
 """Sentinel distance exponent for coinciding points: q**SAME == 0."""
@@ -121,6 +121,11 @@ class Region:
     def nu(self) -> int:
         return len(self.balls)
 
+    @cached_property
+    def _ball_index(self) -> dict:
+        """Each ball's position in ``balls``, by its digits."""
+        return {b.digits: i for i, b in enumerate(self.balls)}
+
     def is_subregion_of(self, other: "Region") -> bool:
         if (self.q, self.ambient_level, self.ball_level) != (
             other.q,
@@ -128,8 +133,7 @@ class Region:
             other.ball_level,
         ):
             return False
-        theirs = {b.digits for b in other.balls}
-        return all(b.digits in theirs for b in self.balls)
+        return all(b.digits in other._ball_index for b in self.balls)
 
     def serialize(self) -> str:
         """Compact text form ``amb=<A>;k=<K>;balls=<digit-strings comma-separated>``."""
@@ -164,49 +168,63 @@ def parse_region(text: str, q: int) -> Region:
 class LatticeSpec:
     """A region refined into its level-l cells, with a stable cell indexing.
 
-    The cells are all q^(k-l) level-``cell_level`` descendants of every region
-    ball (a cell at another level or with a digit of q or more is rejected), in
-    the lexicographic digit order every lattice algorithm reads (the lattice
-    matrices reject a spec in any other); the tuple position is the cell index.
+    The cells are the q^(k-l) level-``cell_level`` descendants of every region ball, in
+    lexicographic digit order: cell i is ball i // q^(k-l) followed by the base-q digits
+    of i mod q^(k-l).  The region keeps its balls in digit order, so cell indices are
+    stable across runs and listing orders, and a subregion's cells appear in the same
+    relative order inside any superregion's refinement.  A count above ``max_cells`` is
+    refused (``_cell_count``), and the addresses are built only when ``cells`` is read.
     """
 
     region: Region
     cell_level: int
-    cells: tuple[BallAddress, ...]
+    max_cells: InitVar[int] = MAX_DENSE_CELLS
 
-    def __post_init__(self):
-        object.__setattr__(self, "cells", tuple(self.cells))
-        object.__setattr__(self, "_index", {c.digits: i for i, c in enumerate(self.cells)})
-        if _cell_count(self.region, self.cell_level, len(self.cells)) != len(self.cells):
-            raise ValueError("cell count does not match nu * q^(k-l)")
-        if len(self._index) != len(self.cells):
-            raise ValueError("cells must be distinct")
-        amb, k = self.region.ambient_level, self.region.ball_level
-        balls = {b.digits for b in self.region.balls}  # all at (amb, k): is_descendant_of by prefix
-        for c in self.cells:
-            if c.ambient_level != amb or c.level > k or c.digits[: amb - k] not in balls:
-                raise ValueError(f"cell {c.digits} lies outside the region")
-            if c.level != self.cell_level:
-                raise ValueError(f"cell {c.digits} is not a level-{self.cell_level} cell of the region")
-        if max(set().union(*self._index), default=0) >= self.region.q:
-            raise ValueError(f"a cell has a digit of q = {self.region.q} or more")
+    def __post_init__(self, max_cells):
+        k, l = self.region.ball_level, self.cell_level
+        if l > k:
+            raise ValueError(f"refinement level {l} exceeds ball level {k}")
+        if isinstance(count := _cell_count(self.region, l, max_cells), str):
+            raise ValueError(f"{count}; pass a larger max_cells to override")
 
     @property
     def eta(self) -> int:
-        return len(self.cells)
+        return self.region.nu * self.q ** (self.region.ball_level - self.cell_level)
 
     @property
     def q(self) -> int:
         return self.region.q
 
+    @cached_property
+    def cells(self) -> tuple[BallAddress, ...]:
+        """Every cell's address, in index order, built on first read."""
+        return tuple(map(self._address, range(self.eta)))
+
+    def _address(self, i: int) -> BallAddress:
+        """Cell i: ball i // q^(k-l), then the base-q digits of i mod q^(k-l)."""
+        if not 0 <= i < self.eta:
+            raise IndexError(f"cell index {i} is outside 0..{self.eta - 1}")
+        region, depth = self.region, self.region.ball_level - self.cell_level
+        ball, rest = divmod(i, self.eta // region.nu)
+        suffix = tuple(rest // self.q**e % self.q for e in range(depth - 1, -1, -1))
+        return BallAddress(region.ambient_level, self.cell_level, region.balls[ball].digits + suffix)
+
     def index_of(self, cell: BallAddress) -> int:
-        try:
-            return self._index[cell.digits]
-        except KeyError:
-            raise ValueError(f"cell {cell.digits} is not part of this lattice") from None
+        """The index of a level-l cell of the region; ValueError for any other ball."""
+        region, top = self.region, self.region.ambient_level - self.region.ball_level
+        ball, suffix = region._ball_index.get(cell.digits[:top]), cell.digits[top:]
+        if ball is None or cell.ambient_level != region.ambient_level:
+            raise ValueError(f"cell {cell.digits} lies outside the region")
+        if cell.level != self.cell_level:
+            raise ValueError(f"cell {cell.digits} is not a level-{self.cell_level} cell of the region")
+        if max(suffix, default=0) >= self.q:
+            raise ValueError(f"cell {cell.digits} has a digit of q = {self.q} or more")
+        offset = sum(d * self.q**e for e, d in enumerate(reversed(suffix)))
+        return ball * (self.eta // region.nu) + offset
 
     def cell_distance(self, i: int, j: int) -> float:
-        return distance(self.cells[i], self.cells[j])
+        """Distance exponent between the centers of cells i and j, SAME when i == j."""
+        return distance(self._address(i), self._address(j))
 
 
 def _cell_count(region: Region, l: int, cap: int) -> int | str:
@@ -223,22 +241,5 @@ def _cell_count(region: Region, l: int, cap: int) -> int | str:
 
 
 def refine(region: Region, l: int, max_cells: int = MAX_DENSE_CELLS) -> LatticeSpec:
-    """Split every region ball into its q^(k-l) level-l descendants.
-
-    The region's balls are in lexicographic digit order and each ball's
-    children are enumerated so too, so the cells are in lexicographic digit
-    order: cell indices are stable across runs and listing orders, and a
-    subregion's cells appear in the same relative order inside any
-    superregion's refinement.
-    """
-    k = region.ball_level
-    if l > k:
-        raise ValueError(f"refinement level {l} exceeds ball level {k}")
-    count = _cell_count(region, l, max_cells)
-    if isinstance(count, str):
-        raise ValueError(f"{count}; pass a larger max_cells to override")
-    cells = []
-    for ball in region.balls:
-        for suffix in itertools.product(range(region.q), repeat=k - l):
-            cells.append(BallAddress(region.ambient_level, l, ball.digits + suffix))
-    return LatticeSpec(region=region, cell_level=l, cells=tuple(cells))
+    """Split every region ball into its q^(k-l) level-l descendants (``LatticeSpec``)."""
+    return LatticeSpec(region, l, max_cells)

@@ -237,18 +237,24 @@ def _poly_table(P: WickPolynomial, g, variance_per_cell, eta: int):
         )
     if np.any(variances < 0):
         raise ValueError("variances must be nonnegative")
-    return g, np.array([_ordered_monomial_coeffs(P, v) for v in variances.tolist()])
+    mono = [_ordered_monomial_coeffs(P, v) for v in variances.tolist()]
+    return g, np.array(mono).reshape(eta, P.degree + 1)  # (0, degree + 1) with no cells
 
 
 def _poly_rows(mono: np.ndarray, g: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
     """:P:(g) of each row of a samples-by-cells array into ``out``, from ``_poly_table``."""
     step = max(1, EVAL_BLOCK_VALUES // max(1, rows.shape[1]))
+    powers = mono.T[::-1]  # Horner's rule from the top coefficient
+    adds = mono.any(axis=0)[::-1].tolist()  # an all-zero power adds nothing
+    buffer = np.empty((min(step, len(rows)), rows.shape[1]))
     for lo in range(0, len(rows), step):  # a cache-sized block at a time
         block = rows[lo : lo + step]
-        per_cell = np.zeros_like(block)
-        for c in mono.T[::-1]:  # Horner's rule, highest power first
+        per_cell = buffer[: len(block)]
+        per_cell[...] = powers[0]
+        for c, add in zip(powers[1:], adds[1:]):
             per_cell *= block
-            per_cell += c
+            if add:
+                per_cell += c
         # not `@`: a long gemv wakes OpenBLAS's helper thread, which then spins
         np.einsum("ij,j->i", per_cell, g, out=out[lo : lo + step])
 

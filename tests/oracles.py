@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import decimal
+import itertools
 import math
 from fractions import Fraction
 
@@ -314,6 +315,44 @@ def exact_inverse(entries) -> list:
                 factor = rows[r][col]
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
     return [row[n:] for row in rows]
+
+
+def refine_digits(balls, q: int, depth: int) -> list:
+    """The digit paths of a refinement's cells, enumerated: each ball's digits, in the order
+    ``balls`` lists them, followed by every base-q suffix of length ``depth`` in increasing
+    order.  The reference for ``LatticeSpec.cells`` and for the arithmetic of cell indices."""
+    return [tuple(ball) + suffix for ball in balls for suffix in itertools.product(range(q), repeat=depth)]
+
+
+def digit_ball_tree(digits, leaf: int, top: int, nu: int) -> dict:
+    """The ball-tree fields of cells listed by their digit paths, read from the digits alone.
+
+    The reference for ``lattice._ball_tree``: each adjacent cell pair's common prefix
+    (lcp) is read from an eta x leaf digit array, a depth-c node starts wherever lcp < c,
+    and ``pairs[c]`` is the first adjacent pair whose lcp is c.  Digits out of
+    lexicographic order raise ValueError.
+    """
+    eta = len(digits)
+    digits = np.array(digits, dtype=np.int64).reshape(eta, leaf)
+    if not leaf:  # one cell, the whole ambient ball
+        digits = np.zeros((eta, 1), dtype=np.int64)
+    step = digits[1:] - digits[:-1]
+    lcp = np.argmax(step != 0, axis=1)
+    if np.any(step[np.arange(eta - 1), lcp] < 0):  # the first digit that differs falls
+        raise ValueError("lattice cells are not in lexicographic digit order")
+    lcp = lcp.astype(np.min_scalar_type(leaf))
+    pairs = [None] * leaf
+    for k, c in enumerate(lcp.tolist()):
+        if pairs[c] is None:
+            pairs[c] = (k, k + 1)
+    cut = np.ones((leaf + 1, eta + 1), dtype=bool)  # cut[c, k]: a depth-c node starts at k
+    cut[:, 1:-1] = lcp < np.arange(leaf + 1)[:, None]
+    bounds = [row.nonzero()[0] for row in cut]
+    firsts = [bounds[c + 1].searchsorted(bounds[c]) for c in range(leaf)]
+    node = [b.searchsorted(np.arange(0, eta, eta // nu), "right") for b in bounds[1 : top + 1]]
+    ball_classes = sum((n[:, None] == n for n in node), np.zeros((nu, nu), dtype=lcp.dtype))
+    return {"eta": eta, "leaf": leaf, "top": top, "pairs": tuple(pairs), "bounds": tuple(bounds),
+            "firsts": tuple(firsts), "ball_classes": ball_classes}
 
 
 def per_node_tree_inverse(N):

@@ -3,7 +3,7 @@
 import itertools
 import random
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +24,7 @@ from padicqft.lattice import (
 )
 from padicqft.model import FieldParams, free_cell_variance, free_covariance_entry
 from padicqft.sampler import _cholesky
-from padicqft.ultrametric import BallAddress, LatticeSpec, Region, parse_region, refine
+from padicqft.ultrametric import BallAddress, LatticeSpec, Region, distance, parse_region, refine
 from padicqft.verify import params_for, random_nested_pair, random_region_with_level
 from padicqft.wick import wick_l2_distance
 
@@ -622,19 +622,104 @@ class TestOutOfOrderLattice:
             pair += [n, covariance_matrix(n).entries]
         self._assert_same_lattice(*pair)
 
-    @pytest.mark.parametrize("reorder", ["reversed", "one adjacent swap"])
-    def test_hand_built_out_of_order_lattice_rejected(self, reorder):
-        lat = refine(parse_region("amb=2;k=0;balls=00,12,20,21", 3), -1)
-        cells = list(lat.cells)
-        if reorder == "reversed":
-            cells.reverse()
-        else:
-            cells[3], cells[4] = cells[4], cells[3]  # inside one ball: the last digit falls
-        bad = LatticeSpec(lat.region, lat.cell_level, cells)
-        with pytest.raises(ValueError, match="not in lexicographic digit order"):
-            precision_matrix(bad, params())
-        with pytest.raises(ValueError, match="not in lexicographic digit order"):
-            wick_l2_distance(params(), 2, 1, 2, bad, np.ones(bad.eta))
+
+
+# edge lattices: the cells are the balls (l = k), one ball at the ambient level (top = 0),
+# one cell that is the whole ambient ball (leaf = 0), q = 9
+EDGE_LATTICES = (("amb=2;k=0;balls=00,12,20,21", 3, 0), ("amb=1;k=1;balls=", 3, -3),
+                 ("amb=1;k=1;balls=", 3, 1), ("amb=2;k=0;balls=08,53,54", 9, -1))
+# the benchmark's irregular region at l = -4 and four of its balls: 324 cells in 729
+NESTED_4_IN_9 = ("amb=3;k=0;balls=012,102,122,210", BENCHMARK_REGIONS[1][0], -4)
+
+
+def _arithmetic_cases():
+    """The 200 acceptance lattices, FIXED_REGIONS, EDGE_LATTICES and the two 2,187-cell
+    benchmark regions, each with its cells' digit paths enumerated by the oracle."""
+    import test_acceptance
+
+    lattices = [lattice for _, lattice, _, _ in test_acceptance.matrix_suite()]
+    lattices += [refine(parse_region(text, 3), l) for text, l in FIXED_REGIONS + BENCHMARK_REGIONS]
+    lattices += [refine(parse_region(text, q), l) for text, q, l in EDGE_LATTICES]
+    for lat in lattices:
+        region = lat.region
+        depth = region.ball_level - lat.cell_level
+        yield lat, oracles.refine_digits([b.digits for b in region.balls], region.q, depth)
+
+
+class TestArithmeticLattice:
+    """A lattice is its region and its level: the ball tree, the cells, the cell index and
+    distance and the shared-cell map are arithmetic, equal to the enumerated cells and the
+    digit-stream tree of ``oracles``."""
+
+    def test_tree_fields_equal_the_digit_stream(self):
+        count = 0
+        for lat, digits in _arithmetic_cases():
+            region, amb = lat.region, lat.region.ambient_level
+            want = oracles.digit_ball_tree(digits, amb - lat.cell_level, amb - region.ball_level,
+                                           region.nu)
+            tree = padicqft.lattice._ball_tree(lat)
+            assert [f.name for f in fields(tree)] == list(want), lat
+            for name, value in want.items():
+                got = getattr(tree, name)
+                if name in ("bounds", "firsts"):
+                    assert len(got) == len(value), (lat, name)
+                    for g, w in zip(got, value):
+                        assert g.dtype == w.dtype and np.array_equal(g, w), (lat, name)
+                elif name == "ball_classes":
+                    assert got.dtype == value.dtype and np.array_equal(got, value), lat
+                else:
+                    assert got == value, (lat, name)
+            count += 1
+        assert count == 200 + len(FIXED_REGIONS) + len(BENCHMARK_REGIONS) + len(EDGE_LATTICES)
+
+    def test_cells_index_and_distance(self):
+        rand = random.Random(27)
+        for lat, digits in _arithmetic_cases():
+            cells, eta = lat.cells, lat.eta
+            assert [c.digits for c in cells] == digits and eta == len(digits)
+            assert {(c.ambient_level, c.level) for c in cells} == {
+                (lat.region.ambient_level, lat.cell_level)}
+            assert [lat.index_of(c) for c in cells] == list(range(eta))
+            pairs = [(0, j) for j in range(eta)] + [(i, eta - 1) for i in range(eta)]
+            pairs += [(rand.randrange(eta), rand.randrange(eta)) for _ in range(200)]
+            for i, j in pairs:
+                assert lat.cell_distance(i, j) == distance(cells[i], cells[j]), (lat, i, j)
+
+    def test_shared_indices_equal_the_digit_lookup(self):
+        rand = random.Random(28)
+        cases = [random_nested_pair(rand, (3, 5)[i % 2], max_eta=100) for i in range(40)]
+        small, big, l = NESTED_4_IN_9
+        cases.append((parse_region(small, 3), parse_region(big, 3), l))
+        for small, big, l in cases:
+            lat, lat_prime, idx = padicqft.lattice._shared_indices(small, big, l)
+            depth = small.ball_level - l
+            position = {d: i for i, d in enumerate(
+                oracles.refine_digits([b.digits for b in big.balls], big.q, depth))}
+            want = [position[d] for d in oracles.refine_digits([b.digits for b in small.balls],
+                                                               small.q, depth)]
+            assert idx.dtype == np.intp and idx.tolist() == want, (small, big, l)
+            assert (lat.eta, lat_prime.eta) == (len(want), len(position))
+        assert (lat.eta, lat_prime.eta) == (324, 729)
+
+    def test_matrices_and_checks_build_no_cell_address(self, monkeypatch):
+        # the five entry points of the lattice round read (region, l) alone
+        def no_cells(lat):
+            raise AssertionError(f"{lat} read its cell addresses")
+
+        monkeypatch.setattr(LatticeSpec, "cells", property(no_cells))
+        small, big, l = NESTED_4_IN_9
+        small, big = parse_region(small, 3), parse_region(big, 3)
+        for text, l_bench in BENCHMARK_REGIONS:
+            lat, p = refine(parse_region(text, 3), l_bench + 1), params()
+            m = covariance_matrix(precision_matrix(lat, p))
+            assert domination_check(m, p).passed
+            assert "cells" not in vars(lat)
+        assert restriction_check(small, big, l, params())
+        assert monotonicity_check(small, big, l, params()).passed
+        monkeypatch.undo()
+        assert "cells" not in vars(lat)
+        assert lat.cells[-1].digits == lat.region.balls[-1].digits + (2,) * 4  # built on a read
+        assert "cells" in vars(lat)
 
 
 class TestByClass:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import time
 from dataclasses import replace
 
@@ -220,45 +221,69 @@ class TestRefine:
             refine(region, 1)
 
     def test_cells_outside_the_region_rejected(self):
-        # a spec's cell list with one cell swapped for another address is accepted
-        # exactly when that address lies in a region ball by is_descendant_of and
-        # is a cell of the spec's level; one inside at another level is rejected too
+        # index_of accepts an address exactly when it lies in a region ball by
+        # is_descendant_of and is a cell of the spec's level, and then finds it in cells;
+        # one inside at another level is rejected too
         region = Region(q=3, ambient_level=2, ball_level=1, balls=(ball(2, 1, (0,)), ball(2, 1, (2,))))
-        cells = refine(region, 0).cells
-        swaps = [ball(amb, lev, d) for amb in (2, 3) for lev in range(-1, amb + 1)
-                 for d in itertools.product(range(3), repeat=amb - lev)]
-        rejected, misleveled = 0, 0
-        for c in swaps:
-            if c.digits in {d.digits for d in cells[1:]}:  # the distinctness check's case
-                continue
+        lat = refine(region, 0)
+        candidates = [ball(amb, lev, d) for amb in (2, 3) for lev in range(-1, amb + 1)
+                      for d in itertools.product(range(3), repeat=amb - lev)]
+        found, rejected, misleveled = [], 0, 0
+        for c in candidates:
             inside = any(c.is_descendant_of(b) for b in region.balls)
-            swapped = (c,) + cells[1:]
             if inside and c.level == 0:
-                assert LatticeSpec(region, 0, swapped).cells == swapped
+                found.append(lat.index_of(c))
+                assert lat.cells[found[-1]] == c
             elif inside:
                 with pytest.raises(ValueError, match="is not a level-0 cell of the region"):
-                    LatticeSpec(region, 0, swapped)
+                    lat.index_of(c)
                 misleveled += 1
             else:
                 with pytest.raises(ValueError, match="lies outside the region"):
-                    LatticeSpec(region, 0, swapped)
+                    lat.index_of(c)
                 rejected += 1
-        assert 0 < rejected < len(swaps) and misleveled > 0
+        assert sorted(found) == list(range(lat.eta))
+        assert 0 < rejected < len(candidates) and misleveled > 0
 
     def test_cells_at_another_level_rejected(self):
-        # a level -2 cell among level -1 ones: its digits would truncate the ball tree's
-        # digit stream to the lattice with cell (0, 2), and N would be that lattice's
+        # a level -2 cell of the ball, looked up among its level -1 cells
         region = Region(q=3, ambient_level=1, ball_level=0, balls=(ball(1, 0, (0,)),))
-        cells = (ball(1, -1, (0, 0)), ball(1, -1, (0, 1)), ball(1, -2, (0, 2, 0)))
         with pytest.raises(ValueError, match=r"cell \(0, 2, 0\) is not a level--1 cell"):
-            LatticeSpec(region, -1, cells)
+            refine(region, -1).index_of(ball(1, -2, (0, 2, 0)))
 
     def test_cell_digit_of_q_or_more_rejected(self):
-        # nine distinct level -2 cells under ball 0, sorted, but node (0, 0) has four children
-        region = Region(q=3, ambient_level=1, ball_level=0, balls=(ball(1, 0, (0,)),))
-        digits = [(0, 0, 3)] + [d for d in itertools.product((0,), range(3), range(3))][:-1]
-        with pytest.raises(ValueError, match="a cell has a digit of q = 3 or more"):
-            LatticeSpec(region, -2, [ball(1, -2, d) for d in sorted(digits)])
+        # (0, 0, 3) would be the tenth cell of ball 0, or cell 0 of ball 1
+        region = Region(q=3, ambient_level=1, ball_level=0, balls=(ball(1, 0, (0,)), ball(1, 0, (1,))))
+        lat = refine(region, -2)
+        for digits in ((0, 0, 3), (0, 3, 0), (0, 2, 7)):
+            with pytest.raises(ValueError, match=re.escape(f"cell {digits} has a digit of q = 3 or more")):
+                lat.index_of(ball(1, -2, digits))
+        assert lat.index_of(ball(1, -2, (1, 0, 0))) == 9
+
+    def test_cell_of_another_tree_rejected(self):
+        # the same digits below an ambient ball one level up: a ball of another tree
+        lat = refine(parse_region("amb=1;k=0;balls=0,1,2", 3), -1)
+        assert lat.index_of(ball(1, -1, (0, 1))) == 1
+        with pytest.raises(ValueError, match=r"cell \(0, 1\) lies outside the region"):
+            lat.index_of(ball(2, 0, (0, 1)))
+        with pytest.raises(ValueError, match=r"cell \(1,\) lies outside the region"):
+            lat.index_of(ball(2, 1, (1,)))
+
+    def test_cell_of_another_region_rejected(self):
+        lat = refine(parse_region("amb=2;k=0;balls=00,12", 3), -1)
+        for digits in ((0, 1, 0), (2, 2, 2), (1, 0, 0)):
+            with pytest.raises(ValueError, match="lies outside the region"):
+                lat.index_of(ball(2, -1, digits))
+        assert [lat.index_of(ball(2, -1, (1, 2, d))) for d in range(3)] == [3, 4, 5]
+
+    def test_cell_index_outside_the_lattice_rejected(self):
+        # a negative index is not read from the end, and eta is past it
+        lat = refine(parse_region("amb=1;k=0;balls=0,1,2", 3), -1)
+        assert lat.cell_distance(8, 0) == 1 and lat.cell_distance(0, 1) == 0
+        assert all(lat.cell_distance(i, i) == SAME for i in range(lat.eta))
+        for i, j in ((-1, 0), (0, -1), (-9, -9), (9, 0), (0, 9), (10**20, 0)):
+            with pytest.raises(IndexError, match=r"outside 0\.\.8"):
+                lat.cell_distance(i, j)
 
     def test_cell_guard(self):
         region = Region(q=3, ambient_level=1, ball_level=1, balls=(ball(1, 1, ()),))
@@ -275,8 +300,8 @@ class TestRefine:
             with pytest.raises(ValueError, match=rf"^refinement would create 3 \* 3\^{-l} cells "
                                                  r"\(> 4096\); pass a larger max_cells"):
                 refine(region, l)
-            with pytest.raises(ValueError, match="cell count does not match"):
-                LatticeSpec(region, l, ())
+            with pytest.raises(ValueError, match=rf"^refinement would create 3 \* 3\^{-l} cells"):
+                LatticeSpec(region, l)
             assert time.perf_counter() - start < 0.1
         with pytest.raises(ValueError, match=r"^refinement would create 6561 cells \(> 4096\)"):
             refine(region, -7)  # written out up to 64 levels

@@ -276,6 +276,18 @@ class TestPolyEval:
         assert np.isnan(got[7]) and np.all(np.isfinite(np.delete(got, 7)))
         assert np.isnan(wick_poly_eval(poly, t[7], g, v))
 
+    def test_infinite_entry(self):
+        # Horner's rule starts from the top coefficient, so an infinite value is the
+        # leading power's +inf; a cell of zero weight still makes 0 * inf = NaN
+        poly = WickPolynomial((0.0, -0.5, 0.0, 0.0, 1.0))
+        t = np.array([[np.inf, 1.0], [-np.inf, 1.0], [np.nan, 1.0], [1.0, 2.0]])
+        for v in (0.0, 0.4):
+            got = wick_poly_eval(poly, t, np.array([0.5, 0.5]), np.full(2, v))
+            assert got[0] == got[1] == np.inf and np.isnan(got[2]) and np.isfinite(got[3])
+            with np.errstate(invalid="ignore"):
+                got = wick_poly_eval(poly, t, np.array([0.0, 0.5]), np.full(2, v))
+            assert np.all(np.isnan(got[:3])) and np.isfinite(got[3])
+
     @pytest.mark.parametrize("eta", [1, 27, 54])
     def test_blocks_match_one_pass(self, eta):
         # bit for bit: each block of rows alone, and Horner's rule over all rows at once
