@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
-import io
 import json
 import math
 import os
@@ -298,11 +297,8 @@ class _ArtifactWriter:
         print(f"wrote {p}")
 
     def write_csv(self, name: str, header: list[str], rows) -> None:
-        buf = io.StringIO()
-        buf.write(",".join(header) + "\n")
-        for row in rows:
-            buf.write(",".join(_fmt(v) for v in row) + "\n")
-        self.write_text(name, buf.getvalue())
+        lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+        self.write_text(name, "\n".join(lines) + "\n")
 
     def discard_all(self) -> None:
         for p in self.written:
@@ -378,19 +374,12 @@ def run_wick(cfg: RunConfig, writer: _ArtifactWriter) -> int:
     orders, kappa2_values = (2, 3, 4), range(1, 11)
     table = wick.wick_l2_decay(params, 20, kappa2_values, orders, lattice, g, tol=cfg.tol)
     for k, values in zip(orders, table.tolist()):
-        rows = []
-        prev = None
+        rows, prev = [], math.nan  # no ratio for the first kappa2, nor next to a zero
         for kappa2, value in zip(kappa2_values, values):
-            ratio = (
-                math.log(prev / value) / math.log(params.q)
-                if prev is not None and value > 0 and prev > 0
-                else float("nan")
-            )
+            ratio = math.log(prev / value) / math.log(params.q) if value > 0 and prev > 0 else math.nan
             rows.append([kappa2, value, ratio])
             prev = value
-        writer.write_csv(
-            f"wick_decay_k{k}_{{h}}.csv", ["kappa2", "distance", "log_q_ratio"], rows
-        )
+        writer.write_csv(f"wick_decay_k{k}_{{h}}.csv", ["kappa2", "distance", "log_q_ratio"], rows)
     return 0
 
 

@@ -6,22 +6,20 @@ the coupling between two cells is a single-shell value of the jump kernel
 (the kernel is constant on an ultrametric ball), and the diagonal is the
 mass term plus a geometric-series complement integral.  Both depend on a pair
 only through its distance class (the cells' common-prefix length, amb - l on
-the diagonal), which is read once per lattice from the ball tree of the cells
-in their digit order; the precision entries, the rows the class check expects
-and the free-covariance bound are each one table per class, spread over the
-cell pairs by the ball tree's block fill.  The same structure writes
+the diagonal), so the precision entries, the rows the class check expects and
+the free-covariance bound are each one table per class, spread over the cell
+pairs by the block fill of the lattice's ball tree (``LatticeSpec.tree``, one per
+lattice; a matrix holds no tree of its own).  The same structure writes
 N = D' I + sum over tree nodes a of beta_depth(a) 1_a 1_a^T, so the covariance
 is inverted by one leaf-to-root Sherman-Morrison pass, the classical inverse of
 an ultrametric matrix (Martinez, Michon and San Martin, SIAM J. Matrix Anal.
-Appl. 15, 1994).  Below the region balls (depth top = amb - k) the nodes of a
-depth are alike, so each pass keeps one scalar per depth there, and a lattice
-matrix is one value per ball pair and per (ball, depth) block, a ball-tree fill.
-A fill is invariant under the automorphisms of each ball's subtree, so each of
-its rows is a permutation of its ball's first row: the inverse is checked by
-forming M N - I from N's tree form on one row of M per region ball.  Entrywise
-nonnegativity, domination by the free covariance, and growth under region
-extension are the checkable facts; domination of a matrix the package built is
-read on the same rows.
+Appl. 15, 1994).  Below the region balls the nodes of a depth are alike, so the
+pass keeps one scalar per depth there, and M is a ball-tree fill too: one value
+per ball pair and per (ball, depth) block.  Every row of a fill is a permutation
+of its ball's first row, so the inverse is checked by forming M N - I from N's
+tree form, and the domination of a matrix the package built is read, on one row
+per region ball.  Entrywise nonnegativity, domination by the free covariance,
+and growth under region extension are the checkable facts.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ import numpy as np
 
 from .model import FieldParams, free_cell_variance, free_covariance_entry
 from .reporting import CheckReport, worse
-from .ultrametric import MAX_DENSE_CELLS, LatticeSpec, Region, refine
+from .ultrametric import LatticeSpec, Region, _shared_indices
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -50,11 +48,18 @@ class NotPositiveDefiniteError(ValueError):
         super().__init__(f"{matrix_name} is not positive definite (pivot {pivot})")
 
 
+def _freeze(entries: np.ndarray, lattice: LatticeSpec) -> None:
+    """Make ``entries`` read-only; ValueError unless it is eta x eta."""
+    if entries.shape != (eta := lattice.eta, eta):
+        raise ValueError(f"entries have shape {entries.shape}; {eta} cells need {(eta, eta)}")
+    entries.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class PrecisionMatrix:
     """Matrix of the restricted operator plus mass in the cell-indicator basis.
 
-    ``tree`` is the ball tree of the cells, which holds each pair's distance class
+    ``lattice.tree`` is the ball tree of the cells, which holds each pair's distance class
     amb - d(i,j), amb - l on the diagonal.  ``_filled`` is set by ``precision_matrix``
     alone, whose entries are a ball-tree fill: a matrix built any other way,
     ``dataclasses.replace`` included, is not marked, and its checks read every entry.
@@ -62,115 +67,29 @@ class PrecisionMatrix:
 
     lattice: LatticeSpec
     entries: np.ndarray
-    tree: _BallTree = field(repr=False, compare=False)
     _filled: bool = field(init=False, repr=False, compare=False, default=False)
 
     def __post_init__(self):
-        self.entries.setflags(write=False)
+        _freeze(self.entries, self.lattice)
 
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Inverse of a precision matrix; a Monte Carlo draw takes its own Cholesky factor.
-
-    ``_filled`` is set by ``covariance_matrix`` alone, as ``PrecisionMatrix._filled`` is.
+    """Inverse of a precision matrix, on its lattice; a Monte Carlo draw takes its own
+    Cholesky factor.  ``_filled`` is set by ``covariance_matrix`` alone, as
+    ``PrecisionMatrix._filled`` is.
     """
 
-    lattice: LatticeSpec
     entries: np.ndarray
     precision: PrecisionMatrix
     _filled: bool = field(init=False, repr=False, compare=False, default=False)
 
     def __post_init__(self):
-        self.entries.setflags(write=False)
+        _freeze(self.entries, self.lattice)
 
-
-@dataclass(frozen=True)
-class _BallTree:
-    """The lattice cells, in their lexicographic digit order, read as a q-ary ball tree.
-
-    The cells under a depth-c tree node are a run of consecutive cells, and the distance
-    class of a pair is the depth of the deepest node holding both.  ``pairs[c]`` is the
-    first adjacent cell pair of class c, or None where no pair has that class.  The node
-    table, per depth c = 0..leaf (depth leaf: the cells): ``bounds[c]`` holds the cells
-    where the depth-c nodes start, then eta; for c < leaf, ``firsts[c]`` holds each
-    depth-c node's first child among the depth-(c+1) nodes, then the count of
-    depth-(c+1) nodes.  The depth-top nodes are the region balls; below them a depth-c
-    node is a run of q^(leaf - c) cells.
-    """
-
-    eta: int
-    leaf: int  # amb - l, the class of the diagonal
-    top: int  # amb - k, the depth of the region balls
-    pairs: tuple
-    bounds: tuple
-    firsts: tuple
-    ball_classes: np.ndarray  # nu x nu: the classes of the region balls' pairs, top on the diagonal
-
-    def fill(self, outer: np.ndarray, inner: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-        """Rows ``rows`` of the eta x eta array that is ``outer[a, b]`` on the cell pairs of
-        region balls a and b, but ``inner[a, c - top - 1]`` (row 0 for every ball, if it has
-        one row) on the pairs of ball a whose deepest common node is at depth c > top.
-
-        Each depth then overwrites, in each row, the columns of the row's depth-c node: the
-        nodes below top are runs of ``size`` cells alike, so cell i's is the i // size-th.
-        Every eta x eta array of a lattice is made after a fill, so the fill holds the cap.
-        """
-        eta, nu = self.eta, len(outer)
-        if eta > MAX_DENSE_CELLS:
-            raise ValueError(f"lattice has {eta} cells (> {MAX_DENSE_CELLS})")
-        cells, per_ball = np.arange(eta)[rows], eta // nu
-        out = outer[cells // per_ball].repeat(per_ball, axis=1)
-        inner, at = inner[cells // per_ball % len(inner)], np.arange(len(cells))  # per row
-        for c in range(self.top + 1, self.leaf + 1):
-            size = int(self.bounds[c][1])  # cells per depth-c node
-            blocks = out.reshape(len(cells), eta // size, size)
-            blocks[at, cells // size] = inner[:, c - self.top - 1, None]
-        return out
-
-    def by_class(self, table: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-        """Rows ``rows`` of the eta x eta array that is ``table[c]`` on every pair of distance
-        class c; the class of a pair of region balls is ``ball_classes``, of a pair inside a
-        ball the depth of its deepest node."""
-        return self.fill(table[self.ball_classes], table[None, self.top + 1 :], rows)
-
-    def ball_rows(self) -> slice:
-        """The rows of the region balls' first cells.
-
-        A fill is invariant under the automorphisms of each ball's q-ary subtree, which
-        act transitively on the ball's cells, so every row of a fill, of a sum of fills and
-        of a product of fills is a permutation of the row of its ball's first cell.
-        """
-        return slice(0, self.eta, self.eta // len(self.ball_classes))
-
-    def classes(self) -> np.ndarray:
-        """Pairwise distance classes, one byte per pair for up to 256 classes."""
-        return self.by_class(np.arange(self.leaf + 1, dtype=self.ball_classes.dtype))
-
-
-def _ball_tree(lattice: LatticeSpec) -> _BallTree:
-    """The node tables of the cells, from the region balls' digits and the level alone.
-
-    Above top a depth-c node is a run of region balls with the same first c digits, cut
-    where two adjacent balls' common prefix is shorter than c; below top it is q^(leaf - c)
-    cells, and the first pair of class c is cells q^(leaf - c - 1) - 1 and q^(leaf - c - 1).
-    """
-    region, eta = lattice.region, lattice.eta
-    nu, q, per_ball = region.nu, region.q, eta // region.nu
-    leaf, top = region.ambient_level - lattice.cell_level, region.ambient_level - region.ball_level
-    digits = np.array([b.digits for b in region.balls], dtype=np.int64).reshape(nu, top)
-    lcp = np.logical_and.accumulate(digits[1:] == digits[:-1], axis=1).sum(axis=1)
-    pairs = [None] * top + [(q ** (leaf - c - 1) - 1, q ** (leaf - c - 1)) for c in range(top, leaf)]
-    for b, c in enumerate(lcp.tolist(), 1):  # the boundary before ball b
-        pairs[c] = pairs[c] or (b * per_ball - 1, b * per_ball)
-    cuts = [(np.flatnonzero(lcp < c) + 1) * per_ball for c in range(top + 1)]
-    bounds = [np.concatenate(([0], cut, [eta])) for cut in cuts]
-    bounds += [np.arange(0, eta + 1, q ** (leaf - c)) for c in range(top + 1, leaf + 1)]
-    firsts = [bounds[c + 1].searchsorted(bounds[c]) for c in range(leaf)]
-    node = [b.searchsorted(np.arange(0, eta, per_ball), "right") for b in bounds[1 : top + 1]]
-    # each ball's node per depth 1..top; two balls' class counts the depths where they share one
-    classes = sum((n[:, None] == n for n in node), np.zeros((nu, nu), np.min_scalar_type(leaf)))
-    return _BallTree(eta, leaf, top, tuple(pairs), tuple(bounds), tuple(firsts), classes)
+    @property
+    def lattice(self) -> LatticeSpec:
+        return self.precision.lattice
 
 
 def precision_diagonal(params: FieldParams, l: int) -> float:
@@ -205,10 +124,9 @@ def precision_matrix(lattice: LatticeSpec, params: FieldParams) -> PrecisionMatr
     identity is exact).
     """
     l, amb = lattice.cell_level, lattice.region.ambient_level
-    tree = _ball_tree(lattice)
     table = [precision_offdiagonal(params, l, amb - c) for c in range(amb - l)]
     table = np.array(table + [precision_diagonal(params, l)])
-    n = PrecisionMatrix(lattice=lattice, entries=tree.by_class(table), tree=tree)
+    n = PrecisionMatrix(lattice=lattice, entries=lattice.tree.by_class(table))
     object.__setattr__(n, "_filled", True)
     return n
 
@@ -219,7 +137,7 @@ def _class_entries(N: PrecisionMatrix) -> list:
     With w(-1) = 0, a class with no pairs repeats w(c-1).
     """
     off, w = [], 0.0
-    for pair in N.tree.pairs:
+    for pair in N.lattice.tree.pairs:
         w = w if pair is None else float(N.entries[pair])
         off.append(w)
     return off
@@ -271,7 +189,8 @@ def _tree_inverse(N: PrecisionMatrix) -> tuple[np.ndarray, np.ndarray]:
     or NotPositiveDefiniteError names the first failing cell, in the per-node
     pass's order (the gate argued in ``covariance_matrix``).
     """
-    tree, eta, top, leaf = N.tree, N.lattice.eta, N.tree.top, N.tree.leaf
+    tree = N.lattice.tree
+    eta, top, leaf = tree.eta, tree.top, tree.leaf
     w_last = ([0.0] + _class_entries(N))[-1]
     bad = np.flatnonzero(~(np.diagonal(N.entries) > w_last))
     if bad.size:
@@ -324,7 +243,8 @@ def _ball_residual(m: np.ndarray, N: PrecisionMatrix) -> np.float64:
     spread back by a strided add; ``reduceat`` and ``repeat`` run only above top, on the
     nu region balls.  A NaN anywhere in M is in its ball's row too, so the residual is NaN.
     """
-    tree, eta, top, leaf = N.tree, N.lattice.eta, N.tree.top, N.tree.leaf
+    tree = N.lattice.tree
+    eta, top, leaf = tree.eta, tree.top, tree.leaf
     beta, d_prime = _class_couplings(N)
     x = np.ascontiguousarray(m[tree.ball_rows()].T)
     sums = [x]  # sums[k]: (M 1_a) over the depth leaf - k nodes a
@@ -360,26 +280,26 @@ def covariance_matrix(N: PrecisionMatrix, residual_tol: float = 1e-10) -> Covari
     eta x eta pass.  Any other N is checked finite and by class row chunk by row
     chunk, so no eta x eta array but M is made.
     """
-    eta, filled = N.lattice.eta, N._filled
-    for rows in [N.tree.ball_rows()] if filled else _row_chunks(eta):
+    tree, eta, filled = N.lattice.tree, N.lattice.eta, N._filled
+    for rows in [tree.ball_rows()] if filled else _row_chunks(eta):
         np.asarray_chkfinite(N.entries[rows])
     outer, inner = _tree_inverse(N)
     if not filled:
         table = np.array(_class_entries(N) + [N.entries[0, 0]])
         for rows in _row_chunks(eta):
-            differs = N.tree.by_class(table, rows) != N.entries[rows]
+            differs = tree.by_class(table, rows) != N.entries[rows]
             if differs.any():
                 i, j = np.unravel_index(int(np.argmax(differs)), differs.shape)
                 i += rows.start
                 raise ValueError(
                     f"precision entry N[{i},{j}]={float(N.entries[i, j])!r} differs from its "
-                    f"distance class's entry {float(N.tree.by_class(table, slice(i, i + 1))[0, j])!r}"
+                    f"distance class's entry {float(tree.by_class(table, slice(i, i + 1))[0, j])!r}"
                 )
-    m = N.tree.fill(outer, inner)
+    m = tree.fill(outer, inner)
     residual = float(_ball_residual(m, N))
     if not (residual <= residual_tol * eta):  # a NaN residual fails too
         raise ValueError(f"inverse residual {residual:.3e} exceeds {residual_tol:.1e} * eta")
-    cov = CovarianceMatrix(lattice=N.lattice, entries=m, precision=N)
+    cov = CovarianceMatrix(entries=m, precision=N)
     object.__setattr__(cov, "_filled", True)
     return cov
 
@@ -408,15 +328,6 @@ def covariance_nonnegative_check(M: CovarianceMatrix, tol: float = 1e-12) -> Che
     return CheckReport("covariance_nonnegative", passed, worst, violations)
 
 
-def _shared_indices(pi: Region, pi_prime: Region, l: int) -> tuple:
-    if not pi.is_subregion_of(pi_prime):
-        raise ValueError("regions are not nested: every ball of pi must be a ball of pi_prime")
-    lat, lat_prime = refine(pi, l), refine(pi_prime, l)
-    big_ball_index = np.array([pi_prime._ball_index[b.digits] for b in pi.balls], dtype=np.intp)
-    per_ball = lat.eta // pi.nu  # a shared ball's cells keep their order in either lattice
-    return lat, lat_prime, (big_ball_index[:, None] * per_ball + np.arange(per_ball)).ravel()
-
-
 def restriction_check(pi: Region, pi_prime: Region, l: int, params: FieldParams) -> bool:
     """Shared cells of nested regions must carry bit-identical precision entries."""
     lat, lat_prime, idx = _shared_indices(pi, pi_prime, l)
@@ -439,7 +350,7 @@ def domination_check(
     l, amb = M.lattice.cell_level, M.lattice.region.ambient_level
     table = [free_covariance_entry(params, l, amb - c) for c in range(amb - l)]
     table = np.array(table + [free_cell_variance(params, l)])
-    tree, eta = M.precision.tree, M.lattice.eta
+    tree, eta = M.lattice.tree, M.lattice.eta
     worst, where = math.inf, None  # the first smallest margin in row-major order, or first NaN
     for rows in [tree.ball_rows()] if M._filled else _row_chunks(eta):
         margins = tree.by_class(table, rows)

@@ -33,14 +33,13 @@ from .lattice import (
     CovarianceMatrix,
     NotPositiveDefiniteError,
     _class_couplings,
-    _shared_indices,
     covariance_matrix,
     precision_matrix,
     sign_structure_check,
 )
 from .model import FieldParams, free_cell_variance
 from .reporting import CheckReport, Margins
-from .ultrametric import Region
+from .ultrametric import Region, _shared_indices
 from .wick import EVAL_BLOCK_VALUES, WickPolynomial, _poly_rows, _poly_table, wick_poly_eval
 
 MIN_MC_SAMPLES = 1_000
@@ -155,6 +154,11 @@ def _check_cells(cells, eta: int) -> None:
         raise ValueError(f"a cell the estimate reads is outside 0..{eta - 1}")
 
 
+def _check_source(source: SourceSpec, eta: int) -> None:
+    if source.g.shape != (eta,):
+        raise ValueError(f"the source has shape {source.g.shape}, the covariance matrix {eta} cells")
+
+
 def _mc_draw(M, P, source, variances, seed, n_samples, cells=None):
     """An exact Gaussian draw t = z L^T on the cells S an estimate reads, its log
     weights -:P:(g), the weights shifted by their maximum (so none overflows), that
@@ -185,6 +189,7 @@ def _mc_draw(M, P, source, variances, seed, n_samples, cells=None):
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError(f"n_samples must be at least {MIN_MC_SAMPLES}")
     eta = M.lattice.eta
+    _check_source(source, eta)
     if cells is None:
         drawn = np.arange(eta)
     else:
@@ -369,7 +374,7 @@ def _tree_pass(M, P, source, variances, forms, moments, order):
     slower; no array is trimmed, since a shorter one changes the summation order.
     """
     N = M.precision
-    eta, tree = M.lattice.eta, N.tree
+    eta, tree = M.lattice.eta, M.lattice.tree
     bounds = [b.tolist() for b in tree.bounds]
     firsts = [f.tolist() for f in tree.firsts]
     beta, d_prime = _class_couplings(N)
@@ -425,6 +430,7 @@ def _tree_pass(M, P, source, variances, forms, moments, order):
 def _quadrature_converged(M, P, source, variances, forms, moments, order):
     P.require_semibounded()
     eta = M.lattice.eta
+    _check_source(source, eta)
     if eta > QUADRATURE_MAX_CELLS:
         raise ValueError(f"quadrature supports at most {QUADRATURE_MAX_CELLS} cells, got {eta}")
     if 2 * order > MAX_QUADRATURE_ORDER:
@@ -606,12 +612,12 @@ def monotonicity_experiment(
             return vec
         raise ValueError(f"{name} must have {lat.eta} or {lat_prime.eta} entries")
 
+    src_big = SourceSpec(  # first: extend checks the lengths
+        g=extend(source.g, "g"), h_list=tuple(extend(h, "h") for h in source.h_list)
+    )
     g_small = source.g if source.g.shape == (lat.eta,) else np.asarray(source.g)[idx]
     src_small = SourceSpec(g=g_small, h_list=tuple(
         h if h.shape == (lat.eta,) else h[idx] for h in source.h_list))
-    src_big = SourceSpec(
-        g=extend(source.g, "g"), h_list=tuple(extend(h, "h") for h in source.h_list)
-    )
     var = free_cell_variance(params, l)
     m_small = covariance_matrix(precision_matrix(lat, params))
     m_big = covariance_matrix(precision_matrix(lat_prime, params))

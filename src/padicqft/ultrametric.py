@@ -6,12 +6,17 @@ exactly q disjoint children of radius q^{j-1}. Balls are addressed by their
 digit path from a fixed ambient root ball, so distances between ball centers
 reduce to longest-common-prefix arithmetic; no field-element representation
 is ever needed (every downstream quantity depends only on pairwise norms).
+Levels, digits and q are integers.  A lattice is a region and a cell level; its cell
+arithmetic and ball tree (``LatticeSpec.tree``, built once per lattice) are written here once.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import InitVar, dataclass
 from functools import cached_property
+
+import numpy as np
 
 SAME = float("-inf")
 """Sentinel distance exponent for coinciding points: q**SAME == 0."""
@@ -20,6 +25,12 @@ MAX_DENSE_CELLS = 4096  # default cell cap of a refinement and of a dense lattic
 
 _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _DIGIT_VALUES = {c: v for v, c in enumerate(_DIGIT_CHARS)}
+
+
+def _int_fields(obj, *names) -> None:
+    """Store each named field as an int: a numpy int passes, a float raises TypeError."""
+    for name in names:
+        object.__setattr__(obj, name, operator.index(getattr(obj, name)))
 
 
 @dataclass(frozen=True)
@@ -35,6 +46,7 @@ class BallAddress:
     digits: tuple[int, ...]
 
     def __post_init__(self):
+        _int_fields(self, "ambient_level", "level")
         object.__setattr__(self, "digits", tuple(self.digits))
         if self.level > self.ambient_level:
             raise ValueError(
@@ -44,7 +56,7 @@ class BallAddress:
             raise ValueError(
                 f"expected {self.ambient_level - self.level} digits, got {len(self.digits)}"
             )
-        if any(d < 0 for d in self.digits):
+        if any(operator.index(d) < 0 for d in self.digits):  # a float digit: TypeError
             raise ValueError("digits must be nonnegative")
 
     def child(self, digit: int) -> "BallAddress":
@@ -102,6 +114,7 @@ class Region:
     balls: tuple[BallAddress, ...]
 
     def __post_init__(self):
+        _int_fields(self, "q", "ambient_level", "ball_level")
         object.__setattr__(self, "balls", tuple(sorted(self.balls, key=lambda b: b.digits)))
         if self.q < 2:
             raise ValueError("q must be at least 2")
@@ -173,7 +186,8 @@ class LatticeSpec:
     of i mod q^(k-l).  The region keeps its balls in digit order, so cell indices are
     stable across runs and listing orders, and a subregion's cells appear in the same
     relative order inside any superregion's refinement.  A count above ``max_cells`` is
-    refused (``_cell_count``), and the addresses are built only when ``cells`` is read.
+    refused (``_cell_count``).  The addresses and the ball tree are built on first read of
+    ``cells`` and ``tree``, once per lattice.
     """
 
     region: Region
@@ -181,6 +195,7 @@ class LatticeSpec:
     max_cells: InitVar[int] = MAX_DENSE_CELLS
 
     def __post_init__(self, max_cells):
+        _int_fields(self, "cell_level")
         k, l = self.region.ball_level, self.cell_level
         if l > k:
             raise ValueError(f"refinement level {l} exceeds ball level {k}")
@@ -199,6 +214,11 @@ class LatticeSpec:
     def cells(self) -> tuple[BallAddress, ...]:
         """Every cell's address, in index order, built on first read."""
         return tuple(map(self._address, range(self.eta)))
+
+    @cached_property
+    def tree(self) -> _BallTree:
+        """The cells read as a ball tree (``_ball_tree``), built on first read."""
+        return _ball_tree(self)
 
     def _address(self, i: int) -> BallAddress:
         """Cell i: ball i // q^(k-l), then the base-q digits of i mod q^(k-l)."""
@@ -225,6 +245,104 @@ class LatticeSpec:
     def cell_distance(self, i: int, j: int) -> float:
         """Distance exponent between the centers of cells i and j, SAME when i == j."""
         return distance(self._address(i), self._address(j))
+
+
+def _shared_indices(pi: Region, pi_prime: Region, l: int) -> tuple:
+    """The level-l lattices of nested regions, and each cell of pi's index in pi_prime's."""
+    if not pi.is_subregion_of(pi_prime):
+        raise ValueError("regions are not nested: every ball of pi must be a ball of pi_prime")
+    lat, lat_prime = refine(pi, l), refine(pi_prime, l)
+    big_ball_index = np.array([pi_prime._ball_index[b.digits] for b in pi.balls], dtype=np.intp)
+    per_ball = lat.eta // pi.nu  # a shared ball's cells keep their order in either lattice
+    return lat, lat_prime, (big_ball_index[:, None] * per_ball + np.arange(per_ball)).ravel()
+
+
+@dataclass(frozen=True)
+class _BallTree:
+    """The lattice cells, in their lexicographic digit order, read as a q-ary ball tree.
+
+    The cells under a depth-c tree node are a run of consecutive cells, and the distance
+    class of a pair is the depth of the deepest node holding both.  ``pairs[c]`` is the
+    first adjacent cell pair of class c, or None where no pair has that class.  The node
+    table, per depth c = 0..leaf (depth leaf: the cells): ``bounds[c]`` holds the cells
+    where the depth-c nodes start, then eta; for c < leaf, ``firsts[c]`` holds each
+    depth-c node's first child among the depth-(c+1) nodes, then the count of
+    depth-(c+1) nodes.  The depth-top nodes are the region balls; below them a depth-c
+    node is a run of q^(leaf - c) cells.
+    """
+
+    eta: int
+    leaf: int  # amb - l, the class of the diagonal
+    top: int  # amb - k, the depth of the region balls
+    pairs: tuple
+    bounds: tuple
+    firsts: tuple
+    ball_classes: np.ndarray  # nu x nu: the classes of the region balls' pairs, top on the diagonal
+
+    def fill(self, outer: np.ndarray, inner: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """Rows ``rows`` of the eta x eta array that is ``outer[a, b]`` on the cell pairs of
+        region balls a and b, but ``inner[a, c - top - 1]`` (row 0 for every ball, if it has
+        one row) on the pairs of ball a whose deepest common node is at depth c > top.
+
+        Each depth then overwrites, in each row, the columns of the row's depth-c node: the
+        nodes below top are runs of ``size`` cells alike, so cell i's is the i // size-th.
+        Every eta x eta array of a lattice is made after a fill, so the fill holds the cap.
+        """
+        eta, nu = self.eta, len(outer)
+        if eta > MAX_DENSE_CELLS:
+            raise ValueError(f"lattice has {eta} cells (> {MAX_DENSE_CELLS})")
+        cells, per_ball = np.arange(eta)[rows], eta // nu
+        out = outer[cells // per_ball].repeat(per_ball, axis=1)
+        inner, at = inner[cells // per_ball % len(inner)], np.arange(len(cells))  # per row
+        for c in range(self.top + 1, self.leaf + 1):
+            size = int(self.bounds[c][1])  # cells per depth-c node
+            blocks = out.reshape(len(cells), eta // size, size)
+            blocks[at, cells // size] = inner[:, c - self.top - 1, None]
+        return out
+
+    def by_class(self, table: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """Rows ``rows`` of the eta x eta array that is ``table[c]`` on every pair of distance
+        class c; the class of a pair of region balls is ``ball_classes``, of a pair inside a
+        ball the depth of its deepest node."""
+        return self.fill(table[self.ball_classes], table[None, self.top + 1 :], rows)
+
+    def ball_rows(self) -> slice:
+        """The rows of the region balls' first cells.
+
+        A fill is invariant under the automorphisms of each ball's q-ary subtree, which
+        act transitively on the ball's cells, so every row of a fill, of a sum of fills and
+        of a product of fills is a permutation of the row of its ball's first cell.
+        """
+        return slice(0, self.eta, self.eta // len(self.ball_classes))
+
+    def classes(self) -> np.ndarray:
+        """Pairwise distance classes, one byte per pair for up to 256 classes."""
+        return self.by_class(np.arange(self.leaf + 1, dtype=self.ball_classes.dtype))
+
+
+def _ball_tree(lattice: LatticeSpec) -> _BallTree:
+    """The node tables of the cells, from the region balls' digits and the level alone.
+
+    Above top a depth-c node is a run of region balls with the same first c digits, cut
+    where two adjacent balls' common prefix is shorter than c; below top it is q^(leaf - c)
+    cells, and the first pair of class c is cells q^(leaf - c - 1) - 1 and q^(leaf - c - 1).
+    """
+    region, eta = lattice.region, lattice.eta
+    nu, q, per_ball = region.nu, region.q, eta // region.nu
+    leaf, top = region.ambient_level - lattice.cell_level, region.ambient_level - region.ball_level
+    digits = np.array([b.digits for b in region.balls], dtype=np.int64).reshape(nu, top)
+    lcp = np.logical_and.accumulate(digits[1:] == digits[:-1], axis=1).sum(axis=1)
+    pairs = [None] * top + [(q ** (leaf - c - 1) - 1, q ** (leaf - c - 1)) for c in range(top, leaf)]
+    for b, c in enumerate(lcp.tolist(), 1):  # the boundary before ball b
+        pairs[c] = pairs[c] or (b * per_ball - 1, b * per_ball)
+    cuts = [(np.flatnonzero(lcp < c) + 1) * per_ball for c in range(top + 1)]
+    bounds = [np.concatenate(([0], cut, [eta])) for cut in cuts]
+    bounds += [np.arange(0, eta + 1, q ** (leaf - c)) for c in range(top + 1, leaf + 1)]
+    firsts = [bounds[c + 1].searchsorted(bounds[c]) for c in range(leaf)]
+    node = [b.searchsorted(np.arange(0, eta, per_ball), "right") for b in bounds[1 : top + 1]]
+    # each ball's node per depth 1..top; two balls' class counts the depths where they share one
+    classes = sum((n[:, None] == n for n in node), np.zeros((nu, nu), np.min_scalar_type(leaf)))
+    return _BallTree(eta, leaf, top, tuple(pairs), tuple(bounds), tuple(firsts), classes)
 
 
 def _cell_count(region: Region, l: int, cap: int) -> int | str:

@@ -20,7 +20,7 @@ from . import lattice as lat
 from . import model, sampler, wick
 from .model import FieldParams
 from .reporting import CheckReport, Margins, combine
-from .ultrametric import SAME, BallAddress, Region, refine
+from .ultrametric import SAME, BallAddress, Region, parse_region, refine
 
 _QMAP = {3: (3, 1), 5: (5, 1), 9: (3, 2), 25: (5, 2), 27: (3, 3), 125: (5, 3)}
 
@@ -46,14 +46,9 @@ def random_region_with_level(
     k = amb - rand.randint(0, 2)
     capacity = q ** (amb - k)
     nu = rand.randint(1, min(max_nu, capacity))
-    digit_tuples = rand.sample(range(capacity), nu)
-    balls = []
-    for code in sorted(digit_tuples):
-        digits = []
-        for _ in range(amb - k):
-            digits.append(code % q)
-            code //= q
-        balls.append(BallAddress(amb, k, tuple(reversed(digits))))
+    codes = sorted(rand.sample(range(capacity), nu))  # each ball's digits, base q
+    balls = [BallAddress(amb, k, tuple(c // q**e % q for e in range(amb - k - 1, -1, -1)))
+             for c in codes]
     max_depth = 0
     while nu * q ** (max_depth + 1) <= max_eta:
         max_depth += 1
@@ -70,13 +65,7 @@ def random_nested_pair(
         big, l = random_region_with_level(rand, q, max_eta, max_nu)
     nu_small = rand.randint(1, big.nu - 1)
     chosen = sorted(rand.sample(range(big.nu), nu_small))
-    small = Region(
-        q=q,
-        ambient_level=big.ambient_level,
-        ball_level=big.ball_level,
-        balls=tuple(big.balls[i] for i in chosen),
-    )
-    return small, big, l
+    return replace(big, balls=tuple(big.balls[i] for i in chosen)), big, l
 
 
 # ---------------------------------------------------------------------------
@@ -346,24 +335,22 @@ def check_wick_lower_bound(seed: int, n_draws: int = 100_000) -> CheckReport:
     return tally.report()
 
 
-def _default_lattice(params: FieldParams, nu: int, l: int = 0):
-    balls = tuple(BallAddress(1, 0, (i,)) for i in range(nu))
-    region = Region(q=params.q, ambient_level=1, ball_level=0, balls=balls)
-    return region, refine(region, l)
+def _default_case(nu: int):
+    """At params_for(3, 2), the covariance matrix and the free cell variance of the level-0
+    cells of balls 0..nu-1 of the amb = 1 tree."""
+    params = params_for(3, Fraction(2))
+    region = parse_region("amb=1;k=0;balls=" + ",".join(map(str, range(nu))), 3)
+    m = lat.covariance_matrix(lat.precision_matrix(refine(region, 0), params))
+    return m, model.free_cell_variance(params, 0)
 
 
 def check_free_reduction(seed: int, n_samples: int = 20_000) -> CheckReport:
     """With g = 0 the estimator must reproduce the Gaussian covariance."""
-    params = params_for(3, Fraction(2))
-    _, lattice = _default_lattice(params, 3)
-    m = lat.covariance_matrix(lat.precision_matrix(lattice, params))
-    var = model.free_cell_variance(params, 0)
+    m, var = _default_case(3)
     poly = wick.WickPolynomial((0.0, 0.0, 0.0, 0.0, 1.0))
     tally = Margins("free_reduction_mc")
     for i, j in ((0, 0), (0, 1), (1, 2)):
-        h_i = np.eye(3)[i]
-        h_j = np.eye(3)[j]
-        src = sampler.SourceSpec(g=np.zeros(3), h_list=(h_i, h_j))
+        src = sampler.SourceSpec(g=np.zeros(3), h_list=(np.eye(3)[i], np.eye(3)[j]))
         est = sampler.schwinger_mc(m, poly, src, seed + 10 * i + j, n_samples, var)
         gap = abs(est.value - m.entries[i, j])
         tally.add(4.0 * est.std_error - gap, lambda: f"pair ({i},{j}): gap {gap:.3e} > 4 se")
@@ -371,10 +358,7 @@ def check_free_reduction(seed: int, n_samples: int = 20_000) -> CheckReport:
 
 
 def check_griffiths_quadrature() -> CheckReport:
-    params = params_for(3, Fraction(2))
-    _, lattice = _default_lattice(params, 2)
-    m = lat.covariance_matrix(lat.precision_matrix(lattice, params))
-    var = model.free_cell_variance(params, 0)
+    m, var = _default_case(2)
     poly = wick.WickPolynomial((0.0, -0.5, 0.0, 0.0, 1.0))
     src = sampler.SourceSpec(g=np.full(2, 0.2), h_list=())
     report = sampler.griffiths_check(m, poly, src, "quadrature", var)
@@ -383,8 +367,7 @@ def check_griffiths_quadrature() -> CheckReport:
 
 def check_schwinger_monotonicity() -> CheckReport:
     params = params_for(3, Fraction(2))
-    big, _ = _default_lattice(params, 3)
-    small = Region(q=3, ambient_level=1, ball_level=0, balls=big.balls[:2])
+    big, small = (parse_region(f"amb=1;k=0;balls={balls}", 3) for balls in ("0,1,2", "0,1"))
     poly = wick.WickPolynomial((0.0, 0.0, 0.0, 0.0, 1.0))
     src = sampler.SourceSpec(g=np.full(2, 0.1), h_list=(np.eye(2)[0], np.eye(2)[1]))
     cmp = sampler.monotonicity_experiment(small, big, 0, params, poly, src, "quadrature")
@@ -392,10 +375,7 @@ def check_schwinger_monotonicity() -> CheckReport:
 
 
 def check_partition_stability(seed: int) -> CheckReport:
-    params = params_for(3, Fraction(2))
-    _, lattice = _default_lattice(params, 1)
-    m = lat.covariance_matrix(lat.precision_matrix(lattice, params))
-    var = model.free_cell_variance(params, 0)
+    m, var = _default_case(1)
     poly = wick.WickPolynomial((0.0, 0.0, 0.0, 0.0, 1.0))
     src = sampler.SourceSpec(g=np.ones(1), h_list=())
     result = sampler.partition_stability(m, poly, src, var, seed=seed, n_samples=20_000)
@@ -403,10 +383,7 @@ def check_partition_stability(seed: int) -> CheckReport:
 
 
 def check_mc_quadrature_agreement(seed: int, n_samples: int = 20_000) -> CheckReport:
-    params = params_for(3, Fraction(2))
-    _, lattice = _default_lattice(params, 2)
-    m = lat.covariance_matrix(lat.precision_matrix(lattice, params))
-    var = model.free_cell_variance(params, 0)
+    m, var = _default_case(2)
     poly = wick.WickPolynomial((0.0, 0.0, 0.0, 0.0, 1.0))
     src = sampler.SourceSpec(g=np.full(2, 0.1), h_list=(np.eye(2)[0], np.eye(2)[1]))
     q_est = sampler.schwinger_quadrature(m, poly, src, var)

@@ -19,7 +19,6 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .lattice import _ball_tree
 from .model import (
     FieldParams,
     green_regularized,
@@ -321,7 +320,7 @@ def wick_l2_decay(
 
     # cross-cell pairs in row-major upper-triangle order, grouped by distance class
     # c (distance amb - c), nearest class first
-    classes = _ball_tree(lattice).classes()  # first, so it holds the cell cap
+    classes = lattice.tree.classes()  # first, so it holds the cell cap
     upper = np.triu(np.ones_like(classes, dtype=bool), 1)
     classes = classes[upper]
     weights = np.bincount(classes, weights=np.outer(2.0 * g, g)[upper])

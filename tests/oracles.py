@@ -359,12 +359,12 @@ def per_node_tree_inverse(N):
     """The ball-tree Sherman-Morrison inverse of a precision matrix, one node at a time.
 
     The reference for ``lattice._tree_inverse``: it reads the same inputs (N's
-    diagonal, one entry per distance class and the node table ``N.tree``), keeps
+    diagonal, one entry per distance class and the node table ``N.lattice.tree``), keeps
     one 40-digit ``s`` and ``den`` per node and adds each node's rank-one update
     +-v v^T entry by entry, leaf to root.  Returns (None, M), or (pivot, None)
     with the 1-based cell of the first nonpositive leaf term or den.
     """
-    tree, eta = N.tree, len(N.entries)
+    tree, eta = N.lattice.tree, len(N.entries)
     off, w = [], 0.0
     for pair in tree.pairs:  # w(c); a class with no pairs repeats w(c - 1)
         w = w if pair is None else float(N.entries[pair])
@@ -404,14 +404,14 @@ def inverse_residual(m, N, chunk: int = 1 << 16) -> float:
 
     The dense-form reference for ``lattice._ball_residual``, which forms one row of M N - I
     per region ball: here every row, for any M.  N = D' I + sum_a beta_a 1_a 1_a^T over the
-    nodes of ``N.tree``, with w(c), beta_c = w(c) - w(c-1) and D' read from one pair per
+    nodes of ``N.lattice.tree``, with w(c), beta_c = w(c) - w(c-1) and D' read from one pair per
     class as in ``per_node_tree_inverse``; (M N)_ij = D' M_ij + sum over the tree nodes a
     above j of beta_a (M 1_a)_i.  Row chunk by row chunk: the node sums M 1_a bottom-up,
     each level from the level below; the beta sums along each root-to-node path top-down;
     then spread to the columns.  Chunk maxima fold by ``np.maximum``, so a NaN anywhere in M
     makes the residual NaN.
     """
-    tree, eta, q = N.tree, len(m), N.lattice.q
+    tree, eta, q = N.lattice.tree, len(m), N.lattice.q
     top, leaf = tree.top, tree.leaf
     off, w = [0.0], 0.0  # w(c - 1), c = 0, ..., leaf
     for pair in tree.pairs:

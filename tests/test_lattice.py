@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -10,9 +11,11 @@ import numpy as np
 import pytest
 
 import padicqft.lattice
+import padicqft.ultrametric
 from padicqft.lattice import (
     CovarianceMatrix,
     NotPositiveDefiniteError,
+    PrecisionMatrix,
     covariance_matrix,
     domination_check,
     monotonicity_check,
@@ -112,7 +115,7 @@ class TestPrecisionMatrix:
         for region, l, p in cases:
             lat = refine(region, l)
             n = precision_matrix(lat, p)
-            amb, classes = region.ambient_level, n.tree.classes()
+            amb, classes = region.ambient_level, n.lattice.tree.classes()
             assert classes.dtype == np.min_scalar_type(amb - l)
             for a in range(lat.eta):
                 assert n.entries[a, a] == precision_diagonal(p, l)
@@ -125,18 +128,22 @@ class TestPrecisionMatrix:
 
     def test_ball_tree_built_once_per_lattice(self, monkeypatch):
         calls = []
-        build = padicqft.lattice._ball_tree
+        build = padicqft.ultrametric._ball_tree
 
         def counting(lat):
             calls.append(lat)
             return build(lat)
 
-        monkeypatch.setattr(padicqft.lattice, "_ball_tree", counting)
+        monkeypatch.setattr(padicqft.ultrametric, "_ball_tree", counting)
         region = Region(q=3, ambient_level=1, ball_level=0,
                         balls=(BallAddress(1, 0, (0,)), BallAddress(1, 0, (2,))))
-        m = covariance_matrix(precision_matrix(refine(region, -1), params()))
+        lat = refine(region, -1)
+        m = covariance_matrix(precision_matrix(lat, params()))
         assert domination_check(m, params()).passed
-        assert len(calls) == 1
+        assert wick_l2_distance(params(), 2, 0, 2, lat, np.full(lat.eta, 0.5)) > 0
+        assert calls == [lat] and calls[0] is lat
+        assert m.lattice is m.precision.lattice is lat
+        assert lat.tree is lat.tree and len(calls) == 1
 
     def test_classes_match_pairwise_on_unsorted_regions(self):
         # a region listing its balls out of order gives the sorted listing's cells and bits
@@ -155,19 +162,19 @@ class TestPrecisionMatrix:
             p = params_for(region.q, Fraction(2))
             n, n_sorted = precision_matrix(lat, p), precision_matrix(sorted_lat, p)
             assert np.array_equal(n.entries.view(np.uint64), n_sorted.entries.view(np.uint64))
-            assert np.array_equal(n.tree.classes(), n_sorted.tree.classes())
+            assert np.array_equal(n.lattice.tree.classes(), n_sorted.lattice.tree.classes())
             m, m_sorted = covariance_matrix(n).entries, covariance_matrix(n_sorted).entries
             assert np.array_equal(m.view(np.uint64), m_sorted.view(np.uint64))
             lattices.append(lat)
         for lat in lattices:
             n = precision_matrix(lat, params_for(lat.q, Fraction(2)))
-            amb, classes = lat.region.ambient_level, n.tree.classes()
+            amb, classes = lat.region.ambient_level, n.lattice.tree.classes()
             for a in range(lat.eta):
                 assert classes[a, a] == amb - lat.cell_level
                 for b in range(lat.eta):
                     if a != b:
                         assert classes[a, b] == amb - lat.cell_distance(a, b)
-            _assert_node_table(n.tree, lat)
+            _assert_node_table(n.lattice.tree, lat)
         assert unsorted >= 4
 
 
@@ -323,7 +330,7 @@ class TestTreeInverse:
             assert np.all(np.abs(m.entries - want) <= 1e-12 * np.abs(want))
             assert np.array_equal(m.entries, m.entries.T)
             seen["unsorted"] += _out_of_order(listing)
-            seen["empty class"] += None in n.tree.pairs
+            seen["empty class"] += None in n.lattice.tree.pairs
         assert min(seen.values()) >= 4, seen
 
     def test_equals_the_per_node_pass(self, chunked):
@@ -343,7 +350,7 @@ class TestTreeInverse:
             pivot, want = oracles.per_node_tree_inverse(n)
             assert pivot is None
             assert np.array_equal(m.view(np.uint64), want.view(np.uint64))
-            both += n.tree.top > 0 and n.tree.leaf - n.tree.top >= 2
+            both += n.lattice.tree.top > 0 and n.lattice.tree.leaf - n.lattice.tree.top >= 2
         assert len(cases) > 300 and both >= 50, (len(cases), both)
 
     @pytest.mark.parametrize("cls, factor, pivot", [(3, 1.5, 1), (1, 10.0, 19)])
@@ -352,10 +359,10 @@ class TestTreeInverse:
         # the region balls (top = 2; every node there fails at once, so the first cell),
         # and at depth 1, above them, where node 2 of balls 20 and 21 fails first
         n = precision_matrix(refine(parse_region(FIXED_REGIONS[3][0], 3), -2), params())
-        assert (n.tree.top, n.tree.leaf) == (2, 4)
-        table = [n.entries[pair] for pair in n.tree.pairs] + [n.entries[0, 0]]
+        assert (n.lattice.tree.top, n.lattice.tree.leaf) == (2, 4)
+        table = [n.entries[pair] for pair in n.lattice.tree.pairs] + [n.entries[0, 0]]
         table[cls] *= factor
-        bad = replace(n, entries=np.array(table)[n.tree.classes()])
+        bad = replace(n, entries=np.array(table)[n.lattice.tree.classes()])
         assert np.all(np.diagonal(bad.entries) > table[-2])  # every leaf term passes
         assert oracles.per_node_tree_inverse(bad)[0] == pivot
         with pytest.raises(NotPositiveDefiniteError) as err:
@@ -373,8 +380,8 @@ class TestTreeInverse:
 
 def _tree_form(n, diagonal):
     """N rebuilt from one pair per distance class, with the diagonal set to ``diagonal``."""
-    table = [0.0 if pair is None else n.entries[pair] for pair in n.tree.pairs]
-    return replace(n, entries=np.array(table + [diagonal])[n.tree.classes()])
+    table = [0.0 if pair is None else n.entries[pair] for pair in n.lattice.tree.pairs]
+    return replace(n, entries=np.array(table + [diagonal])[n.lattice.tree.classes()])
 
 
 class TestSpdGate:
@@ -422,7 +429,7 @@ class TestSpdGate:
     def test_edited_pair_fails_the_class_check(self):
         n = precision_matrix(refine(parse_region(FIXED_REGIONS[3][0], 3), -2), params())
         i, j = 1, n.lattice.eta - 1
-        assert (i, j) not in n.tree.pairs and (j, i) not in n.tree.pairs
+        assert (i, j) not in n.lattice.tree.pairs and (j, i) not in n.lattice.tree.pairs
         bad = np.array(n.entries)
         bad[i, j] = bad[j, i] = bad[i, j] * 1.01
         assert np.linalg.eigvalsh(bad)[0] > 0  # still symmetric positive definite
@@ -483,7 +490,7 @@ def _residual_cases():
 def _block_of(n, i, j):
     """(0, (a, b)) for ``outer[a, b]`` or (1, (a, k)) for ``inner[a, k]``: the value of
     ``_tree_inverse``'s tables that the fill writes at cell pair (i, j)."""
-    tree, per_ball = n.tree, n.lattice.eta // n.lattice.region.nu
+    tree, per_ball = n.lattice.tree, n.lattice.eta // n.lattice.region.nu
     a, b, c = i // per_ball, j // per_ball, int(tree.classes()[i, j])
     return (0, (a, b)) if a != b or c == tree.top else (1, (a, c - tree.top - 1))
 
@@ -556,7 +563,7 @@ class TestTreeResidual:
         residual = oracles.inverse_residual(shifted, n)
         assert abs(residual - _dense_residual(shifted, n)) <= 2 * _rounding(shifted, n)
         tables = _shifted_tables(n, cells, 1e-6)
-        filled = n.tree.fill(*tables)
+        filled = n.lattice.tree.fill(*tables)
         assert not np.array_equal(filled, m)
         residual = float(padicqft.lattice._ball_residual(filled, n))
         assert abs(residual - _dense_residual(filled, n)) <= 2 * _rounding(filled, n)
@@ -569,7 +576,7 @@ class TestTreeResidual:
         # the table value of the block of a cell in the last ball's rows, or in the first's
         n, m = chunked[CHUNKED_REGIONS[0]]
         tables = _shifted_tables(n, [cell], np.nan)
-        assert np.isnan(n.tree.fill(*tables)[cell])
+        assert np.isnan(n.lattice.tree.fill(*tables)[cell])
         monkeypatch.setattr(padicqft.lattice, "_tree_inverse", lambda N: tables)
         with pytest.raises(ValueError, match="inverse residual nan"):
             covariance_matrix(n)
@@ -607,7 +614,7 @@ class TestOutOfOrderLattice:
     def _assert_same_lattice(n0, m0, n1, m1):
         assert n1.lattice.cells == n0.lattice.cells
         assert np.array_equal(n1.entries.view(np.uint64), n0.entries.view(np.uint64))
-        assert np.array_equal(n1.tree.classes(), n0.tree.classes())
+        assert np.array_equal(n1.lattice.tree.classes(), n0.lattice.tree.classes())
         assert np.array_equal(m1.view(np.uint64), m0.view(np.uint64))
 
     def test_equals_the_sorted_lattice(self, chunked):
@@ -657,7 +664,7 @@ class TestArithmeticLattice:
             region, amb = lat.region, lat.region.ambient_level
             want = oracles.digit_ball_tree(digits, amb - lat.cell_level, amb - region.ball_level,
                                            region.nu)
-            tree = padicqft.lattice._ball_tree(lat)
+            tree = lat.tree
             assert [f.name for f in fields(tree)] == list(want), lat
             for name, value in want.items():
                 got = getattr(tree, name)
@@ -691,7 +698,7 @@ class TestArithmeticLattice:
         small, big, l = NESTED_4_IN_9
         cases.append((parse_region(small, 3), parse_region(big, 3), l))
         for small, big, l in cases:
-            lat, lat_prime, idx = padicqft.lattice._shared_indices(small, big, l)
+            lat, lat_prime, idx = padicqft.ultrametric._shared_indices(small, big, l)
             depth = small.ball_level - l
             position = {d: i for i, d in enumerate(
                 oracles.refine_digits([b.digits for b in big.balls], big.q, depth))}
@@ -727,7 +734,7 @@ class TestByClass:
 
     @staticmethod
     def _assert_rows(n, steps):
-        lat, tree = n.lattice, n.tree
+        lat, tree = n.lattice, n.lattice.tree
         digits = np.array([c.digits for c in lat.cells], dtype=np.int64).reshape(lat.eta, -1)
         # the cells' common-prefix length: amb - d(i, j), and amb - l on the diagonal
         want = np.logical_and.accumulate(digits[:, None] == digits[None], axis=2).sum(axis=2)
@@ -764,7 +771,7 @@ class TestByClass:
         cases += [chunked[text][0] for text in CHUNKED_REGIONS + (SHUFFLED_REGION,)]
         rand = np.random.default_rng(26)
         for n in cases:
-            tree, eta, nu = n.tree, n.lattice.eta, n.lattice.region.nu
+            tree, eta, nu = n.lattice.tree, n.lattice.eta, n.lattice.region.nu
             outer, inner = rand.random((nu, nu)), rand.random((nu, tree.leaf - tree.top))
             whole = tree.fill(outer, inner)
             starts = tree.ball_rows()
@@ -796,7 +803,7 @@ class TestChunkedDomination:
         """The worst margin and the violation text, from one eta x eta margin array."""
         l, amb = n.lattice.cell_level, n.lattice.region.ambient_level
         table = [free_covariance_entry(params(), l, amb - c) for c in range(amb - l)]
-        bound = np.array(table + [free_cell_variance(params(), l)])[n.tree.classes()]
+        bound = np.array(table + [free_cell_variance(params(), l)])[n.lattice.tree.classes()]
         margins = bound - entries
         i, j = divmod(int(np.argmin(margins)), len(entries))
         text = (f"M[{i},{j}]={float(entries[i, j])!r} exceeds free covariance "
@@ -807,7 +814,7 @@ class TestChunkedDomination:
         # small chunks, so the chunk temporaries stay far below one eta x eta array
         monkeypatch.setattr(padicqft.lattice, "_ROW_CHUNK", 1 << 12)
         n, m = chunked[CHUNKED_REGIONS[0]]
-        cov = CovarianceMatrix(lattice=n.lattice, entries=m, precision=n)
+        cov = CovarianceMatrix(entries=m, precision=n)
         tracemalloc.start()
         try:
             report = domination_check(cov, params())
@@ -828,7 +835,7 @@ class TestChunkedDomination:
         bad = np.array(m)
         for cell, excess in cells.items():
             bad[cell] += excess
-        report = domination_check(CovarianceMatrix(n.lattice, bad, n), params())
+        report = domination_check(CovarianceMatrix(bad, n), params())
         worst, text = self._dense_reference(n, bad)
         assert not report.passed
         assert report.worst_margin == worst or np.isnan(report.worst_margin) and np.isnan(worst)
@@ -859,7 +866,7 @@ class TestFilledMatrices:
             far = replace(p, m_sq=10 * p.m_sq, gamma_const=p.gamma_const / 100)
             per_ball = n.lattice.eta // n.lattice.region.nu
             for m, at in ((covariance_matrix(n), p), (weak, p), (weak, far)):
-                dense = CovarianceMatrix(m.lattice, m.entries, m.precision)
+                dense = CovarianceMatrix(m.entries, m.precision)
                 assert m._filled and not dense._filled
                 report = domination_check(m, at)
                 assert repr(report) == repr(domination_check(dense, at))
@@ -1051,3 +1058,58 @@ class TestCovarianceAgainstSeriesOracle:
                 free = oracles.series_covariance_entry(3, 2.0, 1.0, 1.0, -1, dd)
                 assert m.entries[i, j] <= free + 1e-9
 
+
+
+class TestEntriesShape:
+    """A matrix's entries are eta x eta: making one of another shape, directly or by
+    ``replace``, raises ValueError naming both shapes, before any entry point reads it."""
+
+    SIZES = (1, 2, 4)
+
+    @staticmethod
+    def _matrices():
+        n = precision_matrix(refine(chain_region(3), 0), params())
+        return n, covariance_matrix(n)
+
+    @staticmethod
+    def _raises(size):
+        return pytest.raises(ValueError, match=rf"shape \({size}, {size}\); 3 cells need \(3, 3\)")
+
+    def test_precision_of_another_shape_rejected(self):
+        n, _ = self._matrices()
+        for entries in (np.eye(3)[0], np.ones((3, 4)), np.ones((3, 3, 1))):
+            with pytest.raises(ValueError, match=re.escape(f"shape {entries.shape};")):
+                PrecisionMatrix(n.lattice, entries)
+        for size in self.SIZES:
+            with self._raises(size):
+                PrecisionMatrix(n.lattice, np.eye(size))
+
+    def test_covariance_matrix(self):
+        n, _ = self._matrices()
+        for size in self.SIZES:
+            with self._raises(size):
+                covariance_matrix(replace(n, entries=np.eye(size)))
+
+    def test_sign_structure_check(self):
+        n, _ = self._matrices()
+        for size in self.SIZES:
+            with self._raises(size):
+                sign_structure_check(replace(n, entries=np.eye(size)))
+
+    def test_domination_check(self):
+        n, m = self._matrices()
+        for size in self.SIZES:
+            with self._raises(size):
+                domination_check(replace(m, entries=np.eye(size)), params())
+            with self._raises(size):
+                domination_check(CovarianceMatrix(np.eye(size), n), params())
+
+    def test_lattice_is_the_precision_matrix_lattice(self):
+        # one lattice per matrix pair: M reads N's, so no two copies can disagree
+        n, m = self._matrices()
+        assert [f.name for f in fields(n) if f.init] == ["lattice", "entries"]
+        assert [f.name for f in fields(m) if f.init] == ["entries", "precision"]
+        assert m.lattice is m.precision.lattice is n.lattice
+        same = CovarianceMatrix(np.array(m.entries), n)
+        assert same.lattice is n.lattice and not same._filled
+        assert domination_check(same, params()).passed

@@ -1131,3 +1131,60 @@ class TestPartitionStability:
         for a, b in zip(probs, probs[1:]):
             assert b <= max(a * math.exp(-1.0), floor)
         assert probs[-1] == 0.0
+
+
+class TestSourceCellCount:
+    """A source has M's cell count: each engine checks it where it starts, so no
+    estimate reads g or h past M's cells or short of them."""
+
+    @staticmethod
+    def _source(eta):
+        return SourceSpec(g=np.full(eta, 0.1), h_list=(np.eye(eta)[0],))
+
+    @pytest.mark.parametrize("eta", [2, 4])
+    @pytest.mark.parametrize("entry", [
+        lambda m, src: schwinger_quadrature(m, X4, src, var0()),
+        lambda m, src: partition_function_quadrature(m, X4, src, var0()),
+        lambda m, src: schwinger_mc(m, X4, src, 1, 1000, var0()),
+        lambda m, src: partition_function_mc(m, X4, src, 1, 1000, var0()),
+        lambda m, src: partition_stability(m, X4, src, var0(), n_samples=1000),
+        lambda m, src: griffiths_check(m, X4, SourceSpec(g=src.g), "quadrature", var0()),
+        lambda m, src: griffiths_check(m, X4, SourceSpec(g=src.g), "mc", var0(), n_samples=1000),
+    ], ids=["schwinger_quadrature", "partition_function_quadrature", "schwinger_mc",
+            "partition_function_mc", "partition_stability", "griffiths_quadrature",
+            "griffiths_mc"])
+    def test_other_cell_count_rejected(self, cov3, entry, eta):
+        message = rf"the source has shape \({eta},\), the covariance matrix 3 cells"
+        with pytest.raises(ValueError, match=message):
+            entry(cov3, self._source(eta))
+
+    @pytest.mark.parametrize("g", [0.1, np.full((3, 1), 0.1)], ids=["scalar", "column"])
+    def test_source_of_another_shape_rejected(self, cov3, g):
+        # one value per cell, as a vector: a scalar or a column of M's length is refused too
+        shape = re.escape(str(np.shape(g)))
+        with pytest.raises(ValueError, match=f"the source has shape {shape}, the covariance matrix 3"):
+            schwinger_mc(cov3, X4, SourceSpec(g=g), 1, 1000, var0())
+        with pytest.raises(ValueError, match=f"the source has shape {shape}, the covariance matrix 3"):
+            schwinger_quadrature(cov3, X4, SourceSpec(g=g), var0())
+
+    def test_matching_count_accepted(self, cov3):
+        assert math.isfinite(schwinger_mc(cov3, X4, self._source(3), 1, 1000, var0()).value)
+
+    def test_covariance_of_another_shape_rejected(self, cov3):
+        # a hand-made M is eta x eta too, so a draw never reads a 4 x 4 M on 3 cells
+        with pytest.raises(ValueError, match=r"shape \(4, 4\); 3 cells need \(3, 3\)"):
+            schwinger_mc(replace(cov3, entries=0.5 * np.eye(4)), X4, self._source(3), 1, 1000, var0())
+
+    def test_monotonicity_accepts_either_region_length(self):
+        # per-cell data of the small region's length, or of the big one's vanishing off
+        # the shared cells, describe the same experiment
+        g, h = np.full(2, 0.1), np.eye(2)[0]
+        small = SourceSpec(g=g, h_list=(h,))
+        big = SourceSpec(g=np.append(g, 0.0), h_list=(np.append(h, 0.0),))
+        a, b = (monotonicity_experiment(chain_region(2), chain_region(3), 0, params(), X4, src,
+                                        "quadrature") for src in (small, big))
+        assert (a.small.value, a.big.value) == (b.small.value, b.big.value)
+        for eta in (1, 4):  # refused before g is restricted to the shared cells
+            with pytest.raises(ValueError, match="g must have 2 or 3 entries"):
+                monotonicity_experiment(chain_region(2), chain_region(3), 0, params(), X4,
+                                        SourceSpec(g=np.full(eta, 0.1)), "quadrature")

@@ -6,6 +6,7 @@ import re
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -161,6 +162,48 @@ class TestRegion:
         assert {r.serialize() for r in regions} == {"amb=2;k=0;balls=00,12,20,21"}
         assert all(r.balls == tuple(sorted(balls, key=lambda b: b.digits)) for r in regions)
         assert parse_region("amb=2;k=0;balls=21,00,12,20", 3) == regions[0]
+
+
+class TestIntegerLevels:
+    """Levels are integers: a numpy int is stored as an int, a float is a TypeError."""
+
+    def test_numpy_levels_stored_as_int(self):
+        b = BallAddress(np.int64(1), np.int32(0), (np.int64(2),))
+        region = Region(q=3, ambient_level=np.int16(1), ball_level=np.int64(0), balls=(b,))
+        lat = refine(region, np.int64(-1))
+        for value in (b.ambient_level, b.level, region.ambient_level, region.ball_level,
+                      lat.cell_level):
+            assert type(value) is int
+        assert region.serialize() == "amb=1;k=0;balls=2"
+        assert lat == refine(parse_region("amb=1;k=0;balls=2", 3), -1) and lat.eta == 3
+
+    @pytest.mark.parametrize("level", [-1.0, -1.5, 0.0])
+    def test_float_levels_rejected(self, level):
+        region = parse_region("amb=1;k=0;balls=0,1,2", 3)
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            refine(region, level)
+        with pytest.raises(TypeError):
+            LatticeSpec(region, level)
+        with pytest.raises(TypeError):
+            Region(q=3, ambient_level=level + 2, ball_level=0, balls=region.balls)
+        with pytest.raises(TypeError):
+            Region(q=3, ambient_level=1, ball_level=level + 1, balls=region.balls)
+        with pytest.raises(TypeError):
+            BallAddress(level + 2, 0, (0,))
+        with pytest.raises(TypeError):
+            BallAddress(1, level + 1, (0,))
+
+    def test_float_q_and_digits_rejected(self):
+        # a float q would make eta a float, and the ball tree would read a digit 0.5 as 0
+        balls = parse_region("amb=1;k=0;balls=0,1", 3).balls
+        with pytest.raises(TypeError):
+            Region(q=3.0, ambient_level=1, ball_level=0, balls=balls)
+        with pytest.raises(TypeError):
+            BallAddress(1, 0, (0.5,))
+        region = Region(q=np.int64(3), ambient_level=1, ball_level=0,
+                        balls=(BallAddress(1, 0, (np.int64(1),)),))
+        assert type(region.q) is int
+        assert refine(region, -1).eta == 3
 
 
 class TestRefine:
