@@ -6,32 +6,33 @@ the coupling between two cells is a single-shell value of the jump kernel
 (the kernel is constant on an ultrametric ball), and the diagonal is the
 mass term plus a geometric-series complement integral.  Both depend on a pair
 only through its distance class (the cells' common-prefix length, amb - l on
-the diagonal), so the precision entries, the rows the class check expects and
-the free-covariance bound are each one table per class, spread over the cell
-pairs by the block fill of the lattice's ball tree (``LatticeSpec.tree``, one per
-lattice; a matrix holds no tree of its own).  The same structure writes
-N = D' I + sum over tree nodes a of beta_depth(a) 1_a 1_a^T, so the covariance
-is inverted by one leaf-to-root Sherman-Morrison pass, the classical inverse of
-an ultrametric matrix (Martinez, Michon and San Martin, SIAM J. Matrix Anal.
-Appl. 15, 1994).  Below the region balls the nodes of a depth are alike, so the
-pass keeps one scalar per depth there, and M is a ball-tree fill too: one value
-per ball pair and per (ball, depth) block.  Every row of a fill is a permutation
-of its ball's first row, so the inverse is checked by forming M N - I from N's
-tree form, and the domination of a matrix the package built is read, on one row
-per region ball.  Entrywise nonnegativity, domination by the free covariance,
-and growth under region extension are the checkable facts.
+the diagonal), so N is one value per class (``PrecisionMatrix.table``), and so is
+the free-covariance bound.  The same structure writes
+N = D' I + sum over tree nodes a of beta_depth(a) 1_a 1_a^T over the lattice's ball
+tree (``LatticeSpec.tree``), so the covariance is inverted by one leaf-to-root
+Sherman-Morrison pass, the classical inverse of an ultrametric matrix (Martinez,
+Michon and San Martin, SIAM J. Matrix Anal. Appl. 15, 1994).  Below the region balls
+the nodes of a depth are alike, so the pass keeps one scalar per depth there, and M is
+one value per ball pair and per (ball, depth) block (``CovarianceMatrix.outer`` and
+``inner``).  A matrix is its tables: its dense ``entries`` are the tree's block fill,
+made on first read.  Every row of a fill is a permutation of its ball's first row, so
+the inverse residual M N - I, domination and monotonicity are read on one row per
+region ball, and no check makes an eta x eta array.  Entrywise nonnegativity,
+domination by the free covariance, and growth under region extension are the
+checkable facts.
 """
 
 from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .model import FieldParams, free_cell_variance, free_covariance_entry
-from .reporting import CheckReport, worse
+from .reporting import CheckReport
 from .ultrametric import LatticeSpec, Region, _shared_indices
 
 
@@ -48,48 +49,63 @@ class NotPositiveDefiniteError(ValueError):
         super().__init__(f"{matrix_name} is not positive definite (pivot {pivot})")
 
 
-def _freeze(entries: np.ndarray, lattice: LatticeSpec) -> None:
-    """Make ``entries`` read-only; ValueError unless it is eta x eta."""
-    if entries.shape != (eta := lattice.eta, eta):
-        raise ValueError(f"entries have shape {entries.shape}; {eta} cells need {(eta, eta)}")
-    entries.setflags(write=False)
+def _freeze(matrix, **shapes) -> None:
+    """Store each named table as a read-only float array; ValueError unless it has its shape."""
+    for name, shape in shapes.items():
+        table = np.array(getattr(matrix, name), dtype=float)
+        if table.shape != shape:
+            raise ValueError(f"{name} has shape {table.shape}; the lattice needs {shape}")
+        table.setflags(write=False)
+        object.__setattr__(matrix, name, table)
 
 
 @dataclass(frozen=True)
 class PrecisionMatrix:
     """Matrix of the restricted operator plus mass in the cell-indicator basis.
 
-    ``lattice.tree`` is the ball tree of the cells, which holds each pair's distance class
-    amb - d(i,j), amb - l on the diagonal.  ``_filled`` is set by ``precision_matrix``
-    alone, whose entries are a ball-tree fill: a matrix built any other way,
-    ``dataclasses.replace`` included, is not marked, and its checks read every entry.
+    ``table[c]`` is the entry of every cell pair of distance class c = amb - d(i,j), and
+    ``table[amb - l]`` the diagonal; a class no pair has keeps its formula value, which
+    nothing reads.  ``entries`` is the eta x eta matrix, the ball-tree fill of the table
+    (``lattice.tree.by_class``), made on first read and kept; the fill holds the cell cap.
     """
 
     lattice: LatticeSpec
-    entries: np.ndarray
-    _filled: bool = field(init=False, repr=False, compare=False, default=False)
+    table: np.ndarray
 
     def __post_init__(self):
-        _freeze(self.entries, self.lattice)
+        leaf = self.lattice.region.ambient_level - self.lattice.cell_level
+        _freeze(self, table=(leaf + 1,))
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        return self.lattice.tree.by_class(self.table)
 
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Inverse of a precision matrix, on its lattice; a Monte Carlo draw takes its own
-    Cholesky factor.  ``_filled`` is set by ``covariance_matrix`` alone, as
-    ``PrecisionMatrix._filled`` is.
+    """Inverse of a precision matrix, on its lattice, as the tables of ``_tree_inverse``.
+
+    ``outer[a, b]`` is M on the cell pairs of region balls a and b, ``inner[a, c - top - 1]``
+    on the pairs of ball a whose deepest common node is at depth c > top.  ``entries`` is
+    their ball-tree fill (``lattice.tree.fill``), made on first read and kept; the fill holds
+    the cell cap.  A Monte Carlo draw takes its own Cholesky factor of ``entries``.
     """
 
-    entries: np.ndarray
     precision: PrecisionMatrix
-    _filled: bool = field(init=False, repr=False, compare=False, default=False)
+    outer: np.ndarray
+    inner: np.ndarray
 
     def __post_init__(self):
-        _freeze(self.entries, self.lattice)
+        tree, nu = self.lattice.tree, self.lattice.region.nu
+        _freeze(self, outer=(nu, nu), inner=(nu, tree.leaf - tree.top))
 
     @property
     def lattice(self) -> LatticeSpec:
         return self.precision.lattice
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        return self.lattice.tree.fill(self.outer, self.inner)
 
 
 def precision_diagonal(params: FieldParams, l: int) -> float:
@@ -116,7 +132,7 @@ def precision_offdiagonal(params: FieldParams, l: int, d: int) -> float:
 
 
 def precision_matrix(lattice: LatticeSpec, params: FieldParams) -> PrecisionMatrix:
-    """Assemble the dense precision matrix from the closed-form entries.
+    """The precision matrix as one closed-form entry per distance class.
 
     Every entry depends only on (distance class, l, params) through one fixed
     arithmetic path, the scalar formula evaluated once per class, so shared cell
@@ -125,26 +141,23 @@ def precision_matrix(lattice: LatticeSpec, params: FieldParams) -> PrecisionMatr
     """
     l, amb = lattice.cell_level, lattice.region.ambient_level
     table = [precision_offdiagonal(params, l, amb - c) for c in range(amb - l)]
-    table = np.array(table + [precision_diagonal(params, l)])
-    n = PrecisionMatrix(lattice=lattice, entries=lattice.tree.by_class(table))
-    object.__setattr__(n, "_filled", True)
-    return n
+    return PrecisionMatrix(lattice, table + [precision_diagonal(params, l)])
 
 
 def _class_entries(N: PrecisionMatrix) -> list:
-    """w(c), the entry of distance class c < amb - l, read from one pair per class.
+    """w(c), the entry of distance class c < amb - l, for the classes some pair has.
 
     With w(-1) = 0, a class with no pairs repeats w(c-1).
     """
     off, w = [], 0.0
-    for pair in N.lattice.tree.pairs:
-        w = w if pair is None else float(N.entries[pair])
+    for pair, value in zip(N.lattice.tree.pairs, N.table.tolist()):
+        w = w if pair is None else value
         off.append(w)
     return off
 
 
 def _class_couplings(N: PrecisionMatrix, num=float) -> tuple[list, float]:
-    """Node couplings beta per tree depth and the leaf term D', from one pair per class.
+    """Node couplings beta per tree depth and the leaf term D', from the class table.
 
     With w(c) the class entries (``_class_entries``), beta_c = w(c) - w(c-1) and
     D' = D - w(amb-l-1), so
@@ -152,17 +165,10 @@ def _class_couplings(N: PrecisionMatrix, num=float) -> tuple[list, float]:
     ``num`` is the number type the differences are taken in.
     """
     off = [num(0)] + [num(w) for w in _class_entries(N)]  # w(c - 1), c = 0, ..., amb - l
-    return [b - a for a, b in zip(off, off[1:])], num(N.entries[0, 0]) - off[-1]
+    return [b - a for a, b in zip(off, off[1:])], num(N.table[-1]) - off[-1]
 
 
-_ROW_CHUNK = 1 << 16  # entries per row chunk of a check
 _NODE_DIGITS = 40  # precision of the per-node scalars, far beyond their cancellation
-
-
-def _row_chunks(eta: int):
-    """Row ranges of about ``_ROW_CHUNK`` entries each, covering 0..eta."""
-    step = max(1, _ROW_CHUNK // eta)
-    return (slice(r, min(r + step, eta)) for r in range(0, eta, step))
 
 
 def _tree_inverse(N: PrecisionMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -185,16 +191,14 @@ def _tree_inverse(N: PrecisionMatrix) -> tuple[np.ndarray, np.ndarray]:
     deepest-first order as a per-node pass adding every update to a dense M: the
     tables (outer, inner) whose ``_BallTree.fill`` has that pass's bits.
 
-    Every cell's leaf term N_ii - w(amb-l-1) and every den must be positive,
-    or NotPositiveDefiniteError names the first failing cell, in the per-node
+    The leaf term N_ii - w(amb-l-1), the same at every cell, and every den must be
+    positive, or NotPositiveDefiniteError names the first failing cell, in the per-node
     pass's order (the gate argued in ``covariance_matrix``).
     """
     tree = N.lattice.tree
     eta, top, leaf = tree.eta, tree.top, tree.leaf
-    w_last = ([0.0] + _class_entries(N))[-1]
-    bad = np.flatnonzero(~(np.diagonal(N.entries) > w_last))
-    if bad.size:
-        raise NotPositiveDefiniteError("precision matrix", int(bad[0]) + 1)
+    if not (N.table[-1] > ([0.0] + _class_entries(N))[-1]):
+        raise NotPositiveDefiniteError("precision matrix", 1)
     nu, q = N.lattice.region.nu, N.lattice.q
     per_ball, outer = eta // nu, np.zeros((nu, nu))
     inner = np.zeros((nu, leaf - top + 1))  # per ball and depth top..leaf of a pair's deepest node
@@ -229,8 +233,9 @@ def _tree_inverse(N: PrecisionMatrix) -> tuple[np.ndarray, np.ndarray]:
     return outer, inner[:, 1:]
 
 
-def _ball_residual(m: np.ndarray, N: PrecisionMatrix) -> np.float64:
-    """max |M N - I| from one row of M per region ball, with N in its tree form.
+def _ball_residual(rows: np.ndarray, N: PrecisionMatrix) -> np.float64:
+    """max |M N - I| from the rows of M at the region balls' first cells, with N in its
+    tree form.
 
     M and N are ball-tree fills, so every row of M N - I is a permutation of the row of
     its ball's first cell (``_BallTree.ball_rows``), and the max over those nu rows is the
@@ -246,7 +251,7 @@ def _ball_residual(m: np.ndarray, N: PrecisionMatrix) -> np.float64:
     tree = N.lattice.tree
     eta, top, leaf = tree.eta, tree.top, tree.leaf
     beta, d_prime = _class_couplings(N)
-    x = np.ascontiguousarray(m[tree.ball_rows()].T)
+    x = np.ascontiguousarray(rows.T)
     sums = [x]  # sums[k]: (M 1_a) over the depth leaf - k nodes a
     for c in range(leaf - 1, top - 1, -1):
         sums.append(sums[-1].reshape(len(tree.bounds[c]) - 1, N.lattice.q, -1).sum(axis=1))
@@ -265,52 +270,31 @@ def _ball_residual(m: np.ndarray, N: PrecisionMatrix) -> np.float64:
 def covariance_matrix(N: PrecisionMatrix, residual_tol: float = 1e-10) -> CovarianceMatrix:
     """Invert the precision matrix up its ball tree, behind the tree's own SPD gate.
 
-    In order: N must be finite; in the tree pass every leaf term N_ii - w(amb-l-1)
-    and every node denominator den = 1 + beta s must be positive; every entry
-    must equal its distance class's entry; and every entry of M N - I must be
-    within residual_tol * eta.  The class check makes N exactly
-    D' I + sum_a beta_a 1_a 1_a^T, so M N is formed from that tree form, with no
-    dense product; and by the matrix determinant lemma, node by node, that matrix
-    is positive definite when D' > 0 and every den > 0 (if and only if, when every
-    beta <= 0, as in this model).  M is filled in once from the tables of
-    ``_tree_inverse`` (the per-node pass's bits), so M and N are both ball-tree fills
-    and the residual is formed on one row of M per region ball (``_ball_residual``).
-    An N that ``precision_matrix`` built is such a fill by construction: it is checked
-    finite on the same rows and its class check is skipped, so M's fill is the only
-    eta x eta pass.  Any other N is checked finite and by class row chunk by row
-    chunk, so no eta x eta array but M is made.
+    In order: N's class table must be finite; in the tree pass the leaf term
+    N_ii - w(amb-l-1) and every node denominator den = 1 + beta s must be positive; and
+    every entry of M N - I must be within residual_tol * eta.  N is one value per class,
+    so it is exactly D' I + sum_a beta_a 1_a 1_a^T, and M N is formed from that tree form,
+    with no dense product; by the matrix determinant lemma, node by node, that matrix is
+    positive definite when D' > 0 and every den > 0 (if and only if, when every
+    beta <= 0, as in this model).  M is the tables of ``_tree_inverse`` (the per-node
+    pass's bits), and the residual is formed on their fill's rows at the region balls'
+    first cells (``_ball_residual``), so no eta x eta array is made.
     """
-    tree, eta, filled = N.lattice.tree, N.lattice.eta, N._filled
-    for rows in [tree.ball_rows()] if filled else _row_chunks(eta):
-        np.asarray_chkfinite(N.entries[rows])
+    tree = N.lattice.tree
+    np.asarray_chkfinite(N.table)
     outer, inner = _tree_inverse(N)
-    if not filled:
-        table = np.array(_class_entries(N) + [N.entries[0, 0]])
-        for rows in _row_chunks(eta):
-            differs = tree.by_class(table, rows) != N.entries[rows]
-            if differs.any():
-                i, j = np.unravel_index(int(np.argmax(differs)), differs.shape)
-                i += rows.start
-                raise ValueError(
-                    f"precision entry N[{i},{j}]={float(N.entries[i, j])!r} differs from its "
-                    f"distance class's entry {float(tree.by_class(table, slice(i, i + 1))[0, j])!r}"
-                )
-    m = tree.fill(outer, inner)
-    residual = float(_ball_residual(m, N))
-    if not (residual <= residual_tol * eta):  # a NaN residual fails too
+    residual = float(_ball_residual(tree.fill(outer, inner, tree.ball_rows()), N))
+    if not (residual <= residual_tol * tree.eta):  # a NaN residual fails too
         raise ValueError(f"inverse residual {residual:.3e} exceeds {residual_tol:.1e} * eta")
-    cov = CovarianceMatrix(entries=m, precision=N)
-    object.__setattr__(cov, "_filled", True)
-    return cov
+    return CovarianceMatrix(N, outer, inner)
 
 
 def sign_structure_check(N: PrecisionMatrix) -> CheckReport:
-    """Diagonal strictly positive, off-diagonal nonpositive; a NaN entry is a violation."""
-    a = np.asarray(N.entries)
-    diag = np.diag(a)
-    off = a[~np.eye(len(a), dtype=bool)]
+    """Diagonal strictly positive, off-diagonal nonpositive, on the classes some pair has;
+    a NaN entry is a violation."""
+    worst = float(N.table[-1])
+    off = N.table[[c for c, pair in enumerate(N.lattice.tree.pairs) if pair is not None]]
     violations = []
-    worst = float(np.min(diag))
     if not (worst > 0):
         violations.append(f"nonpositive diagonal entry {worst}")
     if off.size:
@@ -322,7 +306,8 @@ def sign_structure_check(N: PrecisionMatrix) -> CheckReport:
 
 
 def covariance_nonnegative_check(M: CovarianceMatrix, tol: float = 1e-12) -> CheckReport:
-    worst = float(np.min(M.entries))
+    """Every entry of M at least -tol; each value of the tables is an entry of the fill."""
+    worst = float(np.min(np.concatenate((M.outer, M.inner), axis=1)))
     passed = worst >= -tol
     violations = () if passed else (f"negative covariance entry {worst}",)
     return CheckReport("covariance_nonnegative", passed, worst, violations)
@@ -342,29 +327,23 @@ def domination_check(
 ) -> CheckReport:
     """Lattice covariance entries never exceed the free (whole-space) covariance.
 
-    The bound is a ball-tree fill, and so is an M that ``covariance_matrix`` built: then
-    every row of the margins is a permutation of its ball's first row, and the worst
-    margin first shows, in row-major order, in one of those nu rows (``ball_rows``), so
-    only they are read.  Any other M is read whole, row chunk by row chunk.
+    The bound and M are ball-tree fills, so every row of the margins is a permutation of
+    its ball's first row, and the worst margin first shows, in row-major order, in one of
+    those nu rows (``ball_rows``): only they are filled.
     """
     l, amb = M.lattice.cell_level, M.lattice.region.ambient_level
     table = [free_covariance_entry(params, l, amb - c) for c in range(amb - l)]
     table = np.array(table + [free_cell_variance(params, l)])
-    tree, eta = M.lattice.tree, M.lattice.eta
-    worst, where = math.inf, None  # the first smallest margin in row-major order, or first NaN
-    for rows in [tree.ball_rows()] if M._filled else _row_chunks(eta):
-        margins = tree.by_class(table, rows)
-        margins -= M.entries[rows]
-        k = int(np.argmin(margins))  # the first NaN margin, if there is one
-        if worse(margins.flat[k], worst):
-            r, j = divmod(k, eta)
-            worst, where = float(margins.flat[k]), (range(eta)[rows][r], j)
+    tree, rows = M.lattice.tree, M.lattice.tree.ball_rows()
+    bound, m = tree.by_class(table, rows), tree.fill(M.outer, M.inner, rows)
+    margins = bound - m
+    k = int(np.argmin(margins))  # the first smallest margin in row-major order, or first NaN
+    worst, (r, j) = float(margins.flat[k]), divmod(k, tree.eta)
     violations = []
     if not (worst >= -tol):
-        i, j = where
         violations.append(
-            f"M[{i},{j}]={float(M.entries[i, j])!r} exceeds free covariance "
-            f"{float(tree.by_class(table, slice(i, i + 1))[0, j])!r}"
+            f"M[{range(tree.eta)[rows][r]},{j}]={float(m[r, j])!r} exceeds free covariance "
+            f"{float(bound[r, j])!r}"
         )
     return CheckReport("covariance_domination", not violations, worst, tuple(violations))
 
@@ -376,15 +355,23 @@ def monotonicity_check(
     params: FieldParams,
     tol: float = 1e-9,
 ) -> CheckReport:
-    """Covariance entries grow entrywise when the region is extended."""
+    """Covariance entries grow entrywise when the region is extended.
+
+    Both matrices are invariant under each shared ball's subtree automorphisms, so, as in
+    ``domination_check``, the first worst margin in row-major order lies in a row of a
+    shared ball's first cell: only those rows of either M are filled, the big region's
+    restricted to the shared columns.
+    """
     lat, lat_prime, idx = _shared_indices(pi, pi_prime, l)
     m_small = covariance_matrix(precision_matrix(lat, params))
     m_big = covariance_matrix(precision_matrix(lat_prime, params))
-    block = np.asarray(m_big.entries)[np.ix_(idx, idx)]
-    margins = block - np.asarray(m_small.entries)
+    rows = lat.tree.ball_rows()
+    big = lat_prime.tree.fill(m_big.outer, m_big.inner, idx[rows])[:, idx]
+    margins = big - lat.tree.fill(m_small.outer, m_small.inner, rows)
     worst = float(np.min(margins))
     violations = []
     if not (worst >= -tol):
-        i, j = np.unravel_index(int(np.argmin(margins)), margins.shape)
+        r, j = divmod(int(np.argmin(margins)), lat.eta)
+        i = range(lat.eta)[rows][r]
         violations.append(f"covariance shrank at shared pair ({i},{j}) by {-worst:.3e}")
     return CheckReport("covariance_monotonicity", not violations, worst, tuple(violations))

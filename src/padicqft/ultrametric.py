@@ -279,28 +279,31 @@ class _BallTree:
     firsts: tuple
     ball_classes: np.ndarray  # nu x nu: the classes of the region balls' pairs, top on the diagonal
 
-    def fill(self, outer: np.ndarray, inner: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-        """Rows ``rows`` of the eta x eta array that is ``outer[a, b]`` on the cell pairs of
-        region balls a and b, but ``inner[a, c - top - 1]`` (row 0 for every ball, if it has
-        one row) on the pairs of ball a whose deepest common node is at depth c > top.
+    def fill(self, outer: np.ndarray, inner: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Rows ``rows`` (a slice or an index array) of the eta x eta array that is
+        ``outer[a, b]`` on the cell pairs of region balls a and b, but ``inner[a, c - top - 1]``
+        (row 0 for every ball, if it has one row) on the pairs of ball a whose deepest common
+        node is at depth c > top.
 
         Each depth then overwrites, in each row, the columns of the row's depth-c node: the
         nodes below top are runs of ``size`` cells alike, so cell i's is the i // size-th.
-        Every eta x eta array of a lattice is made after a fill, so the fill holds the cap.
+        Every eta x eta array of a lattice is a fill of every row, so that fill alone holds
+        the cap; a fill of fewer rows runs at any eta.  A fill is read-only.
         """
         eta, nu = self.eta, len(outer)
-        if eta > MAX_DENSE_CELLS:
-            raise ValueError(f"lattice has {eta} cells (> {MAX_DENSE_CELLS})")
         cells, per_ball = np.arange(eta)[rows], eta // nu
+        if len(cells) == eta > MAX_DENSE_CELLS:
+            raise ValueError(f"lattice has {eta} cells (> {MAX_DENSE_CELLS})")
         out = outer[cells // per_ball].repeat(per_ball, axis=1)
         inner, at = inner[cells // per_ball % len(inner)], np.arange(len(cells))  # per row
         for c in range(self.top + 1, self.leaf + 1):
             size = int(self.bounds[c][1])  # cells per depth-c node
             blocks = out.reshape(len(cells), eta // size, size)
             blocks[at, cells // size] = inner[:, c - self.top - 1, None]
+        out.setflags(write=False)
         return out
 
-    def by_class(self, table: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    def by_class(self, table: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Rows ``rows`` of the eta x eta array that is ``table[c]`` on every pair of distance
         class c; the class of a pair of region balls is ``ball_classes``, of a pair inside a
         ball the depth of its deepest node."""

@@ -241,10 +241,15 @@ def _poly_table(P: WickPolynomial, g, variance_per_cell, eta: int):
 
 
 def _poly_rows(mono: np.ndarray, g: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-    """:P:(g) of each row of a samples-by-cells array into ``out``, from ``_poly_table``."""
+    """:P:(g) of each row of a samples-by-cells array into ``out``, from ``_poly_table``.
+
+    A cell of weight g = 0 adds 0, even where its value is infinite: its column is zeroed
+    before the weighted sum, which keeps the summation order of every row.
+    """
     step = max(1, EVAL_BLOCK_VALUES // max(1, rows.shape[1]))
     powers = mono.T[::-1]  # Horner's rule from the top coefficient
     adds = mono.any(axis=0)[::-1].tolist()  # an all-zero power adds nothing
+    weightless = (g == 0).nonzero()[0]  # g is one value per cell
     buffer = np.empty((min(step, len(rows)), rows.shape[1]))
     for lo in range(0, len(rows), step):  # a cache-sized block at a time
         block = rows[lo : lo + step]
@@ -254,6 +259,8 @@ def _poly_rows(mono: np.ndarray, g: np.ndarray, rows: np.ndarray, out: np.ndarra
             per_cell *= block
             if add:
                 per_cell += c
+        if weightless.size:
+            per_cell[:, weightless] = 0.0
         # not `@`: a long gemv wakes OpenBLAS's helper thread, which then spins
         np.einsum("ij,j->i", per_cell, g, out=out[lo : lo + step])
 

@@ -17,6 +17,7 @@ from padicqft.lattice import (
     NotPositiveDefiniteError,
     PrecisionMatrix,
     covariance_matrix,
+    covariance_nonnegative_check,
     domination_check,
     monotonicity_check,
     precision_diagonal,
@@ -26,6 +27,7 @@ from padicqft.lattice import (
     sign_structure_check,
 )
 from padicqft.model import FieldParams, free_cell_variance, free_covariance_entry
+from padicqft.reporting import CheckReport
 from padicqft.sampler import _cholesky
 from padicqft.ultrametric import BallAddress, LatticeSpec, Region, distance, parse_region, refine
 from padicqft.verify import params_for, random_nested_pair, random_region_with_level
@@ -43,6 +45,16 @@ def params(**kw):
 def chain_region(nu, q=3):
     return Region(q=q, ambient_level=1, ball_level=0,
                   balls=tuple(BallAddress(1, 0, (i,)) for i in range(nu)))
+
+
+def _peak(call) -> int:
+    """The tracemalloc peak, in bytes, of one call."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestPrecisionMatrix:
@@ -76,10 +88,12 @@ class TestPrecisionMatrix:
         assert n.entries[0, 0] > 0
 
     def test_size_guard(self):
+        # N is its class table at any eta; the cap holds in its eta x eta fill
         region = Region(q=3, ambient_level=1, ball_level=1, balls=(BallAddress(1, 1, ()),))
         lat = refine(region, -8, max_cells=10**5)
-        with pytest.raises(ValueError):
-            precision_matrix(lat, params())
+        n = precision_matrix(lat, params())
+        with pytest.raises(ValueError, match=r"19683 cells \(> 4096\)"):
+            n.entries
         with pytest.raises(ValueError, match="19683 cells"):
             wick_l2_distance(params(), 2, 1, 2, lat, np.ones(lat.eta))
 
@@ -213,27 +227,23 @@ class TestCovarianceMatrix:
         assert np.allclose(m.entries, np.eye(3) / 2.5, rtol=1e-14)
 
     def test_non_spd_rejected_with_pivot(self):
-        lat = refine(chain_region(2), 0)
-        n = precision_matrix(lat, params())
-        bad = np.array(n.entries)
-        bad[1, 1] = -5.0
+        # a negative diagonal fails every leaf term at once, so at the first cell
+        n = precision_matrix(refine(chain_region(2), 0), params())
         with pytest.raises(NotPositiveDefiniteError) as err:
-            covariance_matrix(replace(n, entries=bad))
-        assert err.value.pivot == 2
-        # leading minors 4 and 16 are positive, the determinant is -13
-        n3 = precision_matrix(refine(chain_region(3), 0), params())
-        bad3 = np.array([[4.0, 2.0, 1.0], [2.0, 5.0, 3.0], [1.0, 3.0, 1.0]])
+            covariance_matrix(replace(n, table=[n.table[0], -5.0]))
+        assert err.value.pivot == 1
+        # N = 2I - J: every leaf term is 2, the root's den 1 - 3/2 is negative
+        n3 = replace(precision_matrix(refine(chain_region(3), 0), params()), table=[-1.0, 1.0])
+        assert np.linalg.eigvalsh(n3.entries)[0] == pytest.approx(-1.0)
         with pytest.raises(NotPositiveDefiniteError) as err:
-            covariance_matrix(replace(n3, entries=bad3))
-        assert err.value.pivot == 3
+            covariance_matrix(n3)
+        assert err.value.pivot == 1
 
     def test_nan_input_rejected_before_factorization(self):
         lat = refine(chain_region(2), 0)
         n = precision_matrix(lat, params())
-        bad = np.array(n.entries)
-        bad[0, 1] = bad[1, 0] = np.nan
         with pytest.raises(ValueError, match="infs or NaNs") as err:
-            covariance_matrix(replace(n, entries=bad))
+            covariance_matrix(replace(n, table=[np.nan, n.table[1]]))
         assert not isinstance(err.value, NotPositiveDefiniteError)
 
     def test_factor_reproduces_matrix(self):
@@ -248,6 +258,7 @@ class TestCovarianceMatrix:
         m = covariance_matrix(precision_matrix(lat, params()))
         eta = lat.eta
         assert np.max(np.abs(m.entries @ m.precision.entries - np.eye(eta))) < 1e-10 * eta
+        assert m.entries is m.entries and not m.entries.flags.writeable  # filled once, read-only
 
     def test_nan_inverse_fails_the_residual_check(self, monkeypatch):
         n = precision_matrix(refine(chain_region(2), 0), params())
@@ -333,10 +344,10 @@ class TestTreeInverse:
             seen["empty class"] += None in n.lattice.tree.pairs
         assert min(seen.values()) >= 4, seen
 
-    def test_equals_the_per_node_pass(self, chunked):
+    def test_equals_the_per_node_pass(self, at_729):
         # the block fill against the per-node pass, bit for bit: the acceptance lattices,
         # their shuffled twins and FIXED_REGIONS, a q = 9 set, then 729 cells on a
-        # regular region (CHUNKED_REGIONS) and an irregular one (SHUFFLED_REGION)
+        # regular region (REGULAR_729) and an irregular one (SHUFFLED_REGION)
         cases = [(n, m.entries) for _, n, m, _ in _tree_inverse_cases()]
         rand = random.Random(24)
         bhs = (Fraction(1), Fraction(2), Fraction(3, 2), Fraction(5, 3))
@@ -344,7 +355,7 @@ class TestTreeInverse:
             region, l = random_region_with_level(rand, 9, max_eta=400, max_nu=8)
             n = precision_matrix(refine(region, l), params_for(9, bhs[i % 4]))
             cases.append((n, covariance_matrix(n).entries))
-        cases += [chunked[text] for text in (CHUNKED_REGIONS[0], SHUFFLED_REGION)]
+        cases += [at_729[text] for text in (REGULAR_729[0], SHUFFLED_REGION)]
         both = 0  # lattices with balls above top and two depths below it
         for n, m in cases:
             pivot, want = oracles.per_node_tree_inverse(n)
@@ -360,9 +371,10 @@ class TestTreeInverse:
         # and at depth 1, above them, where node 2 of balls 20 and 21 fails first
         n = precision_matrix(refine(parse_region(FIXED_REGIONS[3][0], 3), -2), params())
         assert (n.lattice.tree.top, n.lattice.tree.leaf) == (2, 4)
-        table = [n.entries[pair] for pair in n.lattice.tree.pairs] + [n.entries[0, 0]]
+        assert None not in n.lattice.tree.pairs
+        table = np.array(n.table)
         table[cls] *= factor
-        bad = replace(n, entries=np.array(table)[n.lattice.tree.classes()])
+        bad = replace(n, table=table)
         assert np.all(np.diagonal(bad.entries) > table[-2])  # every leaf term passes
         assert oracles.per_node_tree_inverse(bad)[0] == pivot
         with pytest.raises(NotPositiveDefiniteError) as err:
@@ -370,22 +382,20 @@ class TestTreeInverse:
         assert err.value.pivot == pivot
 
     def test_nonpositive_denominator_is_typed(self):
-        # the tree reads its coupling from N[0, 1]; the den test fires before the class check
+        # leaf term 1 + 2 = 3 > 0, root den 1 - 2 * 2/3 < 0
         n = precision_matrix(refine(chain_region(2), 0), params())
-        bad = np.array([[1.0, -2.0], [0.0, 1.0]])
         with pytest.raises(NotPositiveDefiniteError, match="precision matrix") as err:
-            covariance_matrix(replace(n, entries=bad))
+            covariance_matrix(replace(n, table=[-2.0, 1.0]))
         assert err.value.pivot == 1
 
 
 def _tree_form(n, diagonal):
-    """N rebuilt from one pair per distance class, with the diagonal set to ``diagonal``."""
-    table = [0.0 if pair is None else n.entries[pair] for pair in n.lattice.tree.pairs]
-    return replace(n, entries=np.array(table + [diagonal])[n.lattice.tree.classes()])
+    """N with the diagonal set to ``diagonal``."""
+    return replace(n, table=np.append(n.table[:-1], diagonal))
 
 
 class TestSpdGate:
-    """The tree's leaf, denominator and class tests against exact elimination."""
+    """The tree's leaf and denominator tests against exact elimination."""
 
     def test_matches_exact_pivots_at_the_critical_diagonal(self):
         # the lowest eigenvalue (the near-constant mode) reaches 0 at the critical diagonal
@@ -426,29 +436,19 @@ class TestSpdGate:
             assert m.precision is n
             assert np.linalg.eigvalsh(n.entries)[0] > 0
 
-    def test_edited_pair_fails_the_class_check(self):
-        n = precision_matrix(refine(parse_region(FIXED_REGIONS[3][0], 3), -2), params())
-        i, j = 1, n.lattice.eta - 1
-        assert (i, j) not in n.lattice.tree.pairs and (j, i) not in n.lattice.tree.pairs
-        bad = np.array(n.entries)
-        bad[i, j] = bad[j, i] = bad[i, j] * 1.01
-        assert np.linalg.eigvalsh(bad)[0] > 0  # still symmetric positive definite
-        with pytest.raises(ValueError, match=rf"N\[{i},{j}\]=.* differs from its distance class"):
-            covariance_matrix(replace(n, entries=bad))
 
-
-# 729 cells each, so _ROW_CHUNK // 729 = 89 rows per chunk and 9 chunks; the second
-# lists the same balls out of lexicographic order, so it is the same lattice
-CHUNKED_REGIONS = ("amb=1;k=0;balls=0,1,2", "amb=1;k=0;balls=2,0,1")
+# 729 cells each; the second lists the same balls out of lexicographic order, so it is
+# the same lattice
+REGULAR_729 = ("amb=1;k=0;balls=0,1,2", "amb=1;k=0;balls=2,0,1")
 # balls listed out of order at unequal distances
 SHUFFLED_REGION = "amb=2;k=0;balls=12,00,01"
 
 
 @pytest.fixture(scope="module")
-def chunked():
-    """(N, M) per region of CHUNKED_REGIONS and SHUFFLED_REGION."""
+def at_729():
+    """(N, M) per region of REGULAR_729 and SHUFFLED_REGION."""
     out = {}
-    for text in CHUNKED_REGIONS + (SHUFFLED_REGION,):
+    for text in REGULAR_729 + (SHUFFLED_REGION,):
         n = precision_matrix(refine(parse_region(text, 3), -5), params())
         out[text] = n, covariance_matrix(n).entries
     return out
@@ -525,7 +525,7 @@ class TestTreeResidual:
 
     @staticmethod
     def _assert_ball_rows_match(n, m):
-        got = float(padicqft.lattice._ball_residual(m, n))
+        got = float(padicqft.lattice._ball_residual(m[n.lattice.tree.ball_rows()], n))
         bound = 2 * _rounding(m, n)
         assert abs(got - oracles.inverse_residual(m, n)) <= bound, n.lattice.region
         assert abs(got - _dense_residual(m, n)) <= bound, n.lattice.region
@@ -545,14 +545,14 @@ class TestTreeResidual:
         assert n.lattice.eta == 2187
         self._assert_ball_rows_match(n, covariance_matrix(n).entries)
 
-    @pytest.mark.parametrize("text", CHUNKED_REGIONS + (SHUFFLED_REGION,))
+    @pytest.mark.parametrize("text", REGULAR_729 + (SHUFFLED_REGION,))
     @pytest.mark.parametrize("symmetric", [True, False])
     @pytest.mark.parametrize("where", ["last row", "last diagonal", "first row, far column",
                                        "inside a chunk"])
-    def test_shifted_entry_fails(self, monkeypatch, chunked, text, symmetric, where):
+    def test_shifted_entry_fails(self, monkeypatch, at_729, text, symmetric, where):
         # one entry shifted, against the oracle; then the table value of its block (and of
         # the mirror block, if symmetric), which covariance_matrix must reject
-        n, m = chunked[text]
+        n, m = at_729[text]
         eta = len(m)
         i, j = {"last row": (eta - 1, 0), "last diagonal": (eta - 1, eta - 1),
                 "first row, far column": (3, eta - 2), "inside a chunk": (400, 401)}[where]
@@ -565,50 +565,37 @@ class TestTreeResidual:
         tables = _shifted_tables(n, cells, 1e-6)
         filled = n.lattice.tree.fill(*tables)
         assert not np.array_equal(filled, m)
-        residual = float(padicqft.lattice._ball_residual(filled, n))
+        residual = float(padicqft.lattice._ball_residual(filled[n.lattice.tree.ball_rows()], n))
         assert abs(residual - _dense_residual(filled, n)) <= 2 * _rounding(filled, n)
         monkeypatch.setattr(padicqft.lattice, "_tree_inverse", lambda N: tables)
         with pytest.raises(ValueError, match="inverse residual"):
             covariance_matrix(n)
 
     @pytest.mark.parametrize("cell", [(728, 5), (0, 728)])
-    def test_single_nan_fails(self, monkeypatch, chunked, cell):
+    def test_single_nan_fails(self, monkeypatch, at_729, cell):
         # the table value of the block of a cell in the last ball's rows, or in the first's
-        n, m = chunked[CHUNKED_REGIONS[0]]
+        n, m = at_729[REGULAR_729[0]]
         tables = _shifted_tables(n, [cell], np.nan)
         assert np.isnan(n.lattice.tree.fill(*tables)[cell])
         monkeypatch.setattr(padicqft.lattice, "_tree_inverse", lambda N: tables)
         with pytest.raises(ValueError, match="inverse residual nan"):
             covariance_matrix(n)
 
-    def test_no_square_temporary_beside_m(self, monkeypatch, chunked):
-        # small chunks, so the chunk temporaries stay far below one eta x eta array; a built
-        # N reads no chunk, a replaced one is checked finite and by class chunk by chunk
-        monkeypatch.setattr(padicqft.lattice, "_ROW_CHUNK", 1 << 12)
-        n, m = chunked[CHUNKED_REGIONS[0]]
-        for matrix in (n, replace(n, entries=n.entries.copy())):
-            tracemalloc.start()
-            try:
-                covariance_matrix(matrix)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert m.nbytes < peak < 1.25 * m.nbytes
+    def test_no_square_temporary_beside_m(self, at_729):
+        # M is its tables, and the residual reads their fill on one row per region ball, so
+        # no eta x eta array is made, M's own included, for N built or replaced
+        n, m = at_729[REGULAR_729[0]]
+        for matrix in (n, replace(n, table=n.table.copy())):
+            assert _peak(lambda: covariance_matrix(matrix)) < 0.1 * m.nbytes
 
 
 class TestOutOfOrderLattice:
     """A region listing its balls out of order is the sorted region: same cells, same bits."""
 
-    def test_holds_m_once(self, chunked):
-        n, m = chunked[CHUNKED_REGIONS[1]]
-        assert n.lattice.region.serialize() == CHUNKED_REGIONS[0]
-        tracemalloc.start()
-        try:
-            covariance_matrix(n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert m.nbytes < peak < 1.5 * m.nbytes
+    def test_holds_m_once(self, at_729):
+        n, m = at_729[REGULAR_729[1]]
+        assert n.lattice.region.serialize() == REGULAR_729[0]
+        assert m.nbytes < _peak(lambda: covariance_matrix(n).entries) < 1.5 * m.nbytes
 
     @staticmethod
     def _assert_same_lattice(n0, m0, n1, m1):
@@ -617,8 +604,8 @@ class TestOutOfOrderLattice:
         assert np.array_equal(n1.lattice.tree.classes(), n0.lattice.tree.classes())
         assert np.array_equal(m1.view(np.uint64), m0.view(np.uint64))
 
-    def test_equals_the_sorted_lattice(self, chunked):
-        (n0, m0), (n1, m1) = (chunked[text] for text in CHUNKED_REGIONS)
+    def test_equals_the_sorted_lattice(self, at_729):
+        (n0, m0), (n1, m1) = (at_729[text] for text in REGULAR_729)
         self._assert_same_lattice(n0, m0, n1, m1)
 
     def test_irregular_region_equals_its_sorted_twin(self):
@@ -751,9 +738,9 @@ class TestByClass:
                 rows = slice(lo, min(lo + step, lat.eta))
                 assert np.array_equal(tree.by_class(table, rows), whole[rows]), (lat.region, rows)
 
-    def test_rows_equal_the_whole_fill(self, chunked):
+    def test_rows_equal_the_whole_fill(self, at_729):
         # the acceptance lattices, their shuffled twins and FIXED_REGIONS, a q = 9 set, then
-        # 729 cells in row chunks that cut the nodes below the region balls
+        # 729 cells in row ranges that cut the nodes below the region balls
         cases = [n for _, n, _, _ in _tree_inverse_cases()]
         rand = random.Random(24)
         for i in range(16):
@@ -761,14 +748,14 @@ class TestByClass:
             cases.append(precision_matrix(refine(region, l), params_for(9, Fraction(2))))
         for n in cases:
             self._assert_rows(n, steps=(1, 4, 7))
-        for text in CHUNKED_REGIONS + (SHUFFLED_REGION,):
-            self._assert_rows(chunked[text][0], steps=(padicqft.lattice._ROW_CHUNK // 729, 5, 250))
+        for text in REGULAR_729 + (SHUFFLED_REGION,):
+            self._assert_rows(at_729[text][0], steps=(89, 5, 250))
         assert {n.lattice.q for n in cases} == {3, 5, 9}
 
-    def test_every_row_permutes_its_balls_first_row(self, chunked):
+    def test_every_row_permutes_its_balls_first_row(self, at_729):
         # distinct random tables, one value per block
         cases = [n for _, n, _, _ in _tree_inverse_cases()]
-        cases += [chunked[text][0] for text in CHUNKED_REGIONS + (SHUFFLED_REGION,)]
+        cases += [at_729[text][0] for text in REGULAR_729 + (SHUFFLED_REGION,)]
         rand = np.random.default_rng(26)
         for n in cases:
             tree, eta, nu = n.lattice.tree, n.lattice.eta, n.lattice.region.nu
@@ -783,93 +770,69 @@ class TestByClass:
         assert {n.lattice.eta // n.lattice.region.nu for n in cases} >= {1, 3, 9, 243}
 
     def test_precision_holds_one_square_float_array(self):
-        # N's entries are the only eta x eta array made: no class array beside them
-        lat = refine(parse_region(CHUNKED_REGIONS[0], 3), -5)
-        tracemalloc.start()
-        try:
-            n = precision_matrix(lat, params())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert n.entries.nbytes <= peak < n.entries.nbytes + lat.eta**2 // 2
+        # N's entries are the only eta x eta array its fill makes: no class array beside them
+        lat = refine(parse_region(REGULAR_729[0], 3), -5)
+        nbytes = 8 * lat.eta**2
+        assert nbytes <= _peak(lambda: precision_matrix(lat, params()).entries) < nbytes + lat.eta**2 // 2
 
 
-class TestChunkedDomination:
-    """domination_check of an M without tables reads its margins row chunk by row chunk, as
-    one dense argmin would."""
-
-    @staticmethod
-    def _dense_reference(n, entries):
-        """The worst margin and the violation text, from one eta x eta margin array."""
-        l, amb = n.lattice.cell_level, n.lattice.region.ambient_level
-        table = [free_covariance_entry(params(), l, amb - c) for c in range(amb - l)]
-        bound = np.array(table + [free_cell_variance(params(), l)])[n.lattice.tree.classes()]
-        margins = bound - entries
-        i, j = divmod(int(np.argmin(margins)), len(entries))
-        text = (f"M[{i},{j}]={float(entries[i, j])!r} exceeds free covariance "
-                f"{float(bound[i, j])!r}")
-        return float(margins[i, j]), text
-
-    def test_no_square_temporary(self, monkeypatch, chunked):
-        # small chunks, so the chunk temporaries stay far below one eta x eta array
-        monkeypatch.setattr(padicqft.lattice, "_ROW_CHUNK", 1 << 12)
-        n, m = chunked[CHUNKED_REGIONS[0]]
-        cov = CovarianceMatrix(entries=m, precision=n)
-        tracemalloc.start()
-        try:
-            report = domination_check(cov, params())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert report.passed
-        assert peak < 0.1 * m.nbytes
-
-    @pytest.mark.parametrize("cells", [
-        {(0, 0): 1.0, (728, 5): np.nan},  # a NaN in the last chunk, after a larger excess
-        {(700, 3): 1.0, (5, 700): 1.0},  # equal excesses: the first in row-major order
-        {(400, 401): 2.0, (3, 727): 1.0},  # the larger excess, in a later chunk
-    ])
-    def test_reports_the_dense_worst_cell(self, monkeypatch, chunked, cells):
-        monkeypatch.setattr(padicqft.lattice, "_ROW_CHUNK", 1 << 12)
-        n, m = chunked[CHUNKED_REGIONS[0]]
-        bad = np.array(m)
-        for cell, excess in cells.items():
-            bad[cell] += excess
-        report = domination_check(CovarianceMatrix(bad, n), params())
-        worst, text = self._dense_reference(n, bad)
-        assert not report.passed
-        assert report.worst_margin == worst or np.isnan(report.worst_margin) and np.isnan(worst)
-        assert report.violations == (text,)
+def _free_table(n, p):
+    """The free covariance per distance class of N's lattice, amb - l on the diagonal."""
+    l, amb = n.lattice.cell_level, n.lattice.region.ambient_level
+    table = [free_covariance_entry(p, l, amb - c) for c in range(amb - l)]
+    return np.array(table + [free_cell_variance(p, l)])
 
 
-def _filled_cases(chunked):
-    """(params, N) of the 200 acceptance lattices, CHUNKED_REGIONS and SHUFFLED_REGION."""
+def _dense_domination(m, p):
+    """``domination_check``'s report, from one eta x eta margin array over M's fill."""
+    bound = _free_table(m.precision, p)[m.lattice.tree.classes()]
+    margins = bound - m.entries
+    i, j = divmod(int(np.argmin(margins)), len(margins))
+    worst, violations = float(margins[i, j]), ()
+    if not worst >= -1e-9:
+        violations = (f"M[{i},{j}]={float(m.entries[i, j])!r} exceeds free covariance "
+                      f"{float(bound[i, j])!r}",)
+    return CheckReport("covariance_domination", not violations, worst, violations)
+
+
+def _dense_sign_structure(n):
+    """``sign_structure_check``'s report, from every entry of N's fill."""
+    a = n.entries
+    worst, off = float(np.min(np.diag(a))), a[~np.eye(len(a), dtype=bool)]
+    violations = [] if worst > 0 else [f"nonpositive diagonal entry {worst}"]
+    if off.size:
+        worst = float(np.min([worst, -float(np.max(off))]))
+        if not float(np.max(off)) <= 0:
+            violations.append(f"positive off-diagonal entry {float(np.max(off))}")
+    return CheckReport("precision_sign_structure", not violations, worst, tuple(violations))
+
+
+def _filled_cases(at_729):
+    """(params, N) of the 200 acceptance lattices, REGULAR_729 and SHUFFLED_REGION."""
     import test_acceptance
 
     cases = [(p, n) for p, _, n, _ in test_acceptance.matrix_suite()]
-    return cases + [(params(), chunked[text][0]) for text in CHUNKED_REGIONS + (SHUFFLED_REGION,)]
+    return cases + [(params(), at_729[text][0]) for text in REGULAR_729 + (SHUFFLED_REGION,)]
 
 
 class TestFilledMatrices:
-    """Checks of a matrix the package built read one row per region ball, and report what
-    the dense path reports on the same entries; a matrix made by ``replace`` is not marked
-    filled and is read whole."""
+    """A lattice matrix is its tables, and its entries are their fill: the checks read the
+    tables, or the fill's rows at the region balls' first cells, and report what a dense
+    pass over every entry of the fill reports."""
 
-    def test_domination_equals_the_dense_path(self, chunked):
+    def test_domination_equals_the_dense_path(self, at_729):
         # M at its own parameters passes; M built at half the mass exceeds the free covariance
         # on the diagonal; M checked at a hundredth of gamma and ten times the mass exceeds it
         # off the diagonal too, often first on a mirror pair outer[a, b], outer[b, a] of equal
         # margins, where the report names the row-major first cell, a < b
         seen = {"passed": 0, "diagonal": 0, "mirror pair": 0}
-        for p, n in _filled_cases(chunked):
+        for p, n in _filled_cases(at_729):
             weak = covariance_matrix(precision_matrix(n.lattice, replace(p, m_sq=p.m_sq / 2)))
             far = replace(p, m_sq=10 * p.m_sq, gamma_const=p.gamma_const / 100)
             per_ball = n.lattice.eta // n.lattice.region.nu
             for m, at in ((covariance_matrix(n), p), (weak, p), (weak, far)):
-                dense = CovarianceMatrix(m.entries, m.precision)
-                assert m._filled and not dense._filled
                 report = domination_check(m, at)
-                assert repr(report) == repr(domination_check(dense, at))
+                assert repr(report) == repr(_dense_domination(m, at))
                 if report.passed:
                     seen["passed"] += 1
                     continue
@@ -878,33 +841,119 @@ class TestFilledMatrices:
                 seen["mirror pair"] += i // per_ball < j // per_ball
         assert seen["passed"] >= 200 and seen["diagonal"] >= 100 and seen["mirror pair"] >= 15, seen
 
-    def test_replaced_matrices_take_the_dense_path(self, chunked):
-        for p, n in _filled_cases(chunked):
-            m = covariance_matrix(n)
-            n_copy, m_copy = replace(n, entries=n.entries.copy()), replace(m, entries=m.entries.copy())
-            assert n._filled and not n_copy._filled and not m_copy._filled
-            again = covariance_matrix(n_copy).entries
-            assert np.array_equal(again.view(np.uint64), m.entries.view(np.uint64))
-            assert repr(domination_check(m_copy, p)) == repr(domination_check(m, p))
+    @pytest.mark.parametrize("cells", [
+        {(0, 0): 1.0, (728, 5): np.nan},  # a NaN in the last ball's rows, after a larger excess
+        {(700, 3): 1.0, (5, 700): 1.0},  # equal excesses: the first in row-major order
+        {(400, 401): 2.0, (3, 727): 1.0},  # the larger excess, in a later ball's rows
+    ])
+    def test_reports_the_dense_worst_cell(self, at_729, cells):
+        # each excess added to the table value of its cell's block
+        n, _ = at_729[REGULAR_729[0]]
+        tables = [np.array(t) for t in padicqft.lattice._tree_inverse(n)]
+        for cell, excess in cells.items():
+            which, at = _block_of(n, *cell)
+            tables[which][at] += excess
+        m = CovarianceMatrix(n, *tables)
+        report = domination_check(m, params())
+        assert not report.passed
+        assert repr(report) == repr(_dense_domination(m, params()))
 
-    def test_allocation(self, chunked):
-        # a built N: M's fill is the only eta x eta array; a built M: only its nu ball rows
-        n, m = chunked[CHUNKED_REGIONS[0]]
-        tracemalloc.start()
-        try:
-            cov = covariance_matrix(n)
-            cov_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        tracemalloc.start()
-        try:
-            report = domination_check(cov, params())
-            dom_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert report.passed
-        assert m.nbytes <= cov_peak < 1.1 * m.nbytes
-        assert dom_peak < 64 * 1024
+    def test_monotonicity_equals_the_dense_gather(self, monkeypatch):
+        # test_randomized_monotonicity's pairs: as built, then with the big region's M scaled
+        # by 0.9, or its outer table alone (off the diagonal, where shared balls are two or
+        # more), so the check fails; against one eta x eta gather of the big M's shared cells
+        rand = random.Random(44)
+        cases = []
+        for i in range(30):
+            q = (3, 5)[i % 2]
+            small, big, l = random_nested_pair(rand, q, max_eta=45)
+            cases.append((small, big, l, params_for(q, (Fraction(1), Fraction(2))[i % 2])))
+        real, built = padicqft.lattice.covariance_matrix, []
+        seen = {"passed": 0, "diagonal": 0, "off the diagonal": 0}
+        for shrink in (lambda m: m, lambda m: replace(m, outer=0.9 * m.outer, inner=0.9 * m.inner),
+                       lambda m: replace(m, outer=0.9 * m.outer)):
+            def recording(N, *args, **kwargs):
+                m = real(N, *args, **kwargs)
+                built.append(m if len(built) % 2 == 0 else shrink(m))  # small, then big
+                return built[-1]
+
+            monkeypatch.setattr(padicqft.lattice, "covariance_matrix", recording)
+            for small, big, l, p in cases:
+                report = monotonicity_check(small, big, l, p)
+                idx = padicqft.ultrametric._shared_indices(small, big, l)[2]
+                margins = built[-1].entries[np.ix_(idx, idx)] - built[-2].entries
+                worst = float(np.min(margins))
+                assert report.worst_margin == worst and report.passed == (worst >= -1e-9)
+                if report.passed:
+                    seen["passed"] += 1
+                    continue
+                i, j = np.unravel_index(int(np.argmin(margins)), margins.shape)
+                assert report.violations == (
+                    f"covariance shrank at shared pair ({i},{j}) by {-worst:.3e}",)
+                seen["diagonal" if i == j else "off the diagonal"] += 1
+        assert seen["passed"] >= 30 and seen["diagonal"] >= 30 and seen["off the diagonal"] >= 10, seen
+
+    def test_table_checks_equal_the_dense_checks(self, at_729):
+        # sign structure and nonnegativity read the tables, a class no pair has aside: the
+        # built matrices, then one class value of N and one block of M edited
+        seen = 0
+        for p, n in _filled_cases(at_729):
+            m, tree = covariance_matrix(n), n.lattice.tree
+            present = [c for c, pair in enumerate(tree.pairs) if pair is not None]
+            n_cases = [n, replace(n, table=np.append(n.table[:-1], 0.0))]
+            if present:
+                for value in (0.5, np.nan):
+                    table = np.array(n.table)
+                    table[present[-1]] = value
+                    n_cases.append(replace(n, table=table))
+            if len(present) < tree.leaf:  # a class no pair has is not an entry
+                table = np.array(n.table)
+                table[tree.pairs.index(None)] = np.nan
+                n_cases.append(replace(n, table=table))
+                seen += 1
+            for case in n_cases:
+                assert repr(sign_structure_check(case)) == repr(_dense_sign_structure(case))
+            outer = np.array(m.outer)
+            outer[-1, 0] = -1.0
+            for case in (m, replace(m, outer=outer), replace(m, inner=np.full_like(m.inner, np.nan))):
+                worst = float(np.min(case.entries))
+                violations = () if worst >= -1e-12 else (f"negative covariance entry {worst}",)
+                assert repr(covariance_nonnegative_check(case)) == repr(
+                    CheckReport("covariance_nonnegative", worst >= -1e-12, worst, violations))
+        assert seen >= 4
+
+    def test_allocation(self):
+        # at 2,187 cells no eta x eta array is made: the peak of the matrices and every check
+        # of them together stays below one, and domination alone reads nu rows
+        lat, p = refine(parse_region("amb=1;k=0;balls=0,1,2", 3), -6), params()
+        small = parse_region("amb=1;k=0;balls=0,2", 3)
+        reports = []
+
+        def lattice_round():
+            n = precision_matrix(lat, p)
+            m = covariance_matrix(n)
+            reports.extend([sign_structure_check(n), covariance_nonnegative_check(m),
+                            domination_check(m, p), monotonicity_check(small, lat.region, -6, p)])
+            return m
+
+        m = lattice_round()  # the tree, built once per lattice
+        assert _peak(lattice_round) < 8 * lat.eta**2 / 10
+        assert _peak(lambda: domination_check(m, p)) < 8 * lat.eta * lat.region.nu * 8
+        assert len(reports) == 8 and all(r.passed for r in reports)
+        assert "entries" not in vars(m) and "entries" not in vars(m.precision)
+
+    def test_checks_run_past_the_cell_cap(self):
+        # 19,683 cells: the matrices and their checks, with no fill of every row; the
+        # entries are such a fill, and refuse
+        lat, p = refine(parse_region("amb=1;k=0;balls=0,1,2", 3), -8, max_cells=20_000), params()
+        n = precision_matrix(lat, p)
+        m = covariance_matrix(n)
+        assert lat.eta == 19683
+        assert sign_structure_check(n).passed and covariance_nonnegative_check(m).passed
+        assert domination_check(m, p).passed
+        for matrix in (n, m):
+            with pytest.raises(ValueError, match=r"lattice has 19683 cells \(> 4096\)"):
+                matrix.entries
 
 
 class TestRestriction:
@@ -946,9 +995,7 @@ class TestSignsAndDomination:
 
     def test_nonpositive_diagonal_fails_sign_structure(self):
         n = precision_matrix(refine(chain_region(3), 0), params())
-        bad = np.array(n.entries)
-        bad[1, 1] = 0.0
-        report = sign_structure_check(replace(n, entries=bad))
+        report = sign_structure_check(replace(n, table=[n.table[0], 0.0]))
         assert not report.passed and report.worst_margin == 0.0
         assert report.violations == ("nonpositive diagonal entry 0.0",)
 
@@ -990,24 +1037,22 @@ class TestSignsAndDomination:
 
     def test_nan_off_diagonal_fails_sign_structure(self):
         n = precision_matrix(refine(chain_region(3), 0), params())
-        bad = np.array(n.entries)
-        bad[0, 2] = bad[2, 0] = np.nan
-        report = sign_structure_check(replace(n, entries=bad))
+        report = sign_structure_check(replace(n, table=[np.nan, n.table[1]]))
         assert not report.passed
         assert np.isnan(report.worst_margin)
 
     def test_nan_covariance_fails_domination(self):
         m = covariance_matrix(precision_matrix(refine(chain_region(3), 0), params()))
-        bad = np.array(m.entries)
+        bad = np.array(m.outer)  # the cells are the balls
         bad[1, 2] = np.nan
-        report = domination_check(replace(m, entries=bad), params())
+        report = domination_check(replace(m, outer=bad), params())
         assert not report.passed
         assert report.violations[0].startswith("M[1,2]=")
 
     def test_violation_text_holds_plain_floats(self):
         n = precision_matrix(refine(parse_region("amb=1;k=0;balls=0,1", 3), 0), params())
         m = covariance_matrix(n)
-        report = domination_check(replace(m, entries=2 * m.entries), params())
+        report = domination_check(replace(m, outer=2 * m.outer, inner=2 * m.inner), params())
         assert not report.passed
         text = report.violations[0]
         assert text == (f"M[0,0]={float(2 * m.entries[0, 0])!r} exceeds free covariance "
@@ -1019,7 +1064,8 @@ class TestSignsAndDomination:
 
         def nan_for_the_big_region(N, *args, **kwargs):
             m = real(N, *args, **kwargs)
-            return replace(m, entries=np.full_like(m.entries, np.nan)) if N.lattice.eta == 3 else m
+            nan = replace(m, outer=np.full_like(m.outer, np.nan), inner=np.full_like(m.inner, np.nan))
+            return nan if N.lattice.eta == 3 else m
 
         monkeypatch.setattr(padicqft.lattice, "covariance_matrix", nan_for_the_big_region)
         report = monotonicity_check(chain_region(2), chain_region(3), 0, params())
@@ -1061,55 +1107,57 @@ class TestCovarianceAgainstSeriesOracle:
 
 
 class TestEntriesShape:
-    """A matrix's entries are eta x eta: making one of another shape, directly or by
-    ``replace``, raises ValueError naming both shapes, before any entry point reads it."""
-
-    SIZES = (1, 2, 4)
+    """A matrix's tables have the shapes its lattice needs: making one of another shape,
+    directly or by ``replace``, raises ValueError naming both shapes, before any entry
+    point reads it."""
 
     @staticmethod
     def _matrices():
-        n = precision_matrix(refine(chain_region(3), 0), params())
+        n = precision_matrix(refine(chain_region(3), -1), params())
         return n, covariance_matrix(n)
 
     @staticmethod
-    def _raises(size):
-        return pytest.raises(ValueError, match=rf"shape \({size}, {size}\); 3 cells need \(3, 3\)")
+    def _raises(name, shape, need):
+        return pytest.raises(ValueError, match=re.escape(f"{name} has shape {shape}; the lattice needs {need}"))
 
     def test_precision_of_another_shape_rejected(self):
         n, _ = self._matrices()
-        for entries in (np.eye(3)[0], np.ones((3, 4)), np.ones((3, 3, 1))):
-            with pytest.raises(ValueError, match=re.escape(f"shape {entries.shape};")):
-                PrecisionMatrix(n.lattice, entries)
-        for size in self.SIZES:
-            with self._raises(size):
-                PrecisionMatrix(n.lattice, np.eye(size))
+        for table in (np.ones(2), np.ones(4), np.ones((3, 1)), np.eye(9), 1.0):
+            with self._raises("table", np.shape(table), (3,)):
+                PrecisionMatrix(n.lattice, table)
 
     def test_covariance_matrix(self):
         n, _ = self._matrices()
-        for size in self.SIZES:
-            with self._raises(size):
-                covariance_matrix(replace(n, entries=np.eye(size)))
+        for size in (2, 4):
+            with self._raises("table", (size,), (3,)):
+                covariance_matrix(replace(n, table=np.ones(size)))
 
     def test_sign_structure_check(self):
         n, _ = self._matrices()
-        for size in self.SIZES:
-            with self._raises(size):
-                sign_structure_check(replace(n, entries=np.eye(size)))
+        for size in (2, 4):
+            with self._raises("table", (size,), (3,)):
+                sign_structure_check(replace(n, table=np.ones(size)))
 
     def test_domination_check(self):
         n, m = self._matrices()
-        for size in self.SIZES:
-            with self._raises(size):
-                domination_check(replace(m, entries=np.eye(size)), params())
-            with self._raises(size):
-                domination_check(CovarianceMatrix(np.eye(size), n), params())
+        for outer in (np.eye(2), np.eye(4), np.ones((3, 9))):
+            with self._raises("outer", outer.shape, (3, 3)):
+                domination_check(replace(m, outer=outer), params())
+        for inner in (np.ones((3, 2)), np.ones((1, 1)), np.ones(3)):
+            with self._raises("inner", inner.shape, (3, 1)):
+                domination_check(CovarianceMatrix(n, m.outer, inner), params())
 
     def test_lattice_is_the_precision_matrix_lattice(self):
-        # one lattice per matrix pair: M reads N's, so no two copies can disagree
+        # one lattice per matrix pair: M reads N's, so no two copies can disagree; the tables
+        # are read-only copies, and the entries a fill made on first read
         n, m = self._matrices()
-        assert [f.name for f in fields(n) if f.init] == ["lattice", "entries"]
-        assert [f.name for f in fields(m) if f.init] == ["entries", "precision"]
+        assert [f.name for f in fields(n)] == ["lattice", "table"]
+        assert [f.name for f in fields(m)] == ["precision", "outer", "inner"]
         assert m.lattice is m.precision.lattice is n.lattice
-        same = CovarianceMatrix(np.array(m.entries), n)
-        assert same.lattice is n.lattice and not same._filled
+        outer = np.array(m.outer)
+        same = CovarianceMatrix(n, outer, m.inner)
+        assert same.lattice is n.lattice and outer.flags.writeable
+        assert not any(t.flags.writeable for t in (n.table, same.outer, same.inner))
+        assert "entries" not in vars(same) and np.array_equal(same.entries, m.entries)
+        assert same.entries is not m.entries and not same.entries.flags.writeable
         assert domination_check(same, params()).passed

@@ -224,7 +224,7 @@ class TestSampleField:
         assert np.max(np.abs(t - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_indefinite_covariance_rejected_at_draw_time(self, cov2):
-        bad = replace(cov2, entries=np.array([[1.0, 2.0], [2.0, 1.0]]))
+        bad = replace(cov2, outer=np.array([[1.0, 2.0], [2.0, 1.0]]))  # the cells are the balls
         with pytest.raises(NotPositiveDefiniteError, match="covariance matrix") as err:
             draw(bad, 1, 1000)
         assert err.value.pivot == 2
@@ -232,7 +232,7 @@ class TestSampleField:
     def test_indefinite_outside_the_drawn_cells_rejected(self, cov3):
         # cells 1 and 2 make M indefinite; a draw on cell 2 alone factors M in the order
         # 2, 0, 1, which stops at its third pivot, and names that pivot's cell
-        bad = replace(cov3, entries=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]]))
+        bad = replace(cov3, outer=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]]))
         e2 = np.eye(3)[2]
         calls = [
             lambda: partition_function_mc(bad, X4, SourceSpec(g=0.1 * e2), 1, 1000, var0()),
@@ -1171,9 +1171,10 @@ class TestSourceCellCount:
         assert math.isfinite(schwinger_mc(cov3, X4, self._source(3), 1, 1000, var0()).value)
 
     def test_covariance_of_another_shape_rejected(self, cov3):
-        # a hand-made M is eta x eta too, so a draw never reads a 4 x 4 M on 3 cells
-        with pytest.raises(ValueError, match=r"shape \(4, 4\); 3 cells need \(3, 3\)"):
-            schwinger_mc(replace(cov3, entries=0.5 * np.eye(4)), X4, self._source(3), 1, 1000, var0())
+        # a hand-made M has its lattice's table shapes too, so a draw never reads a 4 x 4 M
+        # on 3 cells
+        with pytest.raises(ValueError, match=r"outer has shape \(4, 4\); the lattice needs \(3, 3\)"):
+            schwinger_mc(replace(cov3, outer=0.5 * np.eye(4)), X4, self._source(3), 1, 1000, var0())
 
     def test_monotonicity_accepts_either_region_length(self):
         # per-cell data of the small region's length, or of the big one's vanishing off

@@ -278,15 +278,19 @@ class TestPolyEval:
 
     def test_infinite_entry(self):
         # Horner's rule starts from the top coefficient, so an infinite value is the
-        # leading power's +inf; a cell of zero weight still makes 0 * inf = NaN
+        # leading power's +inf; a cell of zero weight adds 0, whatever its value, so the
+        # rows are those of the other cell alone, bit for bit
         poly = WickPolynomial((0.0, -0.5, 0.0, 0.0, 1.0))
         t = np.array([[np.inf, 1.0], [-np.inf, 1.0], [np.nan, 1.0], [1.0, 2.0]])
         for v in (0.0, 0.4):
             got = wick_poly_eval(poly, t, np.array([0.5, 0.5]), np.full(2, v))
             assert got[0] == got[1] == np.inf and np.isnan(got[2]) and np.isfinite(got[3])
-            with np.errstate(invalid="ignore"):
+            with np.errstate(invalid="raise"):
                 got = wick_poly_eval(poly, t, np.array([0.0, 0.5]), np.full(2, v))
-            assert np.all(np.isnan(got[:3])) and np.isfinite(got[3])
+            alone = wick_poly_eval(poly, t[:, 1:], np.array([0.5]), np.full(1, v))
+            assert np.all(np.isfinite(got)) and np.array_equal(got.view(np.uint64), alone.view(np.uint64))
+            got = wick_poly_eval(poly, t[:, ::-1], np.array([0.5, 0.0]), np.full(2, v))
+            assert np.array_equal(got.view(np.uint64), alone.view(np.uint64))
 
     @pytest.mark.parametrize("eta", [1, 27, 54])
     def test_blocks_match_one_pass(self, eta):
@@ -304,6 +308,10 @@ class TestPolyEval:
                 per_cell += c
             got = wick_poly_eval(poly, t, g, v)
             assert np.array_equal(got, np.einsum("ij,j->i", per_cell, g)), n
+            if eta > 1:  # zero weights on every third cell keep the finite rows' bits
+                zeros = np.where(np.arange(eta) % 3 == 0, 0.0, g)
+                want = np.einsum("ij,j->i", per_cell, zeros)
+                assert np.array_equal(wick_poly_eval(poly, t, zeros, v).view(np.uint64), want.view(np.uint64))
             for lo in range(0, n, block):
                 assert np.array_equal(got[lo : lo + block], wick_poly_eval(poly, t[lo : lo + block], g, v))
             one = wick_poly_eval(poly, t[-1], g, v)
